@@ -139,6 +139,7 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
     failures = 0
+    unconverged = 0
     min_margin = np.inf
     per_model = pairs // len(_TV_MODELS)
     for name in _TV_MODELS:
@@ -149,10 +150,16 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
             min_margin = min(min_margin, res.distance_estimate - res.tv)
             if not res.holds:
                 failures += 1
+            unconverged += not res.converged
     return _result(
         "tv-lower-bound: distance estimates >= TV on random pairs",
         failures == 0,
-        {"pairs": per_model * len(_TV_MODELS), "failures": failures, "min_margin": float(min_margin)},
+        {
+            "pairs": per_model * len(_TV_MODELS),
+            "failures": failures,
+            "min_margin": float(min_margin),
+            "unconverged": unconverged,
+        },
         t0,
     )
 

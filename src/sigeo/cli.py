@@ -227,6 +227,8 @@ def _cmd_tv_check(options):
             "distance_estimate": res.distance_estimate,
             "tv": res.tv,
             "holds": res.holds,
+            "converged": res.converged,
+            "iterations": res.iterations,
         },
         options,
     )

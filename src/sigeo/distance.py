@@ -5,8 +5,10 @@ parameter space; its length integrates the metric speed sqrt(v^T G v)
 segment by segment with Gauss-Legendre quadrature. The distance estimate
 minimizes that length over the interior nodes by coordinate descent with
 central-difference gradients and backtracking, so every returned value is
-an upper estimate of the underlying infimum. The total-variation norm of
-the endpoint difference is attached as the certified lower bound.
+an upper estimate of the underlying infimum. For 1-parameter models the
+straight segment is the geodesic and is returned without descent. The
+total-variation norm of the endpoint difference is attached as the
+certified lower bound.
 """
 
 from __future__ import annotations
@@ -23,23 +25,30 @@ from .quadrature import gauss_legendre_rule
 
 OPTIMIZER_TOL = 1e-6
 # Relative optimizer accuracy allowance used by the axiom checks. The stop
-# rule bounds the last improvement, not the gap to the infimum; measured
-# gaps on the zoo stay below 2e-4 relative, so 1e-3 is conservative.
+# rule bounds the last improvement, not the gap to the infimum, so this is
+# an allowance, not a certified bound: Gaussian location-scale estimates
+# have been measured up to 1.15e-3 above the closed-form distance, beyond
+# this value. Separating discretization from optimizer error is open work
+# (ROADMAP item 4).
 OPTIMIZER_GAP = 1e-3
 
 
 def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
-    """Lengths of the straight parameter segments between consecutive nodes."""
+    """Lengths of the straight parameter segments between consecutive nodes.
+
+    ``nodes`` is one polyline (K, n) or a stack of polylines (..., K, n);
+    every segment goes through one ``directional_form`` call.
+    """
     xg, wg = gauss_legendre_rule(quad_points)
     qs = 0.5 * (xg + 1.0)
     qw = 0.5 * wg
-    a = nodes[:-1]
-    v = nodes[1:] - a  # (S, n)
-    S, n = v.shape
-    thetas = a[:, None, :] + qs[None, :, None] * v[:, None, :]
+    a = nodes[..., :-1, :]
+    v = nodes[..., 1:, :] - a  # (..., S, n)
+    n = v.shape[-1]
+    thetas = a[..., None, :] + qs[:, None] * v[..., None, :]  # (..., S, q, n)
     speeds2 = directional_form(
-        model, thetas.reshape(S * quad_points, n), np.repeat(v, quad_points, axis=0)
-    ).reshape(S, quad_points)
+        model, thetas.reshape(-1, n), np.repeat(v, quad_points, axis=-2).reshape(-1, n)
+    ).reshape(thetas.shape[:-1])
     return np.sqrt(np.maximum(speeds2, 0.0)) @ qw
 
 
@@ -93,6 +102,10 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
 
     K = opts.interior_nodes
     nodes = np.linspace(theta1, theta2, K + 2)
+    if model.param_dim == 1:
+        # Every path between the endpoints of an interval sweeps the segment
+        # joining them, so the segment is the geodesic.
+        return _final_path(model, nodes, tv, opts, 0, True)
     scale = float(np.max(np.abs(theta2 - theta1)))
     steps = np.full((K, model.param_dim), opts.step_init * scale)
     grad_h = max(1e-7, 1e-6 * scale)
@@ -100,25 +113,31 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
     def local_len(j):
         return float(np.sum(_segment_lengths(model, nodes[j - 1:j + 2], opts.quad_points)))
 
+    def probe_lens(j, d):
+        """local_len(j) with coordinate d of node j moved by +grad_h and by
+        -grad_h, in one call; None when either probe leaves the domain."""
+        trial = np.repeat(nodes[None, j - 1:j + 2], 2, axis=0)
+        trial[:, 1, d] += (grad_h, -grad_h)
+        if not all(model.domain.contains(theta) for theta in trial[:, 1]):
+            return None
+        return np.sum(_segment_lengths(model, trial, opts.quad_points), axis=1)
+
     total = float(np.sum(_segment_lengths(model, nodes, opts.quad_points)))
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         prev = total
         for j in range(1, K + 1):
+            # local_len(j) at the current nodes, kept up to date across d
+            base = local_len(j)
             for d in range(model.param_dim):
-                base = local_len(j)
-                old = nodes[j, d]
-                nodes[j, d] = old + grad_h
-                fp = local_len(j) if model.domain.contains(nodes[j]) else None
-                nodes[j, d] = old - grad_h
-                fm = local_len(j) if model.domain.contains(nodes[j]) else None
-                nodes[j, d] = old
-                if fp is None or fm is None:
+                probes = probe_lens(j, d)
+                if probes is None:
                     continue
-                g = (fp - fm) / (2 * grad_h)
+                g = (probes[0] - probes[1]) / (2 * grad_h)
                 if g == 0.0:
                     continue
+                old = nodes[j, d]
                 st = steps[j - 1, d]
                 improved = False
                 for _ in range(8):
@@ -131,6 +150,7 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
                     nodes[j, d] = old
                     st *= 0.25
                 if improved:
+                    base = trial
                     steps[j - 1, d] = min(st * 2.0, opts.step_cap * scale)
                 else:
                     nodes[j, d] = old
@@ -139,7 +159,11 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
         if prev - total < opts.tol * max(total, 1e-12):
             converged = True
             break
+    return _final_path(model, nodes, tv, opts, iterations, converged)
 
+
+def _final_path(model: ParamModel, nodes, tv, opts, iterations, converged) -> PathResult:
+    """The path's length at the accurate (at least 8-point) rule, with flags."""
     length = float(np.sum(_segment_lengths(model, nodes, max(opts.quad_points, 8))))
     degenerate = _degenerate_segments(model, nodes)
     return PathResult(nodes.copy(), length, tv, iterations, converged, degenerate)
@@ -160,9 +184,14 @@ def _degenerate_segments(model: ParamModel, nodes) -> tuple:
 
 @dataclass(frozen=True)
 class TvBoundResult:
+    """``holds`` compares the estimate with TV; ``converged`` and
+    ``iterations`` report the optimizer run behind the estimate."""
+
     distance_estimate: float
     tv: float
     holds: bool
+    converged: bool
+    iterations: int
 
 
 def tv_bound_check(model: ParamModel, theta1, theta2, opts: DistanceOptions | None = None) -> TvBoundResult:
@@ -172,7 +201,13 @@ def tv_bound_check(model: ParamModel, theta1, theta2, opts: DistanceOptions | No
     pass is genuine evidence for the lower-bound inequality.
     """
     res = fisher_distance(model, theta1, theta2, opts)
-    return TvBoundResult(res.length, res.lower_bound_tv, res.length >= res.lower_bound_tv - QUAD_TOL)
+    return TvBoundResult(
+        res.length,
+        res.lower_bound_tv,
+        res.length >= res.lower_bound_tv - QUAD_TOL,
+        res.converged,
+        res.iterations,
+    )
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,7 @@ def _floored_density(p):
 def fisher_matrix(model: ParamModel, theta) -> FisherMatrix:
     """Assemble G_ij = integral (d_i p)(d_j p)/p d(reference) at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = model.density(theta)
-    J = model.jacobian(theta)  # (n, X)
+    p, J = model.jet_at(theta)  # (X,), (n, X)
     pf, capped = _floored_density(p)
     w = model.space.weights
     scaled = J / pf[None, :]
@@ -97,8 +96,7 @@ def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape != thetas.shape:
         raise UsageError("one direction row per parameter row required")
-    P = model.density_batch(thetas)  # (T, X)
-    J = model.jacobian_batch(thetas)  # (T, n, X)
+    P, J = model.jet(thetas)  # (T, X), (T, n, X)
     dv = np.einsum("tnx,tn->tx", J, vs)
     Pf = np.maximum(P, DOMINANCE_TOL)
     vals = np.sum(dv * dv / Pf * model.space.weights[None, :], axis=1)

@@ -3,9 +3,10 @@
 Every model exposes a density map p(theta, x) on a fixed sample-space
 backend together with its parameter Jacobian (analytic where available,
 central finite differences otherwise). Evaluation is vectorized over
-batches of parameter points: ``density_batch`` maps (T, n) -> (T, X) and
-``jacobian_batch`` maps (T, n) -> (T, n, X). Model objects are immutable
-and evaluation is pure and reentrant.
+batches of parameter points: ``density_batch`` maps (T, n) -> (T, X),
+``jacobian_batch`` maps (T, n) -> (T, n, X), and ``jet`` returns both.
+Gaussian families fuse the jet so each exponential is evaluated once per
+call. Model objects are immutable and evaluation is pure and reentrant.
 
 The singular members of the zoo:
 
@@ -112,6 +113,9 @@ class ParamModel:
     density_fn: object
     jacobian_fn: object = None
     fd_step: float = 1e-5
+    # optional fused thetas -> (density, Jacobian); must agree bitwise with
+    # density_fn and stands in for jacobian_fn when that is None
+    jet_fn: object = None
 
     @property
     def param_dim(self) -> int:
@@ -136,11 +140,34 @@ class ParamModel:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(thetas), dtype=float)
+        if self.jet_fn is not None:
+            return np.asarray(self.jet_fn(thetas)[1], dtype=float)
         return self._fd_jacobian(thetas)
 
     def jacobian(self, theta) -> np.ndarray:
         self.domain.require(theta)
         return self.jacobian_batch([np.atleast_1d(theta)])[0]
+
+    # -- both at once ------------------------------------------------------
+
+    def jet(self, thetas) -> tuple:
+        """Density (T, X) and Jacobian (T, n, X) of a batch of parameter rows.
+
+        One fused evaluation where the model supplies ``jet_fn``; otherwise
+        ``density_batch`` and ``jacobian_batch``. Both routes return the
+        same bits.
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if self.jet_fn is None:
+            return self.density_batch(thetas), self.jacobian_batch(thetas)
+        P, J = self.jet_fn(thetas)
+        return np.asarray(P, dtype=float), np.asarray(J, dtype=float)
+
+    def jet_at(self, theta) -> tuple:
+        """Density (X,) and Jacobian (n, X) at one in-domain point."""
+        self.domain.require(theta)
+        P, J = self.jet([np.atleast_1d(theta)])
+        return P[0], J[0]
 
     def _fd_jacobian(self, thetas) -> np.ndarray:
         h = self.fd_step
@@ -262,12 +289,12 @@ def gaussian_location_family(half_width=2.0, panels=80, npts=8) -> ParamModel:
     def dens(thetas):
         return np.exp(-0.5 * (x[None, :] - thetas[:, 0:1]) ** 2) / SQRT2PI
 
-    def jac(thetas):
+    def jet(thetas):
         d = dens(thetas)
-        return ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
+        return d, ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
 
     return ParamModel(
-        "gauss-location", Box([-half_width], [half_width]), space, dens, jac
+        "gauss-location", Box([-half_width], [half_width]), space, dens, jet_fn=jet
     )
 
 
@@ -277,17 +304,19 @@ def gaussian_location2d_family(half_width=1.2, panels=16, npts=4) -> ParamModel:
     space = grid2d_space(-r, r, -r, r, panels=panels, npts=npts)
     pts = space.points  # (X, 2)
 
-    def dens(thetas):
+    def offsets(thetas):
         diff = pts[None, :, :] - thetas[:, None, :]
-        return np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
+        return diff, np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
 
-    def jac(thetas):
-        diff = pts[None, :, :] - thetas[:, None, :]
-        d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
-        return np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+    def dens(thetas):
+        return offsets(thetas)[1]
+
+    def jet(thetas):
+        diff, d = offsets(thetas)
+        return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
 
     box = Box([-half_width, -half_width], [half_width, half_width])
-    return ParamModel("gauss-location-2d", box, space, dens, jac)
+    return ParamModel("gauss-location-2d", box, space, dens, jet_fn=jet)
 
 
 def gaussian_location_scale_family(
@@ -300,25 +329,23 @@ def gaussian_location_scale_family(
     space = grid1d_space(-r, r, panels=panels, npts=npts)
     x = space.points
 
-    def dens(thetas):
-        mu = thetas[:, 0:1]
+    def standardized(thetas):
         sig = thetas[:, 1:2]
-        z = (x[None, :] - mu) / sig
-        return np.exp(-0.5 * z * z) / (SQRT2PI * sig)
+        z = (x[None, :] - thetas[:, 0:1]) / sig
+        return sig, z, np.exp(-0.5 * z * z) / (SQRT2PI * sig)
 
-    def jac(thetas):
-        mu = thetas[:, 0:1]
-        sig = thetas[:, 1:2]
-        z = (x[None, :] - mu) / sig
-        d = np.exp(-0.5 * z * z) / (SQRT2PI * sig)
-        T = thetas.shape[0]
-        J = np.empty((T, 2, x.size))
+    def dens(thetas):
+        return standardized(thetas)[2]
+
+    def jet(thetas):
+        sig, z, d = standardized(thetas)
+        J = np.empty((thetas.shape[0], 2, x.size))
         J[:, 0, :] = d * z / sig
         J[:, 1, :] = d * (z * z - 1.0) / sig
-        return J
+        return d, J
 
     box = Box([-mu_max, sigma_lo], [mu_max, sigma_hi])
-    return ParamModel("gauss-loc-scale", box, space, dens, jac)
+    return ParamModel("gauss-loc-scale", box, space, dens, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +378,26 @@ def gaussian_mixture(b_max=B_MAX, panels=112, npts=8) -> ParamModel:
     r = b_max + 8.0
     space = grid1d_space(-r, r, panels=panels, npts=npts)
     x = space.points
+    n0 = np.exp(-0.5 * x[None, :] ** 2)  # the fixed component, built once
+
+    def components(thetas):
+        a = thetas[:, 0:1]
+        diff = x[None, :] - thetas[:, 1:2]
+        nb = np.exp(-0.5 * diff ** 2)
+        return a, diff, nb, ((1.0 - a) * n0 + a * nb) / SQRT2PI
 
     def dens(thetas):
-        return _mixture_density_raw(thetas[:, 0], thetas[:, 1], x)
+        return components(thetas)[3]
 
-    def jac(thetas):
-        a = thetas[:, 0:1]
-        b = thetas[:, 1:2]
-        n0 = np.exp(-0.5 * x[None, :] ** 2)
-        nb = np.exp(-0.5 * (x[None, :] - b) ** 2)
-        T = thetas.shape[0]
-        J = np.empty((T, 2, x.size))
+    def jet(thetas):
+        a, diff, nb, p = components(thetas)
+        J = np.empty((thetas.shape[0], 2, x.size))
         J[:, 0, :] = (nb - n0) / SQRT2PI
-        J[:, 1, :] = a * (x[None, :] - b) * nb / SQRT2PI
-        return J
+        J[:, 1, :] = a * diff * nb / SQRT2PI
+        return p, J
 
     box = Box([0.0, -b_max], [1.0, b_max])
-    return ParamModel("mixture", box, space, dens, jac)
+    return ParamModel("mixture", box, space, dens, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +721,7 @@ def tangent_at(model: ParamModel, theta, v, validate=True) -> TangentVector:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.param_dim,):
         raise UsageError("direction must match the parameter dimension")
-    p = model.density(theta)
-    J = model.jacobian(theta)
+    p, J = model.jet_at(theta)
     dv = v @ J
     lo = p <= DOMINANCE_TOL
     w = model.space.weights

@@ -46,7 +46,10 @@ def test_tv_check_exit_codes(capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["holds"] is True
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    assert payload["converged"] is True
+    assert payload["iterations"] == 0  # 1-parameter paths need no descent
 
 
 def test_summary_determinism(capsys):

@@ -15,6 +15,7 @@ from sigeo.models import (
     bernoulli_family,
     categorical_family,
     gaussian_mixture,
+    get_model,
 )
 
 BERN = bernoulli_family()
@@ -72,6 +73,30 @@ def test_distance_1d_equals_straight_line():
     assert res.lower_bound_tv == pytest.approx(1.0, abs=1e-12)
 
 
+def test_distance_1d_bernoulli_is_the_arcsine_distance():
+    # 1-parameter paths skip the descent: the evenly spaced straight segment
+    res = fisher_distance(BERN, [0.9], [0.12])
+    arc = 2 * (math.asin(math.sqrt(0.9)) - math.asin(math.sqrt(0.12)))
+    assert res.length == pytest.approx(arc, rel=1e-6)
+    assert res.iterations == 0 and res.converged
+    np.testing.assert_array_equal(res.nodes, np.linspace([0.9], [0.12], 10))
+
+
+def test_distance_1d_gauss_location_is_the_parameter_gap():
+    res = fisher_distance(get_model("gauss-location"), [-1.3], [0.9])
+    assert res.length == pytest.approx(2.2, rel=1e-9)
+    assert res.iterations == 0 and res.converged
+
+
+def test_distance_1d_across_the_friedrich_speed_jump():
+    # the metric speed jumps at t = 0; the straight path still has a finite
+    # length that dominates the TV lower bound
+    res = fisher_distance(get_model("friedrich"), [-0.4], [0.5])
+    assert math.isfinite(res.length)
+    assert res.length >= res.lower_bound_tv
+    assert res.iterations == 0 and res.converged
+
+
 def test_distance_categorical_matches_sphere_oracle():
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -90,6 +115,27 @@ def test_distance_refinement_does_not_increase_length():
     coarse = fisher_distance(CAT3, th1, th2, DistanceOptions(interior_nodes=4))
     fine = fisher_distance(CAT3, th1, th2, DistanceOptions(interior_nodes=8))
     assert fine.length <= coarse.length + 1e-4 * coarse.length
+
+
+# Iterates of the coordinate descent recorded before the model jets were
+# fused and the probes batched. Any speedup of the optimizer must take the
+# same steps: equal iteration counts and convergence, lengths to rounding.
+GOLDEN_PATHS = [
+    ("categorical:3", [0.320054408997409, 0.5680633552141084],
+     [0.7278255530465946, 0.09557675416392925], 25, 1.085807030921335),
+    ("gauss-loc-scale", [1.101536511956994, 1.4022236167928308],
+     [0.8629361302183645, 1.2364608149753948], 22, 0.2536935317240108),
+    ("mixture", [0.3955540028033345, -2.0253777850274055],
+     [0.5201560316069069, -2.35002094715215], 22, 0.31998880058501855),
+]
+
+
+@pytest.mark.parametrize("model_id, th1, th2, iterations, length", GOLDEN_PATHS)
+def test_distance_trajectory_is_pinned(model_id, th1, th2, iterations, length):
+    res = fisher_distance(get_model(model_id), th1, th2)
+    assert res.iterations == iterations
+    assert res.converged
+    assert res.length == pytest.approx(length, rel=1e-12, abs=0.0)
 
 
 def test_distance_flags_degenerate_segments():
@@ -121,6 +167,8 @@ def test_tv_bound_mixture_pair():
     res = tv_bound_check(mix, [0.5, 1.0], [0.5, 2.0])
     assert res.holds
     assert res.distance_estimate > 0
+    assert res.converged
+    assert res.iterations > 0
 
 
 # -- axiom checks ---------------------------------------------------------------------

@@ -356,6 +356,62 @@ def test_curve_rejects_out_of_domain_nodes():
         CurveInModel(BERN, [[0.2], [1.4]])
 
 
+# -- fused jets -------------------------------------------------------------------
+
+ZOO_IDS = [
+    "bernoulli", "categorical:3", "categorical:4", "mixture", "gauss-location",
+    "gauss-location-2d", "gauss-loc-scale", "weak-curve", "friedrich", "singular-curve",
+]
+
+
+def _draw(model, rows, seed=11):
+    rng = np.random.default_rng(seed)
+    return np.array([model.domain.sample(rng) for _ in range(rows)])
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("model_id", ZOO_IDS)
+def test_jet_equals_separate_density_and_jacobian(model_id, rows):
+    model = get_model(model_id)
+    thetas = _draw(model, rows)
+    P, J = model.jet(thetas)
+    np.testing.assert_array_equal(P, model.density_batch(thetas))
+    np.testing.assert_array_equal(J, model.jacobian_batch(thetas))
+    p1, J1 = model.jet_at(thetas[0])
+    np.testing.assert_array_equal(p1, P[0])
+    np.testing.assert_array_equal(J1, J[0])
+
+
+def _unfused_jacobian(model_id, x, thetas):
+    """The Gaussian Jacobians as written before the jets were fused: every
+    exponential recomputed from scratch."""
+    if model_id == "mixture":
+        a, b = thetas[:, 0:1], thetas[:, 1:2]
+        n0 = np.exp(-0.5 * x[None, :] ** 2)
+        nb = np.exp(-0.5 * (x[None, :] - b) ** 2)
+        return np.stack([(nb - n0) / SQ, a * (x[None, :] - b) * nb / SQ], axis=1)
+    if model_id == "gauss-loc-scale":
+        mu, sig = thetas[:, 0:1], thetas[:, 1:2]
+        z = (x[None, :] - mu) / sig
+        d = np.exp(-0.5 * z * z) / (SQ * sig)
+        return np.stack([d * z / sig, d * (z * z - 1.0) / sig], axis=1)
+    if model_id == "gauss-location":
+        d = np.exp(-0.5 * (x[None, :] - thetas[:, 0:1]) ** 2) / SQ
+        return ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
+    diff = x[None, :, :] - thetas[:, None, :]
+    d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
+    return np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("model_id", ["mixture", "gauss-loc-scale", "gauss-location", "gauss-location-2d"])
+def test_fused_jets_reproduce_the_unfused_jacobians(model_id, rows):
+    model = get_model(model_id)
+    thetas = _draw(model, rows, seed=5)
+    _, J = model.jet(thetas)
+    np.testing.assert_array_equal(J, _unfused_jacobian(model_id, model.space.points, thetas))
+
+
 def test_registry_ids():
     assert get_model("bernoulli").name == "bernoulli"
     assert get_model("categorical:4").space.size == 4

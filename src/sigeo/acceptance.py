@@ -47,18 +47,18 @@ def check_fisher_oracles(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
 
-    bern = models.bernoulli_family()
+    bern = _model("bernoulli")
     for p in np.arange(0.1, 0.95, 0.1):
         G = fisher.fisher_matrix(bern, [p]).matrix[0, 0]
         oracle = 1.0 / (p * (1 - p))
         worst = max(worst, abs(G - oracle) / oracle)
 
-    loc = models.gaussian_location_family()
+    loc = _model("gauss-location")
     for th in (-1.0, -0.3, 0.0, 0.7, 1.0):
         G = fisher.fisher_matrix(loc, [th]).matrix[0, 0]
         worst = max(worst, abs(G - 1.0))
 
-    cat = models.categorical_family(3)
+    cat = _model("categorical")
     for th in ([1 / 3, 1 / 3], [0.2, 0.5], [0.6, 0.1], [0.25, 0.25]):
         G = fisher.fisher_matrix(cat, th).matrix
         p1, p2 = th
@@ -78,7 +78,7 @@ def check_singularity(seed=0) -> CriterionResult:
     """Mixture metric vanishes at the corner; Jeffrey density on both
     degenerate lines."""
     t0 = time.perf_counter()
-    mix = models.gaussian_mixture()
+    mix = _model("mixture")
     frob = fisher.fisher_matrix(mix, [0.0, 0.0]).frobenius()
 
     jeffs = []
@@ -119,19 +119,12 @@ def _random_pair(model_name, rng):
 
 
 _TV_MODELS = ("bernoulli", "categorical", "loc-scale", "mixture")
-_MODEL_CACHE = {}
+# Criterion names that differ from the registry's model ids.
+_MODEL_IDS = {"loc-scale": "gauss-loc-scale", "categorical": "categorical:3"}
 
 
-def _cached_model(name):
-    if name not in _MODEL_CACHE:
-        _MODEL_CACHE[name] = {
-            "bernoulli": models.bernoulli_family,
-            "categorical": lambda: models.categorical_family(3),
-            "loc-scale": models.gaussian_location_scale_family,
-            "mixture": models.gaussian_mixture,
-            "gauss-location": models.gaussian_location_family,
-        }[name]()
-    return _MODEL_CACHE[name]
+def _model(name):
+    return models.get_model(_MODEL_IDS.get(name, name))
 
 
 def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
@@ -143,7 +136,7 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
     min_margin = np.inf
     per_model = pairs // len(_TV_MODELS)
     for name in _TV_MODELS:
-        model = _cached_model(name)
+        model = _model(name)
         for _ in range(per_model):
             _, th1, th2 = _random_pair(name, rng)
             res = distance.tv_bound_check(model, th1, th2)
@@ -177,7 +170,7 @@ def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
         return a
 
     for name in ("bernoulli", "categorical", "gauss-location"):
-        model = _cached_model(name)
+        model = _model(name)
         worst_sym = worst_tri = worst_id = 0.0
         tol_used = 0.0
         for _ in range(triples):
@@ -207,7 +200,7 @@ def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
     """Simplex distances within 1% of the great-circle closed form."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
-    cat = _cached_model("categorical")
+    cat = _model("categorical")
     worst = 0.0
     for _ in range(pairs):
         _, th1, th2 = _random_pair("categorical", rng)
@@ -228,7 +221,7 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
     """Metric never grows under kernels; permutations preserve it."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
-    cat4 = models.categorical_family(4)
+    cat4 = _model("categorical:4")
     min_gap = np.inf
     for _ in range(draws):
         theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
@@ -263,11 +256,11 @@ def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
     t0 = time.perf_counter()
     details = {}
 
-    bern = _cached_model("bernoulli")
+    bern = _model("bernoulli")
     res_b = hausdorff.jeffrey_vs_hausdorff_check(bern, ([0.25], [0.75]))
     details["bernoulli"] = {k: res_b[k] for k in ("jeffrey", "hausdorff", "rel_err")}
 
-    loc = _cached_model("gauss-location")
+    loc = _model("gauss-location")
     res_g = hausdorff.jeffrey_vs_hausdorff_check(loc, ([-1.0], [1.0]))
     details["gauss_location"] = {k: res_g[k] for k in ("jeffrey", "hausdorff", "rel_err")}
 
@@ -276,7 +269,7 @@ def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
     dim_1d = hausdorff.hausdorff_dimension_estimate(cloud_1d)
     details["dimension_1d"] = dim_1d
 
-    loc2 = _cached_model_2d()
+    loc2 = _model("gauss-location-2d")
     dim_2d = hausdorff.flat_region_dimension_estimate(
         loc2, ([-1.0, -1.0], [1.0, 1.0]), seed=seed + 7
     )
@@ -296,20 +289,11 @@ def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
     )
 
 
-_2D_CACHE = []
-
-
-def _cached_model_2d():
-    if not _2D_CACHE:
-        _2D_CACHE.append(models.gaussian_location2d_family())
-    return _2D_CACHE[0]
-
-
 def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
     """Pushed-cloud Hausdorff estimates never exceed the original by >10%."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 8)
-    cat = _cached_model("categorical")
+    cat = _model("categorical")
     pts = np.clip(rng.dirichlet([2.0] * 3, size=48)[:, :2], 0.05, 0.9)
     pts = pts[np.sum(pts, axis=1) < 0.93]
 
@@ -338,8 +322,8 @@ def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
 def check_cramer_rao(seed=0) -> CriterionResult:
     """Gap PSD on the enumerated suite; efficiency equality for the mean."""
     t0 = time.perf_counter()
-    bern = _cached_model("bernoulli")
-    cat = _cached_model("categorical")
+    bern = _model("bernoulli")
+    cat = _model("categorical")
     min_eig = np.inf
     max_eff = 0.0
     max_vmse = 0.0
@@ -383,7 +367,7 @@ def check_speed_jump(seed=0) -> CriterionResult:
     """Shrinking-bump family: one speed discontinuity at t=0, positive
     limit speed, vanishing velocity TV."""
     t0 = time.perf_counter()
-    model = models.normalized_friedrich_model()
+    model = _model("friedrich")
     curve = models.CurveInModel(model, [[-0.3], [0.3]])
 
     inner = np.array([0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
@@ -426,24 +410,9 @@ def check_weak_demo(seed=0) -> CriterionResult:
     """Oscillatory curve: derivative exchanges with bounded integrals while
     the velocity keeps unit-scale TV norm."""
     t0 = time.perf_counter()
-    space = models.weak_oscillatory_measure(0.0).space
-    x = space.points
-    worst_exchange = 0.0
-    for Hvals in (np.cos(x), np.sin(x)):
-        for t in (0.3, 0.25, 0.15):
-            h = 1e-4 * max(t, 0.1)
-            up = np.sum(Hvals * models.weak_oscillatory_measure(t + h, space=space).masses)
-            dn = np.sum(Hvals * models.weak_oscillatory_measure(t - h, space=space).masses)
-            lhs = (up - dn) / (2 * h)
-            rhs = np.sum(Hvals * models.weak_oscillatory_velocity(t, space=space).masses)
-            worst_exchange = max(worst_exchange, abs(lhs - rhs))
-
-    tvs = []
-    for t in (1e-2, 1e-3):
-        vel = models.weak_oscillatory_velocity(t)
-        vel0 = models.weak_oscillatory_velocity(0.0, space=vel.space)
-        tvs.append(tv_norm(vel - vel0))
-    min_tv = min(tvs)
+    rows, tvs = models.weak_oscillatory_exchange((0.3, 0.25, 0.15))
+    worst_exchange = max(row[3] for row in rows)
+    min_tv = min(tvs.values())
 
     passed = worst_exchange <= 1e-4 and min_tv >= 0.5
     return _result(

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,21 +29,6 @@ _EXIT_PROPERTY = 2
 # ---------------------------------------------------------------------------
 # Config handling: flat JSON file plus flag overrides (flags win)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    options: dict
-    seed: int = 0
-    out: str = ""
-    emit: str = ""
-    no_timestamp: bool = False
-
-    def __post_init__(self):
-        for key, value in self.options.items():
-            if key.endswith("_tol") and (not isinstance(value, (int, float)) or value <= 0):
-                raise ConfigError(f"tolerance override {key!r} must be positive")
-
 
 def _load_config_file(path, allowed):
     try:
@@ -122,8 +106,12 @@ def _write_table(path, header, rows):
             fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def _parse_csv_floats(text):
-    return np.array([float(s) for s in text.split(",")], dtype=float)
+def _parse_csv_floats(options, key):
+    text = options[key]
+    try:
+        return np.array([float(s) for s in str(text).split(",")], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{key!r} needs comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_region(text, dim):
@@ -147,9 +135,14 @@ def _load_kernel(path, source_space):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read kernel file: {exc}") from exc
-    if "rows" not in raw:
-        raise ConfigError("kernel file needs key 'rows'")
-    rows = np.asarray(raw["rows"], dtype=float)
+    if not isinstance(raw, dict) or "rows" not in raw:
+        raise ConfigError("kernel file needs a JSON object with key 'rows'")
+    try:
+        rows = np.asarray(raw["rows"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"kernel 'rows' must be a rectangular array of numbers: {exc}") from exc
+    if rows.ndim != 2:
+        raise ConfigError(f"kernel 'rows' must be a list of rows, got shape {rows.shape}")
     from .measures import finite_space
 
     return markov.MarkovKernel(source_space, finite_space(rows.shape[1]), rows)
@@ -161,7 +154,7 @@ def _load_kernel(path, source_space):
 
 def _cmd_fisher_matrix(options):
     model = models.get_model(options["model"], panels=options.get("grid"))
-    theta = _parse_csv_floats(options["theta"])
+    theta = _parse_csv_floats(options, "theta")
     G = fisher.fisher_matrix(model, theta)
     _emit_summary(
         {
@@ -180,8 +173,8 @@ def _cmd_fisher_matrix(options):
 
 def _cmd_distance(options):
     model = models.get_model(options["model"])
-    th1 = _parse_csv_floats(options["from_theta"])
-    th2 = _parse_csv_floats(options["to_theta"])
+    th1 = _parse_csv_floats(options, "from_theta")
+    th2 = _parse_csv_floats(options, "to_theta")
     opts = distance.DistanceOptions(interior_nodes=int(options.get("nodes", 8)))
     res = distance.fisher_distance(model, th1, th2, opts)
     _emit_summary(
@@ -218,7 +211,7 @@ def _cmd_distance(options):
 def _cmd_tv_check(options):
     model = models.get_model(options["model"])
     res = distance.tv_bound_check(
-        model, _parse_csv_floats(options["from_theta"]), _parse_csv_floats(options["to_theta"])
+        model, _parse_csv_floats(options, "from_theta"), _parse_csv_floats(options, "to_theta")
     )
     _emit_summary(
         {
@@ -260,7 +253,7 @@ def _cmd_metric_axioms(options):
 
 def _cmd_pushforward(options):
     model = models.get_model(options["model"])
-    theta = _parse_csv_floats(options["theta"])
+    theta = _parse_csv_floats(options, "theta")
     kernel = _load_kernel(options["kernel"], model.space)
     mu = model.measure(theta)
     pushed = markov.pushforward_measure(kernel, mu)
@@ -338,23 +331,9 @@ def _cmd_hausdorff(options):
     lo, hi = _parse_region(options["region"], model.param_dim)
     k_opt = options.get("k")
     k = float(k_opt) if k_opt is not None else float(model.param_dim)
-    points = int(options.get("points", 801))
-    if model.param_dim == 1:
-        params = np.linspace(lo[0], hi[0], points)[:, None]
-        cloud = hausdorff.cloud_from_params(model, params)
-    else:
-        side = max(2, int(round(points ** (1.0 / model.param_dim))))
-        axes = [np.linspace(l, h, side) for l, h in zip(lo, hi)]
-        params = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.param_dim)
-        cloud = hausdorff.cloud_from_params(model, params, mode="midpoint")
-    levels = int(options.get("schedule", 6))
-    deltas = []
-    d = cloud.diameter() / 4.0
-    floor = max(4.0 * cloud.mesh(), 1e-12)
-    while d >= floor and len(deltas) < levels:
-        deltas.append(d)
-        d /= 2.0
-    report = hausdorff.hausdorff_measure_estimate(cloud, k, deltas=np.asarray(deltas))
+    cloud = hausdorff.region_cloud(model, lo, hi, int(options.get("points", 801)))
+    deltas = hausdorff.halving_schedule(cloud, int(options.get("schedule", 6)), 4.0)
+    report = hausdorff.hausdorff_measure_estimate(cloud, k, deltas)
     try:
         dim = hausdorff.hausdorff_dimension_estimate(cloud)
     except SigeoError:
@@ -400,7 +379,7 @@ def _cmd_jeffrey(options):
 def _cmd_cramer_rao(options):
     base = models.get_model(options["model"])
     n = int(options.get("n", 1))
-    theta = _parse_csv_floats(options["theta"])
+    theta = _parse_csv_floats(options, "theta")
     seed = _seed_from(options)
     sampling = estimation.Sampling()
     if options.get("draws"):
@@ -430,30 +409,13 @@ def _cmd_cramer_rao(options):
 
 
 def _cmd_weak_demo(options):
-    ts = _parse_csv_floats(options.get("t", "0.3,0.25,0.15"))
-    space = models.weak_oscillatory_measure(0.0).space
-    x = space.points
-    rows = []
-    worst = 0.0
-    for t in ts:
-        h = 1e-4 * max(abs(t), 0.1)
-        for name, H in (("cos", np.cos(x)), ("sin", np.sin(x))):
-            up = np.sum(H * models.weak_oscillatory_measure(t + h, space=space).masses)
-            dn = np.sum(H * models.weak_oscillatory_measure(t - h, space=space).masses)
-            lhs = (up - dn) / (2 * h)
-            rhs = np.sum(H * models.weak_oscillatory_velocity(t, space=space).masses)
-            rows.append([t, lhs, rhs, abs(lhs - rhs)])
-            worst = max(worst, abs(lhs - rhs))
-    tvs = {}
-    for t in (1e-2, 1e-3):
-        vel = models.weak_oscillatory_velocity(t)
-        vel0 = models.weak_oscillatory_velocity(0.0, space=vel.space)
-        tvs[str(t)] = tv_norm(vel - vel0)
+    ts = _parse_csv_floats(options, "t")
+    rows, tvs = models.weak_oscillatory_exchange(ts)
     _emit_summary(
         {
             "command": "weak-demo",
             "t_values": ts,
-            "worst_exchange_dev": worst,
+            "worst_exchange_dev": max(row[3] for row in rows),
             "velocity_tv": tvs,
         },
         options,

@@ -48,8 +48,10 @@ def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
     thetas = a[..., None, :] + qs[:, None] * v[..., None, :]  # (..., S, q, n)
     speeds2 = directional_form(
         model, thetas.reshape(-1, n), np.repeat(v, quad_points, axis=-2).reshape(-1, n)
-    ).reshape(thetas.shape[:-1])
-    return np.sqrt(np.maximum(speeds2, 0.0)) @ qw
+    )
+    # One 2-D product (rows, q) @ qw, so a segment's length does not depend
+    # on the shape of the stack it came in (stacked matmuls round differently).
+    return (np.sqrt(np.maximum(speeds2, 0.0)).reshape(-1, quad_points) @ qw).reshape(v.shape[:-1])
 
 
 def curve_length(model: ParamModel, curve: CurveInModel, quad_points=8) -> float:

@@ -29,10 +29,11 @@ from .errors import (
     SparseCloudError,
     UsageError,
 )
+# directional_form is unused here; perfbench/tests/test_tracing.py expects the binding.
 from .fisher import directional_form, fisher_matrix
 from .markov import MarkovKernel, pushforward_model
 from .models import ParamModel
-from .quadrature import gauss_legendre_rule, panel_nodes_weights, uniform_edges
+from .quadrature import panel_nodes_weights, uniform_edges
 
 
 def alpha_k(k) -> float:
@@ -159,27 +160,34 @@ class CoverReport:
     stable: bool
 
 
-def default_schedule(cloud: MetricCloud, levels=6) -> np.ndarray:
-    """Geometric scale schedule diam/4, diam/8, ... (halving, ``levels`` long)."""
-    diam = cloud.diameter()
-    if diam <= 0:
-        raise UsageError("cloud has zero diameter; no scales to build")
-    return diam / 4.0 / (2.0 ** np.arange(levels))
+def halving_schedule(cloud: MetricCloud, levels, mesh_factor) -> np.ndarray:
+    """Halving cover scales diam/4, diam/8, ... (at most ``levels`` of them).
+
+    Only scales at least ``mesh_factor`` times the cloud mesh (and 1e-12)
+    are kept: below a few meshes greedy sets degenerate into singletons
+    and the premeasure leaks gap mass. The result may be empty.
+    """
+    deltas = cloud.diameter() / 4.0 / 2.0 ** np.arange(levels)
+    return deltas[deltas >= max(mesh_factor * cloud.mesh(), 1e-12)]
 
 
-def hausdorff_measure_estimate(
-    cloud: MetricCloud, k, deltas=None, levels=6, enforce_density=True
-) -> CoverReport:
+def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=True) -> CoverReport:
     """Premeasure sum alpha_k (diam_j / 2)^k over greedy covers per scale.
 
     The reported estimate is the value at the smallest scale; the report is
     flagged unstable when the last two scales disagree by more than 10%,
-    which is the expected signature of k below the cloud's dimension.
+    which is the expected signature of k below the cloud's dimension. An
+    empty schedule raises SparseCloudError.
     """
     k = float(k)
     if k < 0:
         raise DomainError("dimension must be nonnegative")
-    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1] if deltas is not None else default_schedule(cloud, levels)
+    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    if deltas.size == 0:
+        raise SparseCloudError(
+            f"no cover scale fits a cloud of diameter {cloud.diameter():.3g} and mesh "
+            f"{cloud.mesh():.3g}; widen the region, add points or allow more scales"
+        )
     if enforce_density and cloud.mesh() > float(np.min(deltas)) / 4.0:
         raise SparseCloudError(
             f"cloud mesh {cloud.mesh():.3g} too coarse for scale {np.min(deltas):.3g}"
@@ -244,8 +252,7 @@ def flat_region_dimension_estimate(
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
     n = lo.size
-    corners = np.stack(np.meshgrid(*[(l, h) for l, h in zip(lo, hi)], indexing="ij"), axis=-1).reshape(-1, n)
-    samples = np.vstack([corners, 0.5 * (lo + hi)])
+    samples = np.vstack([_grid(lo, hi, 2), 0.5 * (lo + hi)])
     mats = [fisher_matrix(model, th).matrix for th in samples]
     G0 = mats[-1]
     scale = max(float(np.max(np.abs(G0))), 1e-300)
@@ -299,8 +306,9 @@ def cloud_from_params(
     fisher     pairwise optimized distances (upper bounds)
     segment    straight-segment lengths (upper bounds; tight when the
                metric is near-constant across the cloud)
-    midpoint   one-point metric evaluation sqrt(d^T G(mid) d); cheapest,
-               exact when G is constant
+    midpoint   one-point metric evaluation sqrt(d^T G(mid) d), the
+               segment rule with 1 Gauss point; cheapest, exact when G
+               is constant
     """
     pts = np.atleast_2d(np.asarray(params, dtype=float))
     if mode == "auto":
@@ -318,9 +326,9 @@ def cloud_from_params(
                 d[i, j] = d[j, i] = fisher_distance(model, pts[i], pts[j], o).length
         return MetricCloud(pts, d)
     if mode == "segment":
-        return _cloud_segment(model, pts, quad_points)
+        return _cloud_pairwise(model, pts, quad_points)
     if mode == "midpoint":
-        return _cloud_midpoint(model, pts)
+        return _cloud_pairwise(model, pts, 1)
     raise UsageError(f"unknown cloud mode {mode!r}")
 
 
@@ -335,41 +343,37 @@ def _cloud_cumulative(model, pts, quad_points) -> MetricCloud:
     return MetricCloud(pts, np.abs(s[:, None] - s[None, :]))
 
 
-def _cloud_segment(model, pts, quad_points) -> MetricCloud:
-    M, n = pts.shape
-    ii, jj = np.triu_indices(M, k=1)
-    a = pts[ii]
-    v = pts[jj] - pts[ii]
-    xg, wg = gauss_legendre_rule(quad_points)
-    qs = 0.5 * (xg + 1.0)
-    qw = 0.5 * wg
-    d = np.zeros((M, M))
-    chunk = max(1, 200_000 // max(model.space.size, 1))
-    for start in range(0, ii.size, chunk):
-        sl = slice(start, min(start + chunk, ii.size))
-        aa = a[sl]
-        vv = v[sl]
-        thetas = (aa[:, None, :] + qs[None, :, None] * vv[:, None, :]).reshape(-1, n)
-        speeds2 = directional_form(model, thetas, np.repeat(vv, quad_points, axis=0))
-        lens = np.sqrt(np.maximum(speeds2, 0.0)).reshape(-1, quad_points) @ qw
-        d[ii[sl], jj[sl]] = lens
-    d = d + d.T
-    return MetricCloud(pts, d)
-
-
-def _cloud_midpoint(model, pts) -> MetricCloud:
-    M, n = pts.shape
+def _cloud_pairwise(model, pts, quad_points) -> MetricCloud:
+    """Straight-segment lengths between every pair of points, in chunks."""
+    M = pts.shape[0]
     ii, jj = np.triu_indices(M, k=1)
     d = np.zeros((M, M))
     chunk = max(1, 200_000 // max(model.space.size, 1))
     for start in range(0, ii.size, chunk):
-        sl = slice(start, min(start + chunk, ii.size))
-        mids = 0.5 * (pts[ii[sl]] + pts[jj[sl]])
-        diffs = pts[jj[sl]] - pts[ii[sl]]
-        forms = directional_form(model, mids, diffs)
-        d[ii[sl], jj[sl]] = np.sqrt(np.maximum(forms, 0.0))
-    d = d + d.T
-    return MetricCloud(pts, d)
+        sl = slice(start, start + chunk)
+        ends = np.stack([pts[ii[sl]], pts[jj[sl]]], axis=1)  # (pairs, 2, n)
+        d[ii[sl], jj[sl]] = _segment_lengths(model, ends, quad_points)[:, 0]
+    return MetricCloud(pts, d + d.T)
+
+
+def _grid(lo, hi, side) -> np.ndarray:
+    """Tensor grid with ``side`` points per axis over the box [lo, hi]."""
+    axes = [np.linspace(l, h, side) for l, h in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def region_cloud(model: ParamModel, lo, hi, points) -> MetricCloud:
+    """Evenly spaced metric cloud of about ``points`` points over [lo, hi].
+
+    1-parameter models get ``points`` values with cumulative distances;
+    higher dimensions a grid of side max(2, round(points^(1/n))) with
+    midpoint distances.
+    """
+    n = model.param_dim
+    if n == 1:
+        return cloud_from_params(model, np.linspace(lo[0], hi[0], points)[:, None])
+    side = max(2, int(round(points ** (1.0 / n))))
+    return cloud_from_params(model, _grid(lo, hi, side), mode="midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +419,6 @@ def jeffrey_vs_hausdorff_check(
     region,
     k=None,
     cloud_size=1601,
-    mode=None,
     panels=24,
     rank_samples=9,
 ):
@@ -431,33 +434,18 @@ def jeffrey_vs_hausdorff_check(
     k = float(k) if k is not None else float(n)
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
-    grid = [np.linspace(l, h, rank_samples) for l, h in zip(lo, hi)]
-    mesh_pts = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, n)
-    for th in mesh_pts:
+    for th in _grid(lo, hi, rank_samples):
         G = fisher_matrix(model, th)
         if G.rank < n:
             raise DegenerateRegionError(f"metric rank {G.rank} < {n} at theta={th}")
 
     jeffrey = jeffrey_measure(model, region, panels=panels)
 
-    if n == 1:
-        params = np.linspace(lo[0], hi[0], cloud_size)[:, None]
-        cloud = cloud_from_params(model, params, mode=mode or "cumulative")
-    else:
-        side = int(round(cloud_size ** (1.0 / n)))
-        axes = [np.linspace(l, h, side) for l, h in zip(lo, hi)]
-        params = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        cloud = cloud_from_params(model, params, mode=mode or "midpoint")
-
-    deltas = []
-    d = cloud.diameter() / 4.0
-    floor = max(100.0 * cloud.mesh(), 1e-12)
-    while d >= floor and len(deltas) < 8:
-        deltas.append(d)
-        d /= 2.0
-    if len(deltas) < 2:
+    cloud = region_cloud(model, lo, hi, cloud_size)
+    deltas = halving_schedule(cloud, 8, 100.0)
+    if deltas.size < 2:
         raise SparseCloudError("cloud too sparse for a two-scale schedule")
-    report = hausdorff_measure_estimate(cloud, k, deltas=np.asarray(deltas))
+    report = hausdorff_measure_estimate(cloud, k, deltas)
     rel = abs(report.estimate - jeffrey) / max(abs(jeffrey), 1e-300)
     return {
         "jeffrey": jeffrey,
@@ -471,20 +459,16 @@ def _own_scale_estimate(cloud: MetricCloud, k) -> float:
     """Hausdorff estimate on the cloud's own stabilized schedule.
 
     The schedule halves from diam/4 but never drops below 4.5x the mesh,
-    so greedy sets keep chaining instead of degenerating into singletons.
+    so greedy sets keep chaining instead of degenerating into singletons;
+    when even diam/4 is below that floor, the floor is the one scale.
     A cloud whose diameter has collapsed has estimate 0 for k > 0.
     """
-    diam = cloud.diameter()
-    if diam <= 1e-12:
+    if cloud.diameter() <= 1e-12:
         return 0.0 if k > 0 else float(cloud.size)
-    floor = max(4.5 * cloud.mesh(), 1e-12)
-    deltas = [d for d in (diam / 4.0, diam / 8.0, diam / 16.0) if d >= floor]
-    if not deltas:
-        deltas = [max(diam / 4.0, floor)]
-    report = hausdorff_measure_estimate(
-        cloud, k, deltas=np.asarray(deltas), enforce_density=False
-    )
-    return report.estimate
+    deltas = halving_schedule(cloud, 3, 4.5)
+    if deltas.size == 0:
+        deltas = [max(4.5 * cloud.mesh(), 1e-12)]
+    return hausdorff_measure_estimate(cloud, k, deltas, enforce_density=False).estimate
 
 
 def hausdorff_monotonicity_check(

@@ -153,6 +153,32 @@ def test_verify_all_only_filter(capsys):
     assert "[PASS]" in err
 
 
+@pytest.mark.parametrize(
+    "argv,kernel,named",
+    [
+        (["hausdorff", "--model", "bernoulli", "--region", "0.3:0.3"], None, "region"),
+        (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--points", "3"], None, "points"),
+        (["fisher-matrix", "--model", "categorical:x", "--theta", "0.3,0.3"], None, "categorical:x"),
+        (["fisher-matrix", "--model", "bernoulli", "--theta", "abc"], None, "theta"),
+        (["pushforward"], [[1.0, 0.0], [1.0, 0.0]], "rows"),
+        (["pushforward"], {"rows": [[0.5, 0.5], [1.0]]}, "rows"),
+        (["pushforward"], {"rows": [0.5, 0.5]}, "rows"),
+    ],
+    ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
+         "kernel-ragged", "kernel-1d"],
+)
+def test_bad_input_exits_1_without_traceback(argv, kernel, named, tmp_path, capsys):
+    if kernel is not None:
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(kernel))
+        argv = argv + ["--model", "bernoulli", "--theta", "0.3", "--kernel", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.strip() and "Traceback" not in err
+    assert named in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sigeo.cli", "fisher-matrix", "--model", "bernoulli",

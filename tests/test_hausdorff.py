@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from sigeo.hausdorff import (
     covering_profile,
     flat_region_dimension_estimate,
     greedy_cover,
+    halving_schedule,
     hausdorff_dimension_estimate,
     hausdorff_measure_estimate,
     hausdorff_monotonicity_check,
@@ -26,8 +29,11 @@ from sigeo.hausdorff import (
     jeffrey_measure,
     jeffrey_vs_hausdorff_check,
 )
+from sigeo.distance import curve_length
+from sigeo.fisher import fisher_matrix
 from sigeo.markov import binning_kernel, permutation_kernel
 from sigeo.models import (
+    CurveInModel,
     bernoulli_family,
     categorical_family,
     gaussian_location2d_family,
@@ -102,6 +108,72 @@ def test_covering_profile_monotone_in_delta(seed):
     assert all(c <= r for c, r in zip(counts, raw))
 
 
+# -- cloud distances and scale schedules ---------------------------------------------
+
+def test_segment_cloud_entries_are_two_node_curve_lengths():
+    # 25 mixture points make 300 pairs, more than one chunk of the pair loop
+    rng = np.random.default_rng(3)
+    for model, pts in (
+        (categorical_family(3), np.clip(rng.dirichlet([2.0] * 3, size=12)[:, :2], 0.05, 0.9)),
+        (gaussian_mixture(), np.column_stack([rng.uniform(0.1, 0.9, 25), rng.uniform(-3, 3, 25)])),
+    ):
+        cloud = cloud_from_params(model, pts, mode="segment")
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            curve = CurveInModel(model, [pts[i], pts[j]])
+            # BLAS may round a one-row quadrature sum differently from a
+            # many-row one (measured: at most 1.2 ulp), so not bitwise
+            assert cloud.dist[i, j] == pytest.approx(
+                curve_length(model, curve, quad_points=4), rel=4 * np.finfo(float).eps, abs=0
+            )
+
+
+def test_midpoint_cloud_is_the_one_point_rule():
+    loc2 = gaussian_location2d_family()
+    pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(30, 2))
+    cloud = cloud_from_params(loc2, pts, mode="midpoint")
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        v = pts[j] - pts[i]
+        G = fisher_matrix(loc2, 0.5 * (pts[i] + pts[j])).matrix
+        assert cloud.dist[i, j] == pytest.approx(np.sqrt(v @ G @ v), rel=1e-14, abs=0)
+    # the model's quadrature gives G = I only to about 2e-8
+    np.testing.assert_allclose(cloud.dist, euclid_cloud(pts).dist, rtol=1e-7, atol=0)
+
+
+def test_halving_schedule_matches_reference_loops():
+    # The three hand-written schedules halving_schedule replaced.
+    def jeffrey_check_loop(diam, mesh):
+        deltas, d = [], diam / 4.0
+        floor = max(100.0 * mesh, 1e-12)
+        while d >= floor and len(deltas) < 8:
+            deltas.append(d)
+            d /= 2.0
+        return deltas
+
+    def own_scale_list(diam, mesh):
+        floor = max(4.5 * mesh, 1e-12)
+        return [d for d in (diam / 4.0, diam / 8.0, diam / 16.0) if d >= floor]
+
+    def cli_loop(diam, mesh, levels):
+        deltas, d = [], diam / 4.0
+        floor = max(4.0 * mesh, 1e-12)
+        while d >= floor and len(deltas) < levels:
+            deltas.append(d)
+            d /= 2.0
+        return deltas
+
+    rng = np.random.default_rng(11)
+    draws = [(10.0 ** rng.uniform(-13.0, 3.0), 10.0 ** rng.uniform(-4.0, 0.0)) for _ in range(2000)]
+    # scales landing exactly on a floor: diam/8 = 4 * 0.25 = 100 * 0.01, diam/4 = 1e-12
+    boundary = [(8.0, 0.25 / 8.0), (8.0, 0.01 / 8.0), (4e-12, 0.0)]
+    for diam, mesh_frac in boundary + [(d, 0.0) for d, _ in draws[:100]] + draws:
+        mesh = diam * mesh_frac
+        levels = int(rng.integers(0, 10))
+        cloud = SimpleNamespace(diameter=lambda: diam, mesh=lambda: mesh)
+        assert halving_schedule(cloud, 8, 100.0).tolist() == jeffrey_check_loop(diam, mesh)
+        assert halving_schedule(cloud, 3, 4.5).tolist() == own_scale_list(diam, mesh)
+        assert halving_schedule(cloud, levels, 4.0).tolist() == cli_loop(diam, mesh, levels)
+
+
 # -- measure estimates --------------------------------------------------------------
 
 def bern_cloud(n=1201):
@@ -137,6 +209,8 @@ def test_sparse_cloud_raises():
     cloud = bern_cloud(21)
     with pytest.raises(SparseCloudError):
         hausdorff_measure_estimate(cloud, 1.0, deltas=np.asarray([cloud.mesh()]))
+    with pytest.raises(SparseCloudError):
+        hausdorff_measure_estimate(cloud, 1.0, deltas=halving_schedule(cloud, 6, 100.0))
 
 
 def test_counting_measure_at_k_zero():

@@ -124,12 +124,15 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
     key = estimator_id.strip().lower()
     if key == "mean":
         return mean_estimator(base, n)
-    if key.startswith("shrinkage:"):
-        lam, off = (float(s) for s in key.split(":", 1)[1].split(","))
-        return shrinkage_estimator(base, n, lam, off)
-    if key.startswith("constant:"):
-        theta0 = [float(s) for s in key.split(":", 1)[1].split(",")]
-        return constant_estimator(base, n, theta0)
+    try:
+        if key.startswith("shrinkage:"):
+            lam, off = (float(s) for s in key.split(":", 1)[1].split(","))
+            return shrinkage_estimator(base, n, lam, off)
+        if key.startswith("constant:"):
+            theta0 = [float(s) for s in key.split(":", 1)[1].split(",")]
+            return constant_estimator(base, n, theta0)
+    except ValueError as exc:
+        raise UsageError(f"estimator id {estimator_id!r} needs numeric parameters: {exc}") from None
     if key == "plugin-inverse":
         return plugin_inverse_estimator(base, n)
     raise UsageError(f"unknown estimator id {estimator_id!r}")

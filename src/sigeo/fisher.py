@@ -53,23 +53,23 @@ def fisher_inner(v: TangentVector, w: TangentVector) -> float:
     return integrate(v.log_rep * w.log_rep, v.base)
 
 
-def _floored_density(p):
+def _capped_mass(p, J, w) -> float:
+    """Fisher integrand mass on the nodes where the density sits below the floor."""
     capped = p < DOMINANCE_TOL
-    return np.maximum(p, DOMINANCE_TOL), capped
+    return float(np.sum((J[:, capped] ** 2 / DOMINANCE_TOL) * w[capped]))
 
 
 def fisher_matrix(model: ParamModel, theta) -> FisherMatrix:
     """Assemble G_ij = integral (d_i p)(d_j p)/p d(reference) at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p, J = model.jet_at(theta)  # (X,), (n, X)
-    pf, capped = _floored_density(p)
     w = model.space.weights
-    scaled = J / pf[None, :]
+    scaled = J / np.maximum(p, DOMINANCE_TOL)[None, :]
     G = (J * w[None, :]) @ scaled.T
     G = 0.5 * (G + G.T)
     if not np.all(np.isfinite(G)):
         raise IntegrationError(f"non-finite Fisher integrand mass at theta={theta}")
-    capped_mass = float(np.sum((J[:, capped] ** 2 / pf[capped]) * w[capped]))
+    capped_mass = _capped_mass(p, J, w)
     eigs = np.linalg.eigvalsh(G)
     rank = _rank_from_eigs(eigs)
     return FisherMatrix(theta, G, eigs, rank, capped_mass)
@@ -97,9 +97,13 @@ def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:
     if vs.shape != thetas.shape:
         raise UsageError("one direction row per parameter row required")
     P, J = model.jet(thetas)  # (T, X), (T, n, X)
+    return _directional_values(P, J, vs, model.space.weights)
+
+
+def _directional_values(P, J, vs, w):
     dv = np.einsum("tnx,tn->tx", J, vs)
     Pf = np.maximum(P, DOMINANCE_TOL)
-    vals = np.sum(dv * dv / Pf * model.space.weights[None, :], axis=1)
+    vals = np.sum(dv * dv / Pf * w[None, :], axis=1)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite directional Fisher mass")
     return vals
@@ -147,9 +151,11 @@ def two_integrability_probe(
     thetas = np.asarray(thetas)
     vels = np.asarray(vels)
 
-    speed2 = directional_form(model, thetas, vels)
-    speed = np.sqrt(np.maximum(speed2, 0.0))
-    capped = np.array([fisher_matrix(model, th).capped_mass for th in thetas])
+    # One batched jet serves both the speeds and the capped masses.
+    P, J = model.jet(thetas)
+    w = model.space.weights
+    speed = np.sqrt(np.maximum(_directional_values(P, J, vels, w), 0.0))
+    capped = np.array([_capped_mass(p, j, w) for p, j in zip(P, J)])
 
     flagged = np.zeros(t_grid.size, dtype=bool)
     floor = max(1e-8, 1e-6 * float(np.max(speed, initial=0.0)))

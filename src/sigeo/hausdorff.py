@@ -43,8 +43,8 @@ def alpha_k(k) -> float:
     alpha_0 = 1, alpha_1 = 2, alpha_2 = pi, alpha_3 = 4 pi / 3.
     """
     k = float(k)
-    if k < 0:
-        raise DomainError("dimension must be nonnegative")
+    if not 0.0 <= k < np.inf:  # NaN fails too
+        raise DomainError(f"dimension must be finite and nonnegative, got {k}")
     return float(np.exp(0.5 * k * np.log(np.pi) - gammaln(1.0 + 0.5 * k)))
 
 
@@ -180,8 +180,8 @@ def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=Tr
     empty schedule raises SparseCloudError.
     """
     k = float(k)
-    if k < 0:
-        raise DomainError("dimension must be nonnegative")
+    if not 0.0 <= k < np.inf:  # NaN fails too
+        raise DomainError(f"dimension must be finite and nonnegative, got {k}")
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size == 0:
         raise SparseCloudError(

@@ -87,6 +87,9 @@ class Box:
         return inside
 
     def require(self, theta):
+        size = np.size(theta)
+        if size != self.dim:
+            raise DomainError(f"parameter point has {size} coordinates where the model takes {self.dim}")
         if not self.contains(theta):
             raise DomainError(f"parameter {np.asarray(theta)} outside domain")
 

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(npts: int):
@@ -36,9 +38,9 @@ def panel_nodes_weights(edges, npts=8):
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must be a 1-d array with at least two entries")
+        raise UsageError("edges must be a 1-d array with at least two entries")
     if not np.all(np.diff(edges) > 0):
-        raise ValueError("edges must be strictly increasing")
+        raise UsageError("edges must be strictly increasing")
     xg, wg = gauss_legendre_rule(npts)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -65,7 +67,7 @@ def geometric_edges(lo, hi, panels, origin=0.0):
 def trapezoid_nodes_weights(lo, hi, n):
     """Uniform trapezoid rule with n nodes; cheap alternative to panels."""
     if n < 2:
-        raise ValueError("trapezoid rule needs at least 2 nodes")
+        raise UsageError("trapezoid rule needs at least 2 nodes")
     nodes = np.linspace(float(lo), float(hi), int(n))
     h = nodes[1] - nodes[0]
     weights = np.full(n, h)

@@ -223,3 +223,6 @@ def test_estimator_registry():
     assert get_estimator(BERN, 4, "plugin-inverse").name == "plugin-inverse"
     with pytest.raises(UsageError):
         get_estimator(BERN, 2, "bogus")
+    for bad in ("shrinkage:x", "shrinkage:1", "constant:abc"):
+        with pytest.raises(UsageError, match=bad):
+            get_estimator(BERN, 2, bad)

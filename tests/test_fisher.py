@@ -187,3 +187,19 @@ def test_probe_flags_bump_family_jump():
     probe = two_integrability_probe(model, curve, (thetas + 0.3) / 0.6)
     assert probe.flagged.sum() == 1
     assert probe.flagged_t()[0] == pytest.approx(0.5)
+
+
+def test_probe_capped_mass_matches_fisher_matrix_per_point():
+    # the speed-jump criterion's grid: the batched capped masses must be the
+    # per-point fisher_matrix ones, bit for bit
+    model = normalized_friedrich_model()
+    curve = CurveInModel(model, [[-0.3], [0.3]])
+    inner = np.array([0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
+    outer = np.linspace(0.1, 0.3, 5)
+    thetas = np.concatenate([-outer[::-1], -inner[::-1], [0.0], inner, outer])
+    grid = (thetas + 0.3) / 0.6
+    probe = two_integrability_probe(model, curve, grid)
+    per_point = np.array([fisher_matrix(model, curve.point_at(t)).capped_mass for t in grid])
+    assert probe.capped_mass.shape == (23,)
+    assert np.array_equal(probe.capped_mass, per_point)
+    assert np.count_nonzero(per_point) == 22

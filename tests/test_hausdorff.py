@@ -55,8 +55,9 @@ def test_alpha_k_unit_ball_volumes():
 
 
 def test_alpha_k_rejects_negative():
-    with pytest.raises(DomainError):
-        alpha_k(-0.5)
+    for k in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            alpha_k(k)
 
 
 # -- covering ---------------------------------------------------------------------

@@ -65,6 +65,8 @@ def test_domain_errors_at_boundary():
         CAT3.density([0.7, 0.5])  # leaves the simplex
     with pytest.raises(DomainError):
         gaussian_location_scale_family().density([0.0, 0.05])
+    with pytest.raises(DomainError, match="2 coordinates where the model takes 1"):
+        BERN.density([0.5, 0.2])
 
 
 @pytest.mark.parametrize(

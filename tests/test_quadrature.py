@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sigeo.errors import UsageError
 from sigeo.quadrature import (
     adaptive_integral,
     gauss_legendre_rule,
@@ -68,3 +69,14 @@ def test_adaptive_integral_endpoint_extension():
     s = (np.arange(4_000_000) + 0.5) * (0.5 / 4_000_000)
     oracle = float(np.sum(1.0 / np.log(s * s)) * (0.5 / 4_000_000))
     assert abs(val - oracle) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: panel_nodes_weights([0.0]), lambda: panel_nodes_weights([0.0, 0.0]),
+     lambda: trapezoid_nodes_weights(0.0, 1.0, 1)],
+    ids=["one-edge", "flat-panel", "one-node"],
+)
+def test_degenerate_rules_are_usage_errors(build):
+    with pytest.raises(UsageError):
+        build()

@@ -222,11 +222,14 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
     cat4 = _model("categorical:4")
+
+    def sample_point():
+        theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
+        return theta * 0.9 / np.sum(theta) if np.sum(theta) > 0.94 else theta
+
     min_gap = np.inf
     for _ in range(draws):
-        theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
-        if np.sum(theta) > 0.94:
-            theta = theta * 0.9 / np.sum(theta)
+        theta = sample_point()
         v = rng.normal(size=3)
         kernel = markov.random_kernel(cat4.space, int(rng.integers(2, 6)), rng)
         gap = markov.monotonicity_gap(kernel, cat4, theta, v)
@@ -234,9 +237,7 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
 
     worst_perm = 0.0
     for _ in range(perms):
-        theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
-        if np.sum(theta) > 0.94:
-            theta = theta * 0.9 / np.sum(theta)
+        theta = sample_point()
         v = rng.normal(size=3)
         perm = rng.permutation(4)
         kernel = markov.permutation_kernel(cat4.space, perm)

@@ -176,17 +176,17 @@ def _cmd_distance(args):
     opts = distance.DistanceOptions(interior_nodes=args.nodes)
     res = distance.fisher_distance(model, args.from_theta, args.to_theta, opts)
     if args.emit_curve:
-        rows = []
         curve = models.CurveInModel(model, res.nodes)
-        for s in np.linspace(0.0, 1.0, 65):
-            theta = curve.point_at(s)
-            v = (curve.point_at(min(1.0, s + 1e-5)) - curve.point_at(max(0.0, s - 1e-5))) / (
-                min(1.0, s + 1e-5) - max(0.0, s - 1e-5)
-            )
-            speed = float(
-                np.sqrt(max(fisher.directional_form(model, theta[None, :], v[None, :])[0], 0.0))
-            )
-            rows.append([s, *theta, speed])
+
+        def points(ss):
+            return np.array([curve.point_at(s) for s in ss])
+
+        ts = np.linspace(0.0, 1.0, 65)
+        lo, hi = np.maximum(ts - 1e-5, 0.0), np.minimum(ts + 1e-5, 1.0)
+        thetas = points(ts)
+        vs = (points(hi) - points(lo)) / (hi - lo)[:, None]
+        speeds = np.sqrt(np.maximum(fisher.directional_form(model, thetas, vs), 0.0))
+        rows = np.column_stack([ts, thetas, speeds])
         _write_table(args.emit_curve, ["t"] + [f"theta{i}" for i in range(model.param_dim)] + ["speed"], rows)
     return {
         "from": args.from_theta,
@@ -318,7 +318,7 @@ def _cmd_jeffrey(args):
 
 def _cmd_cramer_rao(args):
     base = models.get_model(args.model)
-    sampling = estimation.Sampling("mc", args.draws, args.seed) if args.draws else estimation.Sampling()
+    sampling = estimation.Sampling(args.draws, args.seed)
     prod = models.product_model(base, args.n)
     sigma = estimation.get_estimator(base, args.n, args.estimator)
     phi = estimation.identity_chart(base)

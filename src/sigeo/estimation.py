@@ -2,11 +2,14 @@
 inverse Fisher forms, and the variance-vs-inverse-Fisher gap.
 
 Value spaces are finite dimensional (V = R^d with the coordinate dual
-basis). Expectations enumerate the outcome space exactly whenever it has
-at most 2^20 points and fall back to seeded Monte Carlo with reported
-standard errors otherwise. For n-sample experiments the n-fold product
-model is used explicitly, so the metric entering the gap is the product
-model's own Fisher matrix rather than a hidden factor of n.
+basis). Every expectation is a weighted sum over the enumerated outcomes
+(at most ``models.ENUM_LIMIT`` of them): the weights are the exact outcome
+probabilities, or, when ``Sampling.draws`` is positive, the frequencies of
+that many seeded Monte Carlo draws, with standard errors reported for the
+mean. The derivative of the phi-mean always comes exactly from the model's
+Jacobian. For n-sample experiments the n-fold product model is used
+explicitly, so the metric entering the gap is the product model's own
+Fisher matrix rather than a hidden factor of n.
 """
 
 from __future__ import annotations
@@ -17,14 +20,11 @@ import numpy as np
 
 from .errors import OutsideRangeError, SamplingError, UsageError
 from .fisher import EIGEN_TOL, fisher_matrix
-from .models import ParamModel
+from .models import ParamModel, outcome_table
 
 PSD_TOL = 1e-10
 CR_TOL = 1e-7
 RANGE_TOL = 1e-8
-PHI_FD_STEP = 1e-4
-ENUM_LIMIT = 2 ** 20
-DEFAULT_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ class Estimator:
         return self.values.shape[0]
 
 
-def _digit_table(m: int, n: int) -> np.ndarray:
-    count = m ** n
-    if count > ENUM_LIMIT:
-        raise UsageError("outcome space too large to enumerate")
-    return np.stack(np.unravel_index(np.arange(count), (m,) * n), axis=1)
-
-
 def mean_estimator(base: ParamModel, n: int) -> Estimator:
     """Empirical frequencies of the first (m-1) atoms over n i.i.d. draws.
 
@@ -82,16 +75,11 @@ def mean_estimator(base: ParamModel, n: int) -> Estimator:
     """
     if base.space.kind != "finite":
         raise UsageError("mean estimator needs a finite base model")
-    m = base.space.size
-    digits = _digit_table(m, n)
-    k = base.param_dim
+    _, counts = outcome_table(base.space.size, n)
     # The Bernoulli chart tracks atom 1 (density (1-p, p)); categorical
     # charts track atoms 0..k-1.
-    if base.name.startswith("bernoulli"):
-        vals = np.mean(digits == 1, axis=1)[:, None]
-    else:
-        vals = np.stack([np.mean(digits == i, axis=1) for i in range(k)], axis=1)
-    return Estimator(f"mean[{n}]", vals)
+    tracked = counts[:, 1:2] if base.name.startswith("bernoulli") else counts[:, :base.param_dim]
+    return Estimator(f"mean[{n}]", tracked / n)
 
 
 def shrinkage_estimator(base: ParamModel, n: int, lam=0.9, offset=0.05) -> Estimator:
@@ -114,8 +102,8 @@ def plugin_inverse_estimator(base: ParamModel, n: int) -> Estimator:
     """
     if base.space.size != 2 or base.param_dim != 1:
         raise UsageError("plugin-inverse estimator is defined for Bernoulli bases")
-    digits = _digit_table(2, n)
-    smoothed = (np.sum(digits, axis=1) + 1.0) / (n + 2.0)
+    _, counts = outcome_table(2, n)
+    smoothed = (counts[:, 1] + 1.0) / (n + 2.0)
     return Estimator("plugin-inverse", (1.0 / smoothed)[:, None])
 
 
@@ -144,8 +132,9 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
 
 @dataclass(frozen=True)
 class Sampling:
-    method: str = "exact"  # "exact" | "mc"
-    draws: int = DEFAULT_DRAWS
+    """Monte Carlo draws (0 = exact enumeration) and their seed."""
+
+    draws: int = 0
     seed: int = 0
 
 
@@ -156,6 +145,16 @@ def _outcome_probs(model: ParamModel, theta) -> np.ndarray:
     if np.any(p < -1e-12):
         raise SamplingError("negative outcome probability")
     return np.maximum(p, 0.0)
+
+
+def _outcome_weights(model: ParamModel, theta, sampling: Sampling) -> np.ndarray:
+    """Outcome probabilities, or the frequencies of ``sampling.draws`` seeded draws."""
+    probs = _outcome_probs(model, theta)
+    if not sampling.draws:
+        return probs
+    rng = np.random.default_rng(sampling.seed)
+    idx = rng.choice(model.space.size, size=sampling.draws, p=probs / probs.sum())
+    return np.bincount(idx, minlength=model.space.size) / sampling.draws
 
 
 def _phi_values(phi: PhiMap, sigma: Estimator, model: ParamModel) -> np.ndarray:
@@ -171,27 +170,18 @@ class MeanResult:
 
 
 def phi_mean(
-    model: ParamModel, theta, phi: PhiMap, sigma: Estimator, sampling: Sampling | None = None
+    model: ParamModel, theta, phi: PhiMap, sigma: Estimator, sampling: Sampling = Sampling()
 ) -> MeanResult:
     """E_theta[phi(sigma(x))] per dual-basis coordinate."""
-    sampling = sampling or Sampling()
     vals = _phi_values(phi, sigma, model)
-    if sampling.method == "exact":
-        probs = _outcome_probs(model, theta)
-        return MeanResult(probs @ vals, np.zeros(phi.value_dim))
-    if sampling.method == "mc":
-        probs = _outcome_probs(model, theta)
-        probs = probs / probs.sum()
-        rng = np.random.default_rng(sampling.seed)
-        idx = rng.choice(model.space.size, size=sampling.draws, p=probs)
-        draws = vals[idx]
-        return MeanResult(
-            draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(sampling.draws)
-        )
-    raise UsageError(f"unknown sampling method {sampling.method!r}")
+    w = _outcome_weights(model, theta, sampling)
+    mean = w @ vals
+    if not sampling.draws:
+        return MeanResult(mean, np.zeros(phi.value_dim))
+    return MeanResult(mean, np.sqrt(w @ (vals - mean) ** 2 / (sampling.draws - 1)))
 
 
-def bias(model, theta, phi, sigma, sampling=None) -> np.ndarray:
+def bias(model, theta, phi, sigma, sampling=Sampling()) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return phi_mean(model, theta, phi, sigma, sampling).value - phi.apply(theta[None, :])[0]
 
@@ -216,35 +206,26 @@ class QuadraticForm:
 
 
 def _second_moment(model, theta, phi, sigma, center, sampling):
-    sampling = sampling or Sampling()
-    vals = _phi_values(phi, sigma, model)
-    centered = vals - center[None, :]
-    if sampling.method == "exact":
-        probs = _outcome_probs(model, theta)
-        return QuadraticForm((centered * probs[:, None]).T @ centered)
-    probs = _outcome_probs(model, theta)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(sampling.seed)
-    idx = rng.choice(model.space.size, size=sampling.draws, p=probs)
-    draws = centered[idx]
-    return QuadraticForm(draws.T @ draws / sampling.draws)
+    centered = _phi_values(phi, sigma, model) - center[None, :]
+    w = _outcome_weights(model, theta, sampling)
+    return QuadraticForm((centered * w[:, None]).T @ centered)
 
 
-def mse_form(model, theta, phi, sigma, sampling=None) -> QuadraticForm:
+def mse_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
     """E[(phi sigma - phi(theta)) (phi sigma - phi(theta))^T]."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     center = phi.apply(theta[None, :])[0]
     return _second_moment(model, theta, phi, sigma, center, sampling)
 
 
-def variance_form(model, theta, phi, sigma, sampling=None) -> QuadraticForm:
+def variance_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
     """Covariance of phi(sigma) under the model at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     center = phi_mean(model, theta, phi, sigma, sampling).value
     return _second_moment(model, theta, phi, sigma, center, sampling)
 
 
-def vmse_residual(model, theta, phi, sigma, sampling=None) -> float:
+def vmse_residual(model, theta, phi, sigma, sampling=Sampling()) -> float:
     """Max-norm residual of MSE = variance + bias (x) bias."""
     M = mse_form(model, theta, phi, sigma, sampling).matrix
     V = variance_form(model, theta, phi, sigma, sampling).matrix
@@ -256,30 +237,19 @@ def vmse_residual(model, theta, phi, sigma, sampling=None) -> float:
 # Inverse Fisher form and the gap
 # ---------------------------------------------------------------------------
 
-def _phi_mean_jacobian(model, theta, phi, sigma, sampling, step=PHI_FD_STEP):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n = theta.size
-    rows = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        up = phi_mean(model, theta + e, phi, sigma, sampling).value
-        dn = phi_mean(model, theta - e, phi, sigma, sampling).value
-        rows.append((up - dn) / (2 * step))
-    return np.stack(rows, axis=1)  # (d, n)
-
-
-def inverse_fisher_form(
-    model, theta, phi, sigma, sampling=None, range_tol=RANGE_TOL
-) -> QuadraticForm:
+def inverse_fisher_form(model, theta, phi, sigma, range_tol=RANGE_TOL) -> QuadraticForm:
     """dphi_mean G^+ dphi_mean^T on the rank-supported subspace of G.
 
-    The pseudo-inverse realizes the metric inverse on the completion of the
-    tangent space; dual gradients with components outside the numerical
-    range of G have no finite inverse form, which raises OutsideRangeError.
+    The phi-mean gradient is exact: the outcome values contracted with the
+    model's Jacobian. The pseudo-inverse realizes the metric inverse on the
+    completion of the tangent space; dual gradients with components outside
+    the numerical range of G have no finite inverse form, which raises
+    OutsideRangeError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    dphi = _phi_mean_jacobian(model, theta, phi, sigma, sampling)  # (d, n)
+    vals = _phi_values(phi, sigma, model)
+    _, J = model.jet_at(theta)  # (n, X)
+    dphi = vals.T @ (J * model.space.weights).T  # (d, n)
     G = fisher_matrix(model, theta)
     eigs, U = np.linalg.eigh(G.matrix)
     scale = max(float(np.max(eigs, initial=0.0)), 1.0)
@@ -308,12 +278,10 @@ class CramerRaoResult:
     inverse_fisher: QuadraticForm
 
 
-def cramer_rao_gap(
-    model, theta, phi, sigma, sampling=None, tol=CR_TOL
-) -> CramerRaoResult:
+def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling(), tol=CR_TOL) -> CramerRaoResult:
     """variance_form minus inverse_fisher_form; PSD up to ``tol``."""
     V = variance_form(model, theta, phi, sigma, sampling)
-    F = inverse_fisher_form(model, theta, phi, sigma, sampling)
+    F = inverse_fisher_form(model, theta, phi, sigma)
     gap = QuadraticForm(V.matrix - F.matrix)
     mn = gap.min_eigenvalue()
     return CramerRaoResult(gap, mn, mn >= -tol, V, F)
@@ -323,7 +291,7 @@ def cramer_rao_gap(
 # Regularity probe
 # ---------------------------------------------------------------------------
 
-def regularity_probe(model, thetas, phi, sigma, sampling=None, growth_ratio=2.0):
+def regularity_probe(model, thetas, phi, sigma, growth_ratio=2.0):
     """L2 norms of phi(sigma) across a parameter grid, with blow-up flags.
 
     A grid point is flagged when its squared norm exceeds ``growth_ratio``
@@ -332,12 +300,10 @@ def regularity_probe(model, thetas, phi, sigma, sampling=None, growth_ratio=2.0)
     inverse-style plug-ins light up toward the region they blow up in.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    norms = []
-    for th in thetas:
-        probs = _outcome_probs(model, th)
-        vals = _phi_values(phi, sigma, model)
-        norms.append(np.sqrt(np.max((vals * vals * probs[:, None]).sum(axis=0))))
-    norms = np.asarray(norms)
+    squares = _phi_values(phi, sigma, model) ** 2
+    norms = np.array(
+        [np.sqrt(np.max((squares * _outcome_probs(model, th)[:, None]).sum(axis=0))) for th in thetas]
+    )
     edge = np.minimum(
         np.min(thetas - model.domain.lo[None, :], axis=1),
         np.min(model.domain.hi[None, :] - thetas, axis=1),

@@ -84,17 +84,6 @@ class MetricCloud:
         d = self.dist + np.diag(np.full(self.size, np.inf))
         return float(np.max(np.min(d, axis=1)))
 
-    def triangle_defect(self, rng=None, samples=200) -> float:
-        """Worst sampled triangle violation d(i,k) - d(i,j) - d(j,k)."""
-        if self.size < 3:
-            return 0.0
-        rng = rng or np.random.default_rng(0)
-        worst = -np.inf
-        for _ in range(samples):
-            i, j, k = rng.choice(self.size, size=3, replace=False)
-            worst = max(worst, self.dist[i, k] - self.dist[i, j] - self.dist[j, k])
-        return float(worst)
-
 
 def _lex_order(points) -> np.ndarray:
     return np.lexsort(points.T[::-1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotDominated, UsageError
-from .quadrature import panel_nodes_weights, trapezoid_nodes_weights, uniform_edges
+from .quadrature import panel_nodes_weights, uniform_edges
 
 MASS_TOL = 1e-9
 QUAD_TOL = 1e-6
@@ -90,14 +90,9 @@ def finite_space(m: int) -> SampleSpace:
     return SampleSpace(_FINITE, np.arange(m, dtype=float), np.ones(m), (0.0, float(m - 1)))
 
 
-def grid1d_space(lo, hi, panels=64, npts=8, rule="gauss") -> SampleSpace:
-    """1-d interval backend with composite Gauss-Legendre (default) weights."""
-    if rule == "gauss":
-        nodes, weights = panel_nodes_weights(uniform_edges(lo, hi, panels), npts)
-    elif rule == "trapezoid":
-        nodes, weights = trapezoid_nodes_weights(lo, hi, panels * npts)
-    else:
-        raise UsageError(f"unknown quadrature rule {rule!r}")
+def grid1d_space(lo, hi, panels=64, npts=8) -> SampleSpace:
+    """1-d interval backend with composite Gauss-Legendre weights."""
+    nodes, weights = panel_nodes_weights(uniform_edges(lo, hi, panels), npts)
     return SampleSpace(_GRID1D, nodes, weights, (float(lo), float(hi)))
 
 
@@ -141,9 +136,6 @@ class Measure:
 
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
-
-    def is_probability(self, tol=MASS_TOL) -> bool:
-        return (not self.signed or np.all(self.density >= 0)) and abs(self.total_mass() - 1.0) <= tol
 
     def __add__(self, other: "Measure") -> "Measure":
         _check_same_space(self, other)

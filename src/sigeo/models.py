@@ -50,6 +50,9 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 EPS_BOUNDARY = 1e-6
 SIGMA_MIN = 1e-3
 
+# Largest outcome space the product models and estimators enumerate.
+ENUM_LIMIT = 2 ** 20
+
 # Mixture b-range truncation; Fisher integrands are tail-negligible beyond
 # |x| = B_MAX + 8.
 B_MAX = 6.0
@@ -774,40 +777,46 @@ def tangent_at(model: ParamModel, theta, v, validate=True) -> TangentVector:
     return tangent
 
 
+def outcome_table(m: int, n: int) -> tuple:
+    """Outcomes of n draws from m atoms, in product-model order.
+
+    Returns the atom index of every draw, (m^n, n), and the occurrence
+    count of every atom, (m^n, m).
+    """
+    count = m ** n
+    if count > ENUM_LIMIT:
+        raise UsageError("outcome space too large to enumerate")
+    digits = np.stack(np.unravel_index(np.arange(count), (m,) * n), axis=1)
+    counts = np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
+    return digits, counts
+
+
 def product_model(base: ParamModel, n: int) -> ParamModel:
     """The n-fold i.i.d. product of a finite-backend model.
 
     Outcomes are tuples, enumerated on a finite space with m^n atoms; the
     density is the product over coordinates and the Jacobian follows the
-    product rule. The Fisher matrix of the product is n times the base's.
+    product rule, the base scores summed by occurrence count. The Fisher
+    matrix of the product is n times the base's.
     """
     if base.space.kind != "finite":
         raise UsageError("product models require a finite backend")
     if n < 1:
         raise UsageError("n must be >= 1")
-    m = base.space.size
-    count = m ** n
-    if count > 2 ** 20:
-        raise UsageError("product outcome space too large to enumerate")
-    digits = np.stack(
-        np.unravel_index(np.arange(count), (m,) * n), axis=1
-    )  # (count, n) atom indices
+    digits, counts = outcome_table(base.space.size, n)
+    occurrences = counts.T.astype(float)  # (m, count)
 
     def dens(thetas):
         p = base.density_batch(thetas)  # (T, m)
         return np.prod(p[:, digits], axis=2)  # (T, count)
 
-    def jac(thetas):
-        p = base.density_batch(thetas)  # (T, m)
-        J = base.jacobian_batch(thetas)  # (T, k, m)
+    def jet(thetas):
+        p, J = base.jet(thetas)  # (T, m), (T, k, m)
         prod = np.prod(p[:, digits], axis=2)  # (T, count)
-        ratio = J / np.maximum(p[:, None, :], 1e-300)  # (T, k, m)
-        total = np.sum(ratio[:, :, digits], axis=3)  # (T, k, count)
-        return total * prod[:, None, :]
+        score = J / np.maximum(p[:, None, :], 1e-300)  # (T, k, m)
+        return prod, (score @ occurrences) * prod[:, None, :]
 
-    return ParamModel(
-        f"{base.name}^{n}", base.domain, finite_space(count), dens, jac
-    )
+    return ParamModel(f"{base.name}^{n}", base.domain, finite_space(len(digits)), dens, jet_fn=jet)
 
 
 def reparameterized_model(model: ParamModel, phi, phi_jacobian, u_domain: Box, name=None) -> ParamModel:

@@ -1,8 +1,8 @@
 """Gauss-Legendre panel quadrature and a small adaptive integrator.
 
-Composite Gauss-Legendre panels are the default rule everywhere; trapezoid
-is kept as a cheap alternative. Nodes are always strictly interior to their
-panel, so integrands only defined on open intervals are safe to evaluate.
+Composite Gauss-Legendre panels are the one rule for every grid backend.
+Nodes are always strictly interior to their panel, so integrands only
+defined on open intervals are safe to evaluate.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ def geometric_edges(lo, hi, panels, origin=0.0):
     """
     off = np.geomspace(float(lo), float(hi - origin), int(panels))
     return np.concatenate([[float(origin)], float(origin) + off])
-
-
-def trapezoid_nodes_weights(lo, hi, n):
-    """Uniform trapezoid rule with n nodes; cheap alternative to panels."""
-    if n < 2:
-        raise UsageError("trapezoid rule needs at least 2 nodes")
-    nodes = np.linspace(float(lo), float(hi), int(n))
-    h = nodes[1] - nodes[0]
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = 0.5 * h
-    return nodes, weights
 
 
 def adaptive_integral(f, a, b, tol=1e-9, max_depth=40):

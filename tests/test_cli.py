@@ -301,8 +301,10 @@ def test_fuzz_main_never_tracebacks(tmp_path_factory):
         assert "Traceback" not in err.getvalue(), argv
         if code == 1:
             assert out.getvalue() == "", argv
-        else:
-            json.loads(out.getvalue())
+            return
+        payload = json.loads(out.getvalue())
+        if argv[0] == "cramer-rao":
+            assert payload["holds"] is (code == 0), argv
 
     check()
 

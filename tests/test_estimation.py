@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sigeo.errors import OutsideRangeError, UsageError
+from sigeo.fisher import fisher_matrix
 from sigeo.estimation import (
     Estimator,
     Sampling,
@@ -46,9 +47,26 @@ def test_monte_carlo_agrees_with_enumeration():
     prod = product_model(BERN, n)
     sigma = mean_estimator(BERN, n)
     exact = phi_mean(prod, [0.35], PHI_B, sigma).value[0]
-    mc = phi_mean(prod, [0.35], PHI_B, sigma, Sampling("mc", 40_000, seed=12))
+    mc = phi_mean(prod, [0.35], PHI_B, sigma, Sampling(40_000, seed=12))
     assert abs(mc.value[0] - exact) <= 3 * mc.stderr[0]
     assert mc.stderr[0] > 0
+
+
+def test_monte_carlo_weights_reproduce_per_draw_formulas():
+    # reference: the sample mean, standard error and second moment of the
+    # drawn outcome values themselves, from the same seeded draws
+    n, theta, seed, count = 3, [0.25, 0.35], 21, 5000
+    prod = product_model(CAT3, n)
+    sigma = shrinkage_estimator(CAT3, n)
+    probs = prod.density(theta)
+    idx = np.random.default_rng(seed).choice(prod.space.size, size=count, p=probs / probs.sum())
+    drawn = sigma.values[idx]
+    mc = phi_mean(prod, theta, PHI_C, sigma, Sampling(count, seed))
+    np.testing.assert_allclose(mc.value, drawn.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mc.stderr, drawn.std(axis=0, ddof=1) / np.sqrt(count), rtol=0, atol=1e-12)
+    centered = drawn - drawn.mean(axis=0)
+    V = variance_form(prod, theta, PHI_C, sigma, Sampling(count, seed))
+    np.testing.assert_allclose(V.matrix, centered.T @ centered / count, rtol=0, atol=1e-12)
 
 
 def test_constant_estimator_mean_and_bias():
@@ -125,6 +143,40 @@ def test_inverse_fisher_uses_product_scaling():
     assert F.matrix[0, 0] == pytest.approx(0.4 * 0.6 / n, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "base,n,theta",
+    [(BERN, 5, [0.35]), (CAT3, 3, [0.25, 0.35])],
+    ids=["bernoulli^5", "categorical:3^3"],
+)
+@pytest.mark.parametrize("estimator", ["mean", "shrinkage:0.9,0.05"])
+def test_inverse_fisher_gradient_matches_central_difference(base, n, theta, estimator):
+    # reference: the phi-mean gradient as a central difference of exact means
+    prod = product_model(base, n)
+    sigma = get_estimator(base, n, estimator)
+    phi = identity_chart(base)
+    h = 1e-5
+    steps = h * np.eye(len(theta))
+    dphi = np.stack(
+        [(phi_mean(prod, theta + e, phi, sigma).value - phi_mean(prod, theta - e, phi, sigma).value) / (2 * h)
+         for e in steps],
+        axis=1,
+    )
+    G = fisher_matrix(prod, theta).matrix
+    F = inverse_fisher_form(prod, theta, phi, sigma)
+    np.testing.assert_allclose(F.matrix, dphi @ np.linalg.inv(G) @ dphi.T, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("draws", [2000, 20000])
+def test_monte_carlo_keeps_the_inverse_fisher_form_exact(draws):
+    # the repro: at n=3 the exact form is p(1-p)/n = 0.08
+    prod = product_model(BERN, 3)
+    sigma = mean_estimator(BERN, 3)
+    res = cramer_rao_gap(prod, [0.4], PHI_B, sigma, Sampling(draws, seed=5))
+    assert res.inverse_fisher.matrix[0, 0] == pytest.approx(0.08, abs=1e-14)
+    exact = inverse_fisher_form(prod, [0.4], PHI_B, sigma).matrix
+    np.testing.assert_array_equal(res.inverse_fisher.matrix, exact)
+
+
 def test_zero_jacobian_gives_zero_form():
     sigma = constant_estimator(BERN, 1, [0.6])
     F = inverse_fisher_form(BERN_PROD1, [0.4], PHI_B, sigma)
@@ -181,6 +233,20 @@ def test_gap_zero_for_multinomial_mean():
     p = np.array([0.25, 0.35])
     oracle = (np.diag(p) - np.outer(p, p)) / n
     assert res.variance.matrix == pytest.approx(oracle, abs=1e-12)
+
+
+def test_mean_gap_vanishes_on_the_criterion_suite():
+    # the cramer-rao criterion's configurations: the mean is efficient, so
+    # the gap is rounding error only
+    worst = 0.0
+    for n in (1, 5, 10):
+        for base, phi, thetas in ((BERN, PHI_B, ([0.3], [0.5], [0.7])),
+                                  (CAT3, PHI_C, ([0.3, 0.4], [0.2, 0.3]))):
+            prod = product_model(base, n)
+            sigma = mean_estimator(base, n)
+            for th in thetas:
+                worst = max(worst, np.max(np.abs(cramer_rao_gap(prod, th, phi, sigma).gap.matrix)))
+    assert worst <= 1e-13
 
 
 def test_gap_psd_for_shrinkage():

@@ -319,6 +319,21 @@ def test_product_model_density_and_jacobian():
     assert np.max(np.abs(J - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("base_id,n", [("bernoulli", 5), ("categorical:3", 4), ("categorical:4", 3)])
+def test_product_jacobian_sums_scores_by_occurrence_count(base_id, n):
+    base = get_model(base_id)
+    prod = product_model(base, n)
+    thetas = _draw(base, 6, seed=3)
+    # reference: the per-draw gather-and-sum of the base scores
+    digits = np.stack(np.unravel_index(np.arange(prod.space.size), (base.space.size,) * n), axis=1)
+    p = base.density_batch(thetas)
+    ratio = base.jacobian_batch(thetas) / p[:, None, :]
+    ref = np.sum(ratio[:, :, digits], axis=3) * np.prod(p[:, digits], axis=2)[:, None, :]
+    J = prod.jacobian_batch(thetas)
+    assert np.max(np.abs(J - ref)) <= 1e-15 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(prod.jet(thetas)[0], prod.density_batch(thetas))
+
+
 def test_product_model_size_guard():
     with pytest.raises(UsageError):
         product_model(BERN, 25)

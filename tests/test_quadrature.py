@@ -9,7 +9,6 @@ from sigeo.quadrature import (
     gauss_legendre_rule,
     geometric_edges,
     panel_nodes_weights,
-    trapezoid_nodes_weights,
     uniform_edges,
 )
 
@@ -44,11 +43,6 @@ def test_geometric_edges_cluster_toward_origin():
     assert np.all(np.diff(widths[1:]) > 0)  # widths grow away from 0
 
 
-def test_trapezoid_weights_sum_to_span():
-    nodes, weights = trapezoid_nodes_weights(2.0, 5.0, 31)
-    assert abs(np.sum(weights) - 3.0) < 1e-12
-
-
 def test_adaptive_integral_smooth():
     val = adaptive_integral(math.sin, 0.0, math.pi, tol=1e-12)
     assert abs(val - 2.0) < 1e-10
@@ -73,9 +67,8 @@ def test_adaptive_integral_endpoint_extension():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: panel_nodes_weights([0.0]), lambda: panel_nodes_weights([0.0, 0.0]),
-     lambda: trapezoid_nodes_weights(0.0, 1.0, 1)],
-    ids=["one-edge", "flat-panel", "one-node"],
+    [lambda: panel_nodes_weights([0.0]), lambda: panel_nodes_weights([0.0, 0.0])],
+    ids=["one-edge", "flat-panel"],
 )
 def test_degenerate_rules_are_usage_errors(build):
     with pytest.raises(UsageError):

@@ -98,11 +98,11 @@ def check_singularity(seed=0) -> CriterionResult:
 
 
 def _random_pair(model_name, rng):
+    """The cached registry model and a random pair of its points (the
+    model stays because ``perfbench/tests/test_oracles.py`` unpacks it)."""
     if model_name == "bernoulli":
-        m = models.bernoulli_family()
         pair = rng.uniform(0.05, 0.95, size=(2, 1))
     elif model_name == "categorical":
-        m = models.categorical_family(3)
         pair = np.clip(rng.dirichlet([1.5] * 3, size=2)[:, :2], 0.03, 0.94)
         pair = pair[np.sum(pair, axis=1) < 0.97]
         while pair.shape[0] < 2:
@@ -110,12 +110,10 @@ def _random_pair(model_name, rng):
             if np.sum(extra) < 0.97:
                 pair = np.vstack([pair, extra])
     elif model_name == "loc-scale":
-        m = models.gaussian_location_scale_family()
         pair = np.column_stack([rng.uniform(-1.5, 1.5, 2), rng.uniform(0.6, 1.8, 2)])
     else:
-        m = models.gaussian_mixture()
         pair = np.column_stack([rng.uniform(0.1, 0.9, 2), rng.uniform(-3.0, 3.0, 2)])
-    return m, pair[0], pair[1]
+    return _model(model_name), pair[0], pair[1]
 
 
 _TV_MODELS = ("bernoulli", "categorical", "loc-scale", "mixture")

@@ -10,6 +10,7 @@ error, 2 a property check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,6 +117,14 @@ def _int_at_least(minimum):
         return value
 
     return count
+
+
+def _mc_draws(text):
+    """Argparse type: Monte Carlo draws as ``estimation.Sampling`` takes them."""
+    try:
+        return estimation.Sampling(_int_at_least(0)(text)).draws
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_region(text, dim):
@@ -367,7 +376,10 @@ def _cmd_verify_all(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` fills an
+    unset ``--seed`` from SIGEO_SEED at parse time."""
     parser = _Parser(
         prog="sigeo",
         description="Fisher geometry on singular statistical models: metrics, "
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=_csv_floats, required=True)
     sp.add_argument("--estimator", default="mean")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--draws", type=_int_at_least(0), default=0, help="Monte Carlo draws (0 = exact)")
+    sp.add_argument("--draws", type=_mc_draws, default=0, help="Monte Carlo draws (0 = exact, else >= 2)")
     sp.set_defaults(func=_cmd_cramer_rao)
 
     sp = sub.add_parser("weak-demo", help="derivative-exchange and TV contrast of the oscillatory curve")
@@ -452,14 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_all)
 
     # Flags every subcommand takes.
-    seed = _int_at_least(0)
-    seed_default = os.environ.get("SIGEO_SEED", "0")
     for sp in sub.choices.values():
         sp.add_argument("--config", help="flat JSON config file; flags win over file values")
-        sp.add_argument("--seed", type=seed, default=seed_default, help="seed (default: SIGEO_SEED env, else 0)")
+        sp.add_argument("--seed", type=_int_at_least(0), default=None, help="seed (default: SIGEO_SEED env, else 0)")
         sp.add_argument("--out", default="", help="also write the JSON summary here")
         sp.add_argument("--no-timestamp", action="store_true")
     return parser
+
+
+def _env_seed():
+    try:
+        return _int_at_least(0)(os.environ.get("SIGEO_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"sigeo: argument --seed (from SIGEO_SEED): {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -471,6 +488,8 @@ def main(argv=None) -> int:
         if config:
             argv[1:1] = _config_argv(config)
         args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _env_seed()
         payload, code = args.func(args)
         payload["command"] = args.command
         if "model" in vars(args):

@@ -132,10 +132,14 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
 
 @dataclass(frozen=True)
 class Sampling:
-    """Monte Carlo draws (0 = exact enumeration) and their seed."""
+    """Monte Carlo draws (0 = exact enumeration, else at least 2) and their seed."""
 
     draws: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.draws < 0 or self.draws == 1:
+            raise UsageError(f"Monte Carlo draws must be 0 (exact) or at least 2, got {self.draws}")
 
 
 def _outcome_probs(model: ParamModel, theta) -> np.ndarray:
@@ -205,31 +209,36 @@ class QuadraticForm:
         return self.min_eigenvalue() >= -tol
 
 
-def _second_moment(model, theta, phi, sigma, center, sampling):
-    centered = _phi_values(phi, sigma, model) - center[None, :]
-    w = _outcome_weights(model, theta, sampling)
+def _second_moment(vals, w, center) -> QuadraticForm:
+    centered = vals - center[None, :]
     return QuadraticForm((centered * w[:, None]).T @ centered)
 
 
 def mse_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
     """E[(phi sigma - phi(theta)) (phi sigma - phi(theta))^T]."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    center = phi.apply(theta[None, :])[0]
-    return _second_moment(model, theta, phi, sigma, center, sampling)
+    vals = _phi_values(phi, sigma, model)
+    w = _outcome_weights(model, theta, sampling)
+    return _second_moment(vals, w, phi.apply(theta[None, :])[0])
 
 
 def variance_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
     """Covariance of phi(sigma) under the model at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    center = phi_mean(model, theta, phi, sigma, sampling).value
-    return _second_moment(model, theta, phi, sigma, center, sampling)
+    vals = _phi_values(phi, sigma, model)
+    w = _outcome_weights(model, theta, sampling)
+    return _second_moment(vals, w, w @ vals)
 
 
 def vmse_residual(model, theta, phi, sigma, sampling=Sampling()) -> float:
     """Max-norm residual of MSE = variance + bias (x) bias."""
-    M = mse_form(model, theta, phi, sigma, sampling).matrix
-    V = variance_form(model, theta, phi, sigma, sampling).matrix
-    b = bias(model, theta, phi, sigma, sampling)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    vals = _phi_values(phi, sigma, model)
+    w = _outcome_weights(model, theta, sampling)
+    mean = w @ vals
+    target = phi.apply(theta[None, :])[0]
+    M = _second_moment(vals, w, target).matrix
+    V = _second_moment(vals, w, mean).matrix
+    b = mean - target
     return float(np.max(np.abs(M - V - np.outer(b, b))))
 
 

@@ -122,9 +122,7 @@ class SpeedProbe:
         return self.t[self.flagged]
 
 
-def two_integrability_probe(
-    model: ParamModel, curve: CurveInModel, t_grid, jump_tol=JUMP_TOL, fd_step=FD_STEP_T
-) -> SpeedProbe:
+def two_integrability_probe(model: ParamModel, curve: CurveInModel, t_grid, jump_tol=JUMP_TOL) -> SpeedProbe:
     """Metric speed |c'(t)|_g along a curve, with jump detection.
 
     Velocities are estimated by central differences in the curve parameter
@@ -144,8 +142,8 @@ def two_integrability_probe(
     thetas = []
     vels = []
     for t in t_grid:
-        v1 = _curve_velocity(curve, t, fd_step)
-        v2 = _curve_velocity(curve, t, fd_step / 2.0)
+        v1 = _curve_velocity(curve, t, FD_STEP_T)
+        v2 = _curve_velocity(curve, t, FD_STEP_T / 2.0)
         vels.append((4.0 * v2 - v1) / 3.0)  # one Richardson step
         thetas.append(curve.point_at(t))
     thetas = np.asarray(thetas)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import UsageError
 from .fisher import directional_form
 from .measures import DOMINANCE_TOL, MASS_TOL, Measure, SampleSpace, TangentVector, finite_space
-from .models import Box, ParamModel, tangent_at
+from .models import ParamModel, tangent_at
 
 SUFF_TOL = 1e-7
 MONO_TOL = 1e-9
@@ -126,16 +126,11 @@ def pushforward_model(kernel: MarkovKernel, model: ParamModel) -> ParamModel:
     def dens(thetas):
         return model.density_batch(thetas) @ wrows
 
-    def jac(thetas):
-        return model.jacobian_batch(thetas) @ wrows
+    def jet(thetas):
+        P, J = model.jet(thetas)
+        return P @ wrows, J @ wrows
 
-    return ParamModel(
-        f"{model.name}>>pushed",
-        Box(model.domain.lo, model.domain.hi, constraint=model.domain.constraint),
-        kernel.target,
-        dens,
-        jac,
-    )
+    return ParamModel(f"{model.name}>>pushed", model.domain, kernel.target, dens, jet_fn=jet)
 
 
 def metric_along(model: ParamModel, theta, v) -> float:

@@ -1,18 +1,21 @@
 """The model zoo: parameterized statistical models and curves.
 
 Every model exposes a density map p(theta, x) on a fixed sample-space
-backend together with its parameter Jacobian (analytic where available,
-central finite differences otherwise). Evaluation is vectorized over
-batches of parameter points: ``density_batch`` maps (T, n) -> (T, X),
-``jacobian_batch`` maps (T, n) -> (T, n, X), and ``jet`` returns both.
-Gaussian families fuse the jet so each exponential is evaluated once per
-call. Model objects are immutable and evaluation is pure and reentrant.
+backend together with its analytic parameter Jacobian. Evaluation is
+vectorized over batches of parameter points: ``density_batch`` maps
+(T, n) -> (T, X), ``jacobian_batch`` maps (T, n) -> (T, n, X), and ``jet``
+returns both. Gaussian families fuse the jet so each exponential is
+evaluated once per call, and derived models (products, reparameterizations,
+pushforwards) forward one jet of their base. ``get_model`` builds and
+caches the registry's models. Model objects are immutable and evaluation
+is pure and reentrant.
 
 The singular members of the zoo:
 
 * a two-component Gaussian mixture whose metric degenerates on the lines
   a=0 and b=0 of its (a, b) parameter square;
-* a reparameterized path through the degenerate mixture corner;
+* a path through the degenerate mixture corner, the mixture pulled back
+  through a reparameterization;
 * an oscillatory perturbation of the uniform density whose velocity exists
   only weakly (integrals against bounded test functions converge, total
   variation does not);
@@ -111,17 +114,22 @@ class Box:
 
 @dataclass(frozen=True)
 class ParamModel:
-    """A parameterized statistical model on a fixed sample-space backend."""
+    """A parameterized statistical model on a fixed sample-space backend.
+
+    Exactly one of ``jacobian_fn`` and ``jet_fn`` (a fused thetas ->
+    (density, Jacobian) agreeing bitwise with ``density_fn``) is given.
+    """
 
     name: str
     domain: Box
     space: SampleSpace
     density_fn: object
     jacobian_fn: object = None
-    fd_step: float = 1e-5
-    # optional fused thetas -> (density, Jacobian); must agree bitwise with
-    # density_fn and stands in for jacobian_fn when that is None
     jet_fn: object = None
+
+    def __post_init__(self):
+        if (self.jacobian_fn is None) == (self.jet_fn is None):
+            raise UsageError(f"model {self.name!r} needs exactly one of jacobian_fn and jet_fn")
 
     @property
     def param_dim(self) -> int:
@@ -146,9 +154,7 @@ class ParamModel:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(thetas), dtype=float)
-        if self.jet_fn is not None:
-            return np.asarray(self.jet_fn(thetas)[1], dtype=float)
-        return self._fd_jacobian(thetas)
+        return np.asarray(self.jet_fn(thetas)[1], dtype=float)
 
     def jacobian(self, theta) -> np.ndarray:
         self.domain.require(theta)
@@ -174,23 +180,6 @@ class ParamModel:
         self.domain.require(theta)
         P, J = self.jet([np.atleast_1d(theta)])
         return P[0], J[0]
-
-    def _fd_jacobian(self, thetas) -> np.ndarray:
-        h = self.fd_step
-        T, n = thetas.shape
-        shifted = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            shifted.append(thetas + e)
-            shifted.append(thetas - e)
-        dens = self.density_batch(np.concatenate(shifted, axis=0))
-        out = np.empty((T, n, dens.shape[1]))
-        for i in range(n):
-            plus = dens[2 * i * T:(2 * i + 1) * T]
-            minus = dens[(2 * i + 1) * T:(2 * i + 2) * T]
-            out[:, i, :] = (plus - minus) / (2 * h)
-        return out
 
 
 @dataclass(frozen=True)
@@ -358,15 +347,6 @@ def gaussian_location_scale_family(
 # Gaussian mixture with a degenerate parameter locus
 # ---------------------------------------------------------------------------
 
-def _mixture_density_raw(a, b, x):
-    """(1-a) N(0,1) + a N(b,1) densities; no domain checks (a may be signed)."""
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    n0 = np.exp(-0.5 * x[None, :] ** 2)
-    nb = np.exp(-0.5 * (x[None, :] - b) ** 2)
-    return ((1.0 - a) * n0 + a * nb) / SQRT2PI
-
-
 def gaussian_mixture(b_max=B_MAX, panels=112, npts=8) -> ParamModel:
     """Two-component Gaussian mixture p(x | a, b).
 
@@ -431,16 +411,13 @@ def singular_reparam_point(t) -> tuple:
     return alpha, beta
 
 
-def singular_reparam_measure(t, space=None) -> Measure:
+def singular_reparam_measure(t) -> Measure:
     """Mixture measure at (alpha(t), beta(t)); signed for t > 0."""
-    if space is None:
-        space = _default_mixture_space()
-    a, b = singular_reparam_point(t)
-    dens = _mixture_density_raw(np.array([a]), np.array([b]), space.points)[0]
-    return Measure(space, dens, signed=True)
+    mix = get_model("mixture")
+    return Measure(mix.space, mix.density_batch([singular_reparam_point(t)])[0], signed=True)
 
 
-def corner_witness_measure(t, space=None) -> Measure:
+def corner_witness_measure(t) -> Measure:
     """Mixture measure at (t^(2/3), t^(1/3)).
 
     A continuous path through the corner (0, 0) whose measure-space
@@ -451,24 +428,38 @@ def corner_witness_measure(t, space=None) -> Measure:
     t = float(t)
     if not -1.0 < t < 1.0:
         raise DomainError("witness path needs |t| < 1")
-    if space is None:
-        space = _default_mixture_space()
+    mix = get_model("mixture")
     root = math.copysign(abs(t) ** (1.0 / 3.0), t)
-    dens = _mixture_density_raw(np.array([root * root]), np.array([root]), space.points)[0]
-    return Measure(space, dens, signed=False)
+    return Measure(mix.space, mix.density_batch([[root * root, root]])[0], signed=False)
 
 
-def corner_velocity_target(space=None) -> Measure:
+def corner_velocity_target() -> Measure:
     """The limiting velocity x exp(-x^2/2)/sqrt(2 pi) as a signed measure."""
-    if space is None:
-        space = _default_mixture_space()
+    space = get_model("mixture").space
     x = space.points
     return Measure(space, x * np.exp(-0.5 * x * x) / SQRT2PI, signed=True)
 
 
-@lru_cache(maxsize=1)
-def _default_mixture_space() -> SampleSpace:
-    return gaussian_mixture().space
+def singular_reparam_model() -> ParamModel:
+    """The corner path: the mixture pulled back through (alpha, beta).
+
+    The chain rule takes (alpha', beta') = (1/log t^2, log t^2 + 2), and
+    (0, 0) at t = 0, where beta' diverges but scales the b-partial, which
+    vanishes at a = alpha(0) = 0.
+    """
+
+    def phi(ts):
+        return np.array([singular_reparam_point(t) for t in ts[:, 0]])
+
+    def dphi(ts):
+        out = np.zeros((ts.shape[0], 1, 2))
+        moving = ts[:, 0] != 0.0
+        log_sq = np.log(ts[moving, 0] ** 2)
+        out[moving, 0, 0] = 1.0 / log_sq
+        out[moving, 0, 1] = log_sq + 2.0
+        return out
+
+    return reparameterized_model(get_model("mixture"), phi, dphi, Box([-0.99], [0.99]), name="singular-curve")
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +505,6 @@ def oscillatory_time_integral_adaptive(t, x, tol=1e-9, max_depth=26) -> float:
     )
 
 
-@lru_cache(maxsize=1)
-def _weak_space() -> SampleSpace:
-    return grid1d_space(-math.pi, math.pi, panels=120, npts=8)
-
-
 def weak_oscillatory_measure(t, space=None) -> Measure:
     """Probability measure with density 1/(2 pi) + F_t(x)/(2 A) on [-pi, pi].
 
@@ -529,7 +515,7 @@ def weak_oscillatory_measure(t, space=None) -> Measure:
     if not -1.0 < t < 1.0:
         raise DomainError("oscillatory curve needs |t| < 1")
     if space is None:
-        space = _weak_space()
+        space = get_model("weak-curve").space
     dens = 1.0 / (2 * math.pi) + oscillatory_time_integral(t, space.points) / (
         2 * OSC_AMPLITUDE
     )
@@ -548,7 +534,7 @@ def weak_oscillatory_velocity(t, space=None, min_panels_per_period=8) -> Measure
         raise DomainError("oscillatory curve needs |t| < 1")
     if space is None:
         if t == 0.0:
-            space = _weak_space()
+            space = get_model("weak-curve").space
         else:
             periods = max(1, int(math.ceil(1.0 / abs(t))))
             panels = max(240, min_panels_per_period * periods)
@@ -569,7 +555,7 @@ def weak_oscillatory_exchange(ts):
     v_t - v_0 at t = 1e-2 and 1e-3, keyed by str(t). The exchange holds to
     quadrature accuracy while the TV norms stay of unit scale.
     """
-    space = _weak_space()
+    space = get_model("weak-curve").space
     x = space.points
     rows = []
     for t in ts:
@@ -642,15 +628,6 @@ def bump_square_integral() -> float:
     return adaptive_integral(lambda u: float(bump(u) ** 2), 0.0, 1.0, tol=1e-13)
 
 
-@lru_cache(maxsize=1)
-def _friedrich_space() -> SampleSpace:
-    # Negative side is flat; the positive side clusters geometrically toward 0
-    # so bumps of width down to ~1e-5 stay resolved.
-    neg = uniform_edges(-1.0, 0.0, 16)
-    pos = geometric_edges(1e-7, 1.0, 96, origin=0.0)
-    return grid1d_from_edges(np.concatenate([neg[:-1], pos]), npts=6)
-
-
 def friedrich_raw_density(t, x) -> np.ndarray:
     """Unnormalized density: 1 for x <= 0, |t| f(x/|t|)^2 for x > 0, t != 0."""
     x = np.asarray(x, dtype=float)
@@ -676,18 +653,17 @@ def friedrich_raw_velocity(t, x) -> np.ndarray:
     return out
 
 
-def friedrich_measure(t, space=None) -> Measure:
+def friedrich_measure(t) -> Measure:
     """The unnormalized bump-family measure at parameter t (mass >= 1)."""
     t = float(t)
     if not -1.0 < t < 1.0:
         raise DomainError("bump family needs |t| < 1")
-    if space is None:
-        space = _friedrich_space()
+    space = get_model("friedrich").space
     return Measure(space, friedrich_raw_density(t, space.points), signed=False)
 
 
-def normalized_friedrich_measure(t, space=None) -> Measure:
-    mu = friedrich_measure(t, space=space)
+def normalized_friedrich_measure(t) -> Measure:
+    mu = friedrich_measure(t)
     return Measure(mu.space, mu.density / tv_norm(mu), signed=False)
 
 
@@ -698,7 +674,11 @@ def normalized_friedrich_model() -> ParamModel:
     Jacobian is analytic; at t = 0 the velocity vanishes identically while
     the metric speed has a positive two-sided limit.
     """
-    space = _friedrich_space()
+    # Negative side is flat; the positive side clusters geometrically toward 0
+    # so bumps of width down to ~1e-5 stay resolved.
+    neg = uniform_edges(-1.0, 0.0, 16)
+    pos = geometric_edges(1e-7, 1.0, 96, origin=0.0)
+    space = grid1d_from_edges(np.concatenate([neg[:-1], pos]), npts=6)
     x = space.points
     C = bump_square_integral()
 
@@ -720,21 +700,6 @@ def normalized_friedrich_model() -> ParamModel:
         return J
 
     return ParamModel("friedrich", Box([-0.999], [0.999]), space, dens, jac)
-
-
-def singular_reparam_model() -> ParamModel:
-    """The reparameterized corner path as a 1-parameter model (fd Jacobian)."""
-    space = _default_mixture_space()
-    x = space.points
-
-    def dens(thetas):
-        rows = []
-        for t in thetas[:, 0]:
-            a, b = singular_reparam_point(t)
-            rows.append(_mixture_density_raw(np.array([a]), np.array([b]), x)[0])
-        return np.vstack(rows)
-
-    return ParamModel("singular-curve", Box([-0.99], [0.99]), space, dens, None, fd_step=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -823,55 +788,65 @@ def reparameterized_model(model: ParamModel, phi, phi_jacobian, u_domain: Box, n
     """Model with parameters u mapped through theta = phi(u).
 
     ``phi`` maps (T, k) -> (T, n) and ``phi_jacobian`` maps (T, k) ->
-    (T, k, n); the chain rule gives the new parameter Jacobian.
+    (T, k, n); the chain rule turns one base jet at phi(u) into the new
+    parameter Jacobian.
     """
 
     def dens(us):
         return model.density_batch(np.asarray(phi(us), dtype=float))
 
-    def jac(us):
-        thetas = np.asarray(phi(us), dtype=float)
-        J_theta = model.jacobian_batch(thetas)  # (T, n, X)
+    def jet(us):
+        P, J_theta = model.jet(np.asarray(phi(us), dtype=float))  # (T, X), (T, n, X)
         dphi = np.asarray(phi_jacobian(us), dtype=float)  # (T, k, n)
-        return np.einsum("tkn,tnx->tkx", dphi, J_theta)
+        return P, np.einsum("tkn,tnx->tkx", dphi, J_theta)
 
-    return ParamModel(
-        name or f"{model.name}~reparam", u_domain, model.space, dens, jac
-    )
+    return ParamModel(name or f"{model.name}~reparam", u_domain, model.space, dens, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
+_BUILDERS = {
+    "bernoulli": bernoulli_family,
+    "mixture": gaussian_mixture,
+    "gauss-location": gaussian_location_family,
+    "gauss-location-2d": gaussian_location2d_family,
+    "gauss-loc-scale": gaussian_location_scale_family,
+    "weak-curve": weak_oscillatory_model,
+    "friedrich": normalized_friedrich_model,
+    "singular-curve": singular_reparam_model,
+}
+# The builders that take a quadrature panel count.
+_GRIDDED = {"mixture", "gauss-location", "gauss-location-2d", "gauss-loc-scale", "weak-curve"}
+
+
 def get_model(model_id: str, panels=None) -> ParamModel:
-    """Resolve a CLI/config model id to a model instance.
+    """Resolve a CLI/config model id to the registry's cached instance.
 
     Known ids: mixture, singular-curve, weak-curve, friedrich, bernoulli,
     categorical:m, gauss-location, gauss-location-2d, gauss-loc-scale.
     ``panels`` overrides the quadrature panel count of grid-backed models
-    that support it.
+    and is rejected by the others. One normalized id and ``panels`` give
+    one object.
     """
     key = model_id.strip().lower()
     if key.startswith("categorical:"):
         try:
-            atoms = int(key.split(":", 1)[1])
+            key = f"categorical:{int(key.split(':', 1)[1])}"
         except ValueError:
             raise UsageError(f"model id {model_id!r} needs an integer atom count") from None
-        return categorical_family(atoms)
-    builders = {
-        "bernoulli": bernoulli_family,
-        "mixture": gaussian_mixture,
-        "gauss-location": gaussian_location_family,
-        "gauss-location-2d": gaussian_location2d_family,
-        "gauss-loc-scale": gaussian_location_scale_family,
-        "weak-curve": weak_oscillatory_model,
-        "friedrich": normalized_friedrich_model,
-        "singular-curve": singular_reparam_model,
-    }
-    if key not in builders:
+    elif key not in _BUILDERS:
         raise UsageError(f"unknown model id {model_id!r}")
-    gridded = {"mixture", "gauss-location", "gauss-location-2d", "gauss-loc-scale", "weak-curve"}
-    if panels is not None and key in gridded:
-        return builders[key](panels=int(panels))
-    return builders[key]()
+    if panels is not None and key not in _GRIDDED:
+        raise UsageError(f"model {model_id!r} has no quadrature grid to override (panels={panels})")
+    return _zoo_model(key, None if panels is None else int(panels))
+
+
+@lru_cache(maxsize=32)
+def _zoo_model(key, panels) -> ParamModel:
+    if key.startswith("categorical:"):
+        return categorical_family(int(key.split(":", 1)[1]))
+    if panels is None:
+        return _BUILDERS[key]()
+    return _BUILDERS[key](panels=panels)

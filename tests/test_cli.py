@@ -198,11 +198,13 @@ def test_verify_all_only_filter(capsys):
         (["metric-axioms", "--model", "bernoulli", "--seed=-1"], {}, "--seed"),
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--points", "101",
           "--k", "nan"], {}, "dimension"),
+        (["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--n", "3", "--draws", "1"], {}, "--draws"),
+        (["fisher-matrix", "--model", "bernoulli", "--theta", "0.5", "--grid", "4"], {}, "grid"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
-         "draws-zero", "seed-negative", "k-nan"],
+         "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:

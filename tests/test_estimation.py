@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigeo import estimation
 from sigeo.errors import OutsideRangeError, UsageError
 from sigeo.fisher import fisher_matrix
 from sigeo.estimation import (
@@ -67,6 +68,29 @@ def test_monte_carlo_weights_reproduce_per_draw_formulas():
     centered = drawn - drawn.mean(axis=0)
     V = variance_form(prod, theta, PHI_C, sigma, Sampling(count, seed))
     np.testing.assert_allclose(V.matrix, centered.T @ centered / count, rtol=0, atol=1e-12)
+
+
+def test_sampling_rejects_one_draw():
+    # one draw has no standard error; negative counts have no meaning
+    for draws in (1, -3):
+        with pytest.raises(UsageError, match="at least 2"):
+            Sampling(draws)
+
+
+def test_monte_carlo_draws_once_per_form(monkeypatch):
+    calls = []
+    weights = estimation._outcome_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(estimation, "_outcome_weights", counted)
+    prod, sigma, mc = product_model(BERN, 4), mean_estimator(BERN, 4), Sampling(500, seed=3)
+    for form in (phi_mean, mse_form, variance_form, vmse_residual):
+        calls.clear()
+        form(prod, [0.3], PHI_B, sigma, mc)
+        assert len(calls) == 1, form.__name__
 
 
 def test_constant_estimator_mean_and_bias():

@@ -20,7 +20,14 @@ from sigeo.markov import (
     sufficiency_check,
 )
 from sigeo.measures import Measure, finite_space, grid1d_space, probability_measure, tv_norm
-from sigeo.models import Box, ParamModel, bernoulli_family, categorical_family, tangent_at
+from sigeo.models import (
+    Box,
+    ParamModel,
+    bernoulli_family,
+    categorical_family,
+    reparameterized_model,
+    tangent_at,
+)
 
 BERN = bernoulli_family()
 CAT3 = categorical_family(3)
@@ -223,3 +230,33 @@ def test_pushforward_model_matches_measure_pushforward():
     theta = [0.2, 0.3, 0.1]
     direct = pushforward_measure(k, CAT4.measure(theta))
     assert pushed.density(theta) == pytest.approx(direct.density)
+
+
+def _counting(model, calls):
+    """``model`` with every evaluation of it recorded in ``calls``."""
+
+    def dens(thetas):
+        calls.append("density")
+        return model.density_batch(thetas)
+
+    def jet(thetas):
+        calls.append("jet")
+        return model.jet(thetas)
+
+    return ParamModel(model.name, model.domain, model.space, dens, jet_fn=jet)
+
+
+@pytest.mark.parametrize("derived", ["pushforward", "reparameterized"])
+def test_derived_models_evaluate_their_base_once_per_jet(derived):
+    calls = []
+    base = _counting(CAT4, calls)
+    if derived == "pushforward":
+        model = pushforward_model(binning_kernel(CAT4.space, [0, 1, 1, 0]), base)
+    else:
+        model = reparameterized_model(base, lambda us: 0.8 * us, lambda us: np.tile(0.8 * np.eye(3), (len(us), 1, 1)),
+                                      Box([0.05] * 3, [0.3] * 3))
+    thetas = np.array([[0.2, 0.25, 0.1], [0.1, 0.2, 0.3]])
+    P, J = model.jet(thetas)
+    assert calls == ["jet"]
+    np.testing.assert_array_equal(P, model.density_batch(thetas))
+    np.testing.assert_array_equal(J, model.jacobian_batch(thetas))

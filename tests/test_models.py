@@ -8,6 +8,7 @@ from sigeo.measures import integrate, tv_norm
 from sigeo.models import (
     Box,
     CurveInModel,
+    ParamModel,
     bernoulli_family,
     bump,
     bump_derivative,
@@ -90,6 +91,8 @@ def test_zoo_densities_normalized(model, thetas):
         (MIX, [0.7, -2.0]),
         (gaussian_location_scale_family(), [0.5, 1.2]),
         (CAT3, [0.3, 0.3]),
+        (get_model("singular-curve"), [-0.4]),
+        (get_model("singular-curve"), [0.3]),
     ],
 )
 def test_analytic_jacobians_match_finite_differences(model, theta):
@@ -140,6 +143,20 @@ def test_singular_reparam_oddness():
 def test_singular_reparam_domain_error():
     with pytest.raises(DomainError):
         singular_reparam_point(1.0)
+
+
+def test_singular_curve_jacobian_vanishes_at_the_corner():
+    # beta' diverges at t = 0, but it multiplies the b-partial, which is 0 there
+    assert np.max(np.abs(get_model("singular-curve").jacobian([0.0]))) == 0.0
+
+
+def test_singular_curve_is_the_mixture_pulled_back():
+    curve = get_model("singular-curve")
+    for t in (-0.6, 0.0, 0.2):
+        np.testing.assert_array_equal(curve.density_batch([[t]])[0], singular_reparam_measure(t).density)
+        np.testing.assert_array_equal(
+            singular_reparam_measure(t).density, MIX.density_batch([singular_reparam_point(t)])[0]
+        )
 
 
 def test_singular_reparam_curve_tv_continuous_at_zero():
@@ -279,11 +296,27 @@ def test_tangent_at_corner_is_zero():
     assert np.max(np.abs(v.log_rep)) == 0.0
 
 
+def test_param_model_needs_exactly_one_jacobian_route():
+    def dens(thetas):
+        return np.column_stack([1.0 - thetas[:, 0], thetas[:, 0]])
+
+    def jac(thetas):
+        return np.tile([-1.0, 1.0], (thetas.shape[0], 1, 1))
+
+    def jet(thetas):
+        return dens(thetas), jac(thetas)
+
+    box, space = Box([0.1], [0.9]), BERN.space
+    for routes in ({}, {"jacobian_fn": jac, "jet_fn": jet}):
+        with pytest.raises(UsageError, match="exactly one"):
+            ParamModel("coin", box, space, dens, **routes)
+    np.testing.assert_array_equal(ParamModel("coin", box, space, dens, jet_fn=jet).jacobian([0.4]), [[-1.0, 1.0]])
+
+
 def test_tangent_not_dominated():
     # density (theta, 1-2 theta, theta): at theta=0 two atoms vanish while
     # the derivative direction (1, -2, 1) keeps unit-scale mass on them
     from sigeo.measures import finite_space
-    from sigeo.models import ParamModel
 
     def dens(thetas):
         th = thetas[:, 0:1]
@@ -437,3 +470,18 @@ def test_registry_ids():
     assert get_model("friedrich").param_dim == 1
     with pytest.raises(UsageError):
         get_model("nope")
+
+
+def test_registry_builds_each_model_once():
+    assert get_model("mixture") is get_model(" Mixture ")
+    assert get_model("categorical:3") is get_model("categorical:03")
+    assert get_model("gauss-location", panels=40) is get_model("gauss-location", panels=40)
+    assert get_model("gauss-location", panels=40) is not get_model("gauss-location")
+    assert get_model("weak-curve").space.same_as(weak_oscillatory_measure(0.0).space)
+    assert get_model("friedrich").space.same_as(friedrich_measure(0.0).space)
+
+
+@pytest.mark.parametrize("model_id", ["bernoulli", "categorical:3", "friedrich", "singular-curve"])
+def test_registry_rejects_panels_without_a_grid(model_id):
+    with pytest.raises(UsageError, match="no quadrature grid"):
+        get_model(model_id, panels=40)

@@ -26,6 +26,7 @@ from .measures import (
     Measure,
     SampleSpace,
     TangentVector,
+    bhattacharyya_angle,
     finite_space,
     grid1d_space,
     grid2d_space,

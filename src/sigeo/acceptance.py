@@ -126,12 +126,14 @@ def _model(name):
 
 
 def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
-    """Distance upper estimates dominate the TV norm on random pairs."""
+    """Distance upper estimates dominate the TV norm on random pairs, and
+    never fall below the Bhattacharyya angle (a lower bound of the distance)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
     failures = 0
     unconverged = 0
-    min_margin = np.inf
+    warm_started = 0
+    min_margin = min_angle_margin = np.inf
     per_model = pairs // len(_TV_MODELS)
     for name in _TV_MODELS:
         model = _model(name)
@@ -139,9 +141,14 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
             _, th1, th2 = _random_pair(name, rng)
             res = distance.tv_bound_check(model, th1, th2)
             min_margin = min(min_margin, res.distance_estimate - res.tv)
-            if not res.holds:
+            # An estimate below the angle is no upper estimate of the
+            # distance, so it cannot witness the TV bound either.
+            angle_margin = res.distance_estimate - res.angle
+            min_angle_margin = min(min_angle_margin, angle_margin)
+            if not res.holds or angle_margin < -QUAD_TOL:
                 failures += 1
             unconverged += not res.converged
+            warm_started += res.warm_start
     return _result(
         "tv-lower-bound: distance estimates >= TV on random pairs",
         failures == 0,
@@ -149,7 +156,9 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
             "pairs": per_model * len(_TV_MODELS),
             "failures": failures,
             "min_margin": float(min_margin),
+            "min_angle_margin": float(min_angle_margin),
             "unconverged": unconverged,
+            "warm_started": warm_started,
         },
         t0,
     )
@@ -202,11 +211,10 @@ def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
     worst = 0.0
     for _ in range(pairs):
         _, th1, th2 = _random_pair("categorical", rng)
-        est = distance.fisher_distance(cat, th1, th2).length
-        p = np.array([th1[0], th1[1], 1 - th1[0] - th1[1]])
-        q = np.array([th2[0], th2[1], 1 - th2[0] - th2[1]])
-        oracle = 2.0 * np.arccos(np.clip(np.sum(np.sqrt(p * q)), -1.0, 1.0))
-        worst = max(worst, abs(est - oracle) / oracle)
+        res = distance.fisher_distance(cat, th1, th2)
+        # On the simplex the Bhattacharyya angle is the great circle.
+        oracle = res.lower_bound_angle
+        worst = max(worst, abs(res.length - oracle) / oracle)
     return _result(
         "sphere-oracle: simplex distances within 1% of the closed form",
         worst <= 0.01,

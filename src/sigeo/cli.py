@@ -202,8 +202,10 @@ def _cmd_distance(args):
         "to": args.to_theta,
         "length": res.length,
         "lower_bound_tv": res.lower_bound_tv,
+        "lower_bound_angle": res.lower_bound_angle,
         "iterations": res.iterations,
         "converged": res.converged,
+        "warm_start": res.warm_start,
         "degenerate_segments": list(res.degenerate_segments),
     }, _EXIT_OK
 
@@ -214,9 +216,11 @@ def _cmd_tv_check(args):
     return {
         "distance_estimate": res.distance_estimate,
         "tv": res.tv,
+        "angle": res.angle,
         "holds": res.holds,
         "converged": res.converged,
         "iterations": res.iterations,
+        "warm_start": res.warm_start,
     }, _EXIT_OK if res.holds else _EXIT_PROPERTY
 
 

@@ -3,12 +3,26 @@
 A path between two parameter points is a piecewise-linear curve in
 parameter space; its length integrates the metric speed sqrt(v^T G v)
 segment by segment with Gauss-Legendre quadrature. The distance estimate
-minimizes that length over the interior nodes by coordinate descent with
-central-difference gradients and backtracking, so every returned value is
-an upper estimate of the underlying infimum. For 1-parameter models the
-straight segment is the geodesic and is returned without descent. The
-total-variation norm of the endpoint difference is attached as the
-certified lower bound.
+minimizes that length over the interior nodes in two phases:
+
+* an energy phase: Levenberg-Marquardt on the chord energy
+  sum_k |psi(theta_{k+1}) - psi(theta_k)|^2 of the square-root embedding
+  psi = sqrt(p w), with the block-tridiagonal Gauss-Newton matrix from one
+  model jet per trial and every trial node kept inside the domain;
+* coordinate descent on the length with central-difference gradients and
+  backtracking, stopped once a sweep shortens the path by less than the
+  relative tolerance.
+
+The energy path is kept only when the first descent sweep from it already
+meets that stop rule. Otherwise the descent runs from the straight path,
+so the result is the one the descent alone returns, bit for bit. For
+1-parameter models the straight segment is the geodesic and is returned
+without either phase.
+
+Every returned length is that of a real in-domain path, measured with the
+accurate rule and each segment checked against its halves, so it is an
+upper estimate of the underlying infimum. The total-variation norm and the
+Bhattacharyya angle of the endpoints are attached as lower bounds.
 """
 
 from __future__ import annotations
@@ -19,17 +33,25 @@ import numpy as np
 
 from .errors import UsageError
 from .fisher import EIGEN_TOL, directional_form, fisher_matrix
-from .measures import QUAD_TOL, tv_norm
+from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
 
 OPTIMIZER_TOL = 1e-6
+# Levenberg-Marquardt damping of the energy phase: start, and the give-up
+# level past which steps are too small to matter.
+INITIAL_DAMPING = 1e-3
+MAX_DAMPING = 1e12
+# Returned lengths: a segment is halved while its quadrature rule and the
+# sum over its two halves differ by more than LENGTH_TOL (absolute).
+LENGTH_TOL = 1e-9
+MAX_HALVINGS = 40
 # Relative optimizer accuracy allowance used by the axiom checks. The stop
 # rule bounds the last improvement, not the gap to the infimum, so this is
 # an allowance, not a certified bound: Gaussian location-scale estimates
 # have been measured up to 1.15e-3 above the closed-form distance, beyond
 # this value. Separating discretization from optimizer error is open work
-# (ROADMAP item 4).
+# (ROADMAP item 2).
 OPTIMIZER_GAP = 1e-3
 
 
@@ -75,17 +97,21 @@ class DistanceOptions:
 class PathResult:
     """Optimized path between two parameter points.
 
-    ``length`` is an upper estimate of the distance; ``lower_bound_tv`` the
-    total-variation lower bound. ``degenerate_segments`` lists segments
-    whose metric's smallest eigenvalue at the midpoint falls below the
-    rank tolerance.
+    ``length`` is an upper estimate of the distance; ``lower_bound_tv`` and
+    ``lower_bound_angle`` are the total-variation and Bhattacharyya-angle
+    lower bounds. ``iterations`` counts descent sweeps; ``warm_start`` says
+    whether the descent ran from the energy path rather than the straight
+    one. ``degenerate_segments`` lists segments whose metric's smallest
+    eigenvalue at the midpoint falls below the rank tolerance.
     """
 
     nodes: np.ndarray
     length: float
     lower_bound_tv: float
+    lower_bound_angle: float
     iterations: int
     converged: bool
+    warm_start: bool = False
     degenerate_segments: tuple = ()
 
 
@@ -96,19 +122,97 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     model.domain.require(theta1)
     model.domain.require(theta2)
-    tv = tv_norm(model.measure(theta1) - model.measure(theta2))
+    mu1, mu2 = model.measure(theta1), model.measure(theta2)
+    bounds = (tv_norm(mu1 - mu2), bhattacharyya_angle(mu1, mu2))
 
     if np.array_equal(theta1, theta2):
         nodes = np.vstack([theta1, theta2])
-        return PathResult(nodes, 0.0, tv, 0, True)
+        return PathResult(nodes, 0.0, *bounds, 0, True)
 
     K = opts.interior_nodes
-    nodes = np.linspace(theta1, theta2, K + 2)
+    straight = np.linspace(theta1, theta2, K + 2)
     if model.param_dim == 1:
         # Every path between the endpoints of an interval sweeps the segment
         # joining them, so the segment is the geodesic.
-        return _final_path(model, nodes, tv, opts, 0, True)
-    scale = float(np.max(np.abs(theta2 - theta1)))
+        return _final_path(model, straight, bounds, opts, 0, True)
+    if K > 0:
+        warm = _energy_path(model, straight, opts)
+        iterations, converged = _descend(model, warm, opts, max_iter=1)
+        if converged:
+            return _final_path(model, warm, bounds, opts, iterations, True, warm_start=True)
+    iterations, converged = _descend(model, straight, opts, opts.max_iter)
+    return _final_path(model, straight, bounds, opts, iterations, converged)
+
+
+def _energy_path(model: ParamModel, nodes, opts) -> np.ndarray:
+    """Interior nodes minimizing the chord energy sum_k |psi_{k+1} - psi_k|^2.
+
+    psi = sqrt(p w) embeds the model in the unit sphere of R^X, where the
+    Fisher metric is 4 times the Euclidean one. Levenberg-Marquardt with
+    the block-tridiagonal Gauss-Newton matrix, damped by its floored
+    diagonal; a trial step that leaves the domain or does not lower the
+    energy is rejected and the damping raised. Stops once an accepted step
+    lowers the energy by less than ``opts.tol`` relative, after
+    ``opts.max_iter`` trials, or when the damping passes ``MAX_DAMPING``.
+    Returns new nodes; ``nodes`` is not modified.
+    """
+    nodes = nodes.copy()
+    K, n = nodes.shape[0] - 2, nodes.shape[1]
+    sw = np.sqrt(model.space.weights)
+    idx = np.arange(K)
+
+    def embed(x):
+        """psi (K+2, X), its Jacobian (K+2, n, X) and the chord energy."""
+        P, J = model.jet(x)
+        psi = np.sqrt(np.maximum(P, 0.0)) * sw
+        dpsi = J * (sw / (2.0 * np.sqrt(np.maximum(P, DOMINANCE_TOL))))[:, None, :]
+        return psi, dpsi, float(np.sum(np.diff(psi, axis=0) ** 2))
+
+    def normal_equations(psi, dpsi):
+        """Gauss-Newton matrix (K x K blocks of n x n), its floored diagonal
+        as the damping scale, and the energy gradient (halved)."""
+        D = dpsi[1:-1]
+        grad = np.einsum("knx,kx->kn", D, 2.0 * psi[1:-1] - psi[:-2] - psi[2:]).ravel()
+        A = np.zeros((K, n, K, n))
+        A[idx, :, idx, :] = 2.0 * np.einsum("knx,kmx->knm", D, D)
+        off = np.einsum("knx,kmx->knm", D[:-1], D[1:])
+        A[idx[:-1], :, idx[1:], :] = -off
+        A[idx[1:], :, idx[:-1], :] = -np.transpose(off, (0, 2, 1))
+        A = A.reshape(K * n, K * n)
+        return A, np.diag(np.maximum(np.diag(A), 1e-12)), grad
+
+    psi, dpsi, energy = embed(nodes)
+    A, scale, grad = normal_equations(psi, dpsi)
+    damping = INITIAL_DAMPING
+    for _ in range(opts.max_iter):
+        trial = nodes.copy()
+        trial[1:-1] += np.linalg.solve(A + damping * scale, -grad).reshape(K, n)
+        if all(model.domain.contains(theta) for theta in trial[1:-1]):
+            t_psi, t_dpsi, t_energy = embed(trial)
+            if t_energy < energy:
+                done = energy - t_energy < opts.tol * t_energy
+                nodes, psi, dpsi, energy = trial, t_psi, t_dpsi, t_energy
+                if done:
+                    break
+                A, scale, grad = normal_equations(psi, dpsi)
+                damping *= 0.1
+                continue
+        damping *= 10.0
+        if damping > MAX_DAMPING:
+            break
+    return nodes
+
+
+def _descend(model: ParamModel, nodes, opts, max_iter) -> tuple:
+    """Coordinate descent on the path length from ``nodes``, in place.
+
+    Each sweep moves one coordinate of one interior node at a time along a
+    central-difference gradient with backtracking; the run stops once a
+    sweep shortens the path by less than ``opts.tol`` relative. Returns
+    (sweeps, converged).
+    """
+    K = nodes.shape[0] - 2
+    scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
     steps = np.full((K, model.param_dim), opts.step_init * scale)
     grad_h = max(1e-7, 1e-6 * scale)
 
@@ -127,7 +231,7 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
     total = float(np.sum(_segment_lengths(model, nodes, opts.quad_points)))
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         prev = total
         for j in range(1, K + 1):
             # local_len(j) at the current nodes, kept up to date across d
@@ -161,14 +265,55 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
         if prev - total < opts.tol * max(total, 1e-12):
             converged = True
             break
-    return _final_path(model, nodes, tv, opts, iterations, converged)
+    return iterations, converged
 
 
-def _final_path(model: ParamModel, nodes, tv, opts, iterations, converged) -> PathResult:
+def _final_path(model: ParamModel, nodes, bounds, opts, iterations, converged, warm_start=False) -> PathResult:
     """The path's length at the accurate (at least 8-point) rule, with flags."""
-    length = float(np.sum(_segment_lengths(model, nodes, max(opts.quad_points, 8))))
+    length = _path_length(model, nodes, max(opts.quad_points, 8))
     degenerate = _degenerate_segments(model, nodes)
-    return PathResult(nodes.copy(), length, tv, iterations, converged, degenerate)
+    return PathResult(nodes.copy(), length, *bounds, iterations, converged, warm_start, degenerate)
+
+
+def _path_length(model: ParamModel, nodes, quad_points) -> float:
+    """Length of the polyline, each segment checked against its two halves.
+
+    A segment whose rule disagrees with the sum over its halves by more than
+    ``LENGTH_TOL`` is halved until the halves agree (at most
+    ``MAX_HALVINGS`` times): a fixed rule understates segments whose speed
+    has a kink (a crossing of the mixture's degenerate line b = 0) or a
+    near-singularity (a categorical node close to the simplex face).
+    Segments that agree keep their one-rule value, bit for bit.
+    """
+    rules = _segment_lengths(model, nodes, quad_points)
+    return float(np.sum(_checked_lengths(model, nodes[:-1], nodes[1:], rules, quad_points, MAX_HALVINGS)))
+
+
+def _checked_lengths(model: ParamModel, a, b, rules, quad_points, halvings) -> np.ndarray:
+    """Lengths of the segments a[i] -> b[i] whose one-rule values are ``rules``."""
+    mid = 0.5 * (a + b)
+    # Two calls of S segments each: no jet holds more rows than the rule's.
+    halves = np.column_stack([
+        _segment_lengths(model, np.stack(ends, axis=1), quad_points)[:, 0] for ends in ((a, mid), (mid, b))
+    ])  # (S, 2)
+    out = rules.copy()
+    bad = np.abs(np.sum(halves, axis=1) - rules) > LENGTH_TOL
+    if not np.any(bad):
+        return out
+    if halvings == 0:
+        out[bad] = np.sum(halves[bad], axis=1)
+        return out
+    m = int(np.sum(bad))
+    parts = _checked_lengths(
+        model,
+        np.concatenate([a[bad], mid[bad]]),
+        np.concatenate([mid[bad], b[bad]]),
+        np.concatenate([halves[bad, 0], halves[bad, 1]]),
+        quad_points,
+        halvings - 1,
+    )
+    out[bad] = parts[:m] + parts[m:]
+    return out
 
 
 def _degenerate_segments(model: ParamModel, nodes) -> tuple:
@@ -186,14 +331,18 @@ def _degenerate_segments(model: ParamModel, nodes) -> tuple:
 
 @dataclass(frozen=True)
 class TvBoundResult:
-    """``holds`` compares the estimate with TV; ``converged`` and
-    ``iterations`` report the optimizer run behind the estimate."""
+    """``holds`` compares the estimate with TV; ``angle`` is the
+    Bhattacharyya-angle lower bound, which the estimate must also dominate.
+    ``converged``, ``iterations`` and ``warm_start`` report the optimizer run
+    behind the estimate."""
 
     distance_estimate: float
     tv: float
     holds: bool
     converged: bool
     iterations: int
+    angle: float
+    warm_start: bool
 
 
 def tv_bound_check(model: ParamModel, theta1, theta2, opts: DistanceOptions | None = None) -> TvBoundResult:
@@ -209,6 +358,8 @@ def tv_bound_check(model: ParamModel, theta1, theta2, opts: DistanceOptions | No
         res.length >= res.lower_bound_tv - QUAD_TOL,
         res.converged,
         res.iterations,
+        res.lower_bound_angle,
+        res.warm_start,
     )
 
 

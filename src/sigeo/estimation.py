@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideRangeError, SamplingError, UsageError
-from .fisher import EIGEN_TOL, fisher_matrix
+from .fisher import EIGEN_TOL, fisher_matrix_from_jet
 from .models import ParamModel, outcome_table
 
 PSD_TOL = 1e-10
@@ -257,9 +257,9 @@ def inverse_fisher_form(model, theta, phi, sigma, range_tol=RANGE_TOL) -> Quadra
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     vals = _phi_values(phi, sigma, model)
-    _, J = model.jet_at(theta)  # (n, X)
+    p, J = model.jet_at(theta)  # (X,), (n, X)
     dphi = vals.T @ (J * model.space.weights).T  # (d, n)
-    G = fisher_matrix(model, theta)
+    G = fisher_matrix_from_jet(theta, p, J, model.space.weights)
     eigs, U = np.linalg.eigh(G.matrix)
     scale = max(float(np.max(eigs, initial=0.0)), 1.0)
     keep = eigs > EIGEN_TOL * scale

@@ -63,7 +63,11 @@ def fisher_matrix(model: ParamModel, theta) -> FisherMatrix:
     """Assemble G_ij = integral (d_i p)(d_j p)/p d(reference) at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p, J = model.jet_at(theta)  # (X,), (n, X)
-    w = model.space.weights
+    return fisher_matrix_from_jet(theta, p, J, model.space.weights)
+
+
+def fisher_matrix_from_jet(theta, p, J, w) -> FisherMatrix:
+    """``fisher_matrix`` from a jet (p, J) already evaluated at theta."""
     scaled = J / np.maximum(p, DOMINANCE_TOL)[None, :]
     G = (J * w[None, :]) @ scaled.T
     G = 0.5 * (G + G.T)

@@ -21,6 +21,7 @@ DOMINANCE_TOL = 1e-12 density floor separating genuine mass from roundoff
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,22 @@ def probability_measure(space: SampleSpace, density, tol=MASS_TOL) -> Measure:
 def tv_norm(mu: Measure) -> float:
     """Total variation norm: sum of |density| times reference weights."""
     return float(np.sum(np.abs(mu.density) * mu.space.weights))
+
+
+def bhattacharyya_angle(mu: Measure, nu: Measure) -> float:
+    """2 arccos of the Bhattacharyya coefficient integral sqrt(p q).
+
+    The angle between sqrt(p) and sqrt(q) in L^2, doubled: a lower bound of
+    the Fisher distance, since sqrt(p) lies on the unit sphere and the Fisher
+    metric is 4 times the pulled-back L^2 metric. The coefficient is divided
+    by sqrt(mass(mu) mass(nu)) so that quadrature mass error does not enter
+    through arccos's square-root sensitivity near 1; equal measures give 0.
+    """
+    _check_same_space(mu, nu)
+    w = mu.space.weights
+    overlap = np.sum(np.sqrt(mu.density * nu.density) * w)
+    norm = math.sqrt(np.sum(mu.density * w) * np.sum(nu.density * w))
+    return 2.0 * math.acos(min(1.0, float(overlap) / norm))
 
 
 def integrate(f, mu: Measure) -> float:

@@ -56,6 +56,20 @@ def test_tv_check_exit_codes(capsys):
     assert payload["iterations"] == 0  # 1-parameter paths need no descent
 
 
+def test_distance_and_tv_check_report_the_warm_start(capsys):
+    pair = ["--model", "categorical:3", "--from", "0.2,0.3", "--to", "0.5,0.2", "--no-timestamp"]
+    code, out, _ = run_cli(["distance", *pair], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["warm_start"] is True and payload["iterations"] == 1
+    assert payload["length"] >= payload["lower_bound_angle"] - 1e-6
+    code, out, _ = run_cli(["tv-check", *pair], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["warm_start"] is True
+    assert payload["distance_estimate"] >= payload["angle"] >= payload["tv"]
+
+
 def test_summary_determinism(capsys):
     args = ["dpi-sweep", "--model", "categorical:3", "--draws", "20", "--seed", "5", "--no-timestamp"]
     code1, out1, _ = run_cli(list(args), capsys)

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sigeo.distance import (
     DistanceOptions,
+    _energy_path,
     curve_length,
     fisher_distance,
     metric_axiom_check,
     tv_bound_check,
 )
+from sigeo.measures import QUAD_TOL
 from sigeo.models import (
+    EPS_BOUNDARY,
     CurveInModel,
     bernoulli_family,
     categorical_family,
@@ -117,25 +122,86 @@ def test_distance_refinement_does_not_increase_length():
     assert fine.length <= coarse.length + 1e-4 * coarse.length
 
 
-# Iterates of the coordinate descent recorded before the model jets were
-# fused and the probes batched. Any speedup of the optimizer must take the
-# same steps: equal iteration counts and convergence, lengths to rounding.
+# Results recorded when the energy-phase warm start went in: each pair keeps
+# the energy path, which one descent sweep certifies. Any speedup of the
+# optimizer must reach the same results: equal sweep counts and
+# convergence, lengths to rounding.
 GOLDEN_PATHS = [
     ("categorical:3", [0.320054408997409, 0.5680633552141084],
-     [0.7278255530465946, 0.09557675416392925], 25, 1.085807030921335),
+     [0.7278255530465946, 0.09557675416392925], 1, 1.0858011738346534),
     ("gauss-loc-scale", [1.101536511956994, 1.4022236167928308],
-     [0.8629361302183645, 1.2364608149753948], 22, 0.2536935317240108),
+     [0.8629361302183645, 1.2364608149753948], 1, 0.25369279751042084),
     ("mixture", [0.3955540028033345, -2.0253777850274055],
-     [0.5201560316069069, -2.35002094715215], 22, 0.31998880058501855),
+     [0.5201560316069069, -2.35002094715215], 1, 0.3199876965524038),
 ]
 
 
-@pytest.mark.parametrize("model_id, th1, th2, iterations, length", GOLDEN_PATHS)
+@pytest.mark.parametrize(
+    "model_id, th1, th2, iterations, length", GOLDEN_PATHS, ids=[g[0] for g in GOLDEN_PATHS]
+)
 def test_distance_trajectory_is_pinned(model_id, th1, th2, iterations, length):
     res = fisher_distance(get_model(model_id), th1, th2)
     assert res.iterations == iterations
-    assert res.converged
+    assert res.converged and res.warm_start
     assert res.length == pytest.approx(length, rel=1e-12, abs=0.0)
+
+
+def loc_scale_distance(th1, th2):
+    """sqrt(2) times the hyperbolic distance between (mu/sqrt(2), sigma) points."""
+    (m1, s1), (m2, s2) = th1, th2
+    chord2 = (m1 - m2) ** 2 / 2 + (s1 - s2) ** 2
+    return math.sqrt(2) * math.acosh(1 + chord2 / (2 * s1 * s2))
+
+
+def test_pinned_paths_match_their_closed_forms():
+    (_, c1, c2, _, _), (_, l1, l2, _, _), _ = GOLDEN_PATHS
+    cat = fisher_distance(CAT3, c1, c2)
+    oracle = sphere_distance(c1, c2)
+    assert cat.length >= oracle - QUAD_TOL
+    assert cat.length == pytest.approx(oracle, rel=2e-4)
+    assert cat.lower_bound_angle == pytest.approx(oracle, abs=1e-12)
+    loc = fisher_distance(get_model("gauss-loc-scale"), l1, l2)
+    oracle = loc_scale_distance(l1, l2)
+    assert loc.length >= oracle - QUAD_TOL
+    assert loc.length == pytest.approx(oracle, rel=2e-4)
+
+
+def test_rejected_warm_start_falls_back_to_the_straight_path_descent():
+    # The first sweep from this pair's energy path still shortens it by more
+    # than the stop rule allows, so the descent runs from the straight path
+    # and the pin is the descent's own result.
+    res = fisher_distance(
+        get_model("mixture"),
+        [0.37871316923558307, -2.98634693799304],
+        [0.2553746123112095, -1.4237405052020229],
+    )
+    assert not res.warm_start
+    assert res.iterations == 35 and res.converged
+    assert res.length == 0.7650525932501462
+
+
+@st.composite
+def _near_face_point(draw):
+    """A categorical:3 parameter within 1e-3 of the face sum(theta) = 1 - eps."""
+    total = 1.0 - EPS_BOUNDARY - draw(st.floats(0.0, 1e-3))
+    share = draw(st.floats(0.05, 0.95))
+    return np.array([total * share, total * (1.0 - share)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_near_face_point(), _near_face_point())
+# The fixed 8-point rule put this pair's path below the great circle.
+@example(np.array([0.4999995, 0.4999995]), np.array([0.49964265, 0.49964265]))
+def test_paths_near_the_simplex_face_stay_in_the_domain(th1, th2):
+    assume(CAT3.domain.contains(th1) and CAT3.domain.contains(th2))
+    assume(not np.array_equal(th1, th2))
+    straight = np.linspace(th1, th2, DistanceOptions().interior_nodes + 2)
+    energy = _energy_path(CAT3, straight, DistanceOptions())
+    res = fisher_distance(CAT3, th1, th2)
+    for theta in np.vstack([energy, res.nodes]):
+        assert CAT3.domain.contains(theta)
+    assert res.length >= sphere_distance(th1, th2) - QUAD_TOL
+    assert res.length >= res.lower_bound_angle - QUAD_TOL
 
 
 def test_distance_flags_degenerate_segments():

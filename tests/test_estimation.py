@@ -93,6 +93,22 @@ def test_monte_carlo_draws_once_per_form(monkeypatch):
         assert len(calls) == 1, form.__name__
 
 
+def test_cramer_rao_gap_evaluates_the_jet_once(monkeypatch):
+    calls = []
+    jet = ParamModel.jet
+
+    def counted(self, thetas):
+        calls.append(self.name)  # the product's jet also calls its base's
+        return jet(self, thetas)
+
+    monkeypatch.setattr(ParamModel, "jet", counted)
+    for base, n, theta in ((BERN, 4, [0.3]), (CAT3, 2, [0.2, 0.5])):
+        prod = product_model(base, n)
+        calls.clear()
+        cramer_rao_gap(prod, theta, identity_chart(base), mean_estimator(base, n))
+        assert calls.count(prod.name) == 1, prod.name
+
+
 def test_constant_estimator_mean_and_bias():
     sigma = constant_estimator(BERN, 1, [0.7])
     assert phi_mean(BERN_PROD1, [0.3], PHI_B, sigma).value == pytest.approx([0.7])

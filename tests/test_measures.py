@@ -10,6 +10,7 @@ from sigeo.errors import DomainError, NotDominated, UsageError
 from sigeo.measures import (
     Measure,
     TangentVector,
+    bhattacharyya_angle,
     finite_space,
     grid1d_space,
     integrate,
@@ -25,6 +26,31 @@ F2 = finite_space(2)
 
 def bernoulli(p):
     return probability_measure(F2, [1 - p, p])
+
+
+# -- bhattacharyya_angle ------------------------------------------------------
+
+def test_bhattacharyya_angle_is_the_bernoulli_arcsine_distance():
+    p, q = 0.2, 0.7
+    arc = 2 * abs(math.asin(math.sqrt(q)) - math.asin(math.sqrt(p)))
+    assert bhattacharyya_angle(bernoulli(p), bernoulli(q)) == pytest.approx(arc, abs=1e-12)
+
+
+def test_bhattacharyya_angle_of_equal_measures_is_zero():
+    space = grid1d_space(-8.0, 8.0, panels=32)
+    mu = Measure(space, np.exp(-0.5 * space.points**2) / math.sqrt(2 * math.pi))
+    assert bhattacharyya_angle(mu, mu) == 0.0
+    assert bhattacharyya_angle(mu, mu * 1.5) == 0.0  # mass does not enter
+
+
+def test_bhattacharyya_angle_dominates_half_the_tv():
+    # TV = |p - q|_1 <= 2 sin(angle / 2) <= angle
+    rng = np.random.default_rng(4)
+    space = finite_space(5)
+    for _ in range(20):
+        mu, nu = (Measure(space, rng.dirichlet([1.0] * 5)) for _ in range(2))
+        angle = bhattacharyya_angle(mu, nu)
+        assert tv_norm(mu - nu) <= 2 * math.sin(angle / 2) + 1e-12
 
 
 # -- tv_norm ----------------------------------------------------------------

@@ -70,6 +70,32 @@ def test_domain_errors_at_boundary():
         BERN.density([0.5, 0.2])
 
 
+def _numpy_contains(box, theta):
+    """Box.contains as two numpy reductions, the reference verdict."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != box.lo.shape:
+        return False
+    inside = bool(np.all(theta >= box.lo) and np.all(theta <= box.hi))
+    if inside and box.constraint is not None:
+        inside = bool(box.constraint(theta))
+    return inside
+
+
+@pytest.mark.parametrize("model_id", ["bernoulli", "categorical:3", "gauss-loc-scale", "mixture"])
+def test_domain_contains_matches_the_numpy_verdict(model_id):
+    box = get_model(model_id).domain
+    rng = np.random.default_rng(11)
+    span = box.hi - box.lo
+    wide = box.lo - 0.2 * span + 1.4 * span * rng.random((3000, box.dim))
+    clipped = np.clip(wide, box.lo, box.hi)  # many points exactly on a face
+    odd = wide[:300].copy()
+    odd[np.arange(300), rng.integers(0, box.dim, 300)] = rng.choice([np.nan, np.inf, -np.inf], 300)
+    for theta in np.vstack([wide, clipped, odd]):
+        assert box.contains(theta) == _numpy_contains(box, theta)
+    for theta in (np.zeros(box.dim + 1), np.zeros((1, box.dim)), [np.nan] * box.dim):
+        assert box.contains(theta) == _numpy_contains(box, theta)
+
+
 @pytest.mark.parametrize(
     "model,thetas",
     [

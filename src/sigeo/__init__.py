@@ -63,7 +63,6 @@ from .fisher import (
     two_integrability_probe,
 )
 from .distance import (
-    DistanceOptions,
     PathResult,
     curve_length,
     fisher_distance,

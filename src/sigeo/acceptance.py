@@ -26,6 +26,9 @@ from .measures import QUAD_TOL, tv_norm
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict and the numbers behind it; ``run_all``
+    stamps the wall time in ``seconds``."""
+
     name: str
     passed: bool
     details: dict
@@ -36,15 +39,10 @@ class CriterionResult:
         return f"[{status}] {self.name}"
 
 
-def _result(name, passed, details, t0) -> CriterionResult:
-    return CriterionResult(name, bool(passed), details, time.perf_counter() - t0)
-
-
 # ---------------------------------------------------------------------------
 
 def check_fisher_oracles(seed=0) -> CriterionResult:
     """Numeric Fisher matrices match closed forms to 1e-6 relative."""
-    t0 = time.perf_counter()
     worst = 0.0
 
     bern = _model("bernoulli")
@@ -66,18 +64,16 @@ def check_fisher_oracles(seed=0) -> CriterionResult:
         oracle = np.array([[1 / p1 + 1 / p3, 1 / p3], [1 / p3, 1 / p2 + 1 / p3]])
         worst = max(worst, float(np.max(np.abs(G - oracle)) / np.max(np.abs(oracle))))
 
-    return _result(
+    return CriterionResult(
         "fisher-oracles: closed forms within 1e-6 relative",
-        worst <= 1e-6,
+        bool(worst <= 1e-6),
         {"worst_rel_err": worst},
-        t0,
     )
 
 
 def check_singularity(seed=0) -> CriterionResult:
     """Mixture metric vanishes at the corner; Jeffrey density on both
     degenerate lines."""
-    t0 = time.perf_counter()
     mix = _model("mixture")
     frob = fisher.fisher_matrix(mix, [0.0, 0.0]).frobenius()
 
@@ -89,11 +85,10 @@ def check_singularity(seed=0) -> CriterionResult:
     max_jeff = max(jeffs)
 
     passed = frob <= 10 * QUAD_TOL and max_jeff <= 1e-6
-    return _result(
+    return CriterionResult(
         "singular-locus: corner metric ~0 and Jeffrey density vanishes on the degenerate lines",
-        passed,
+        bool(passed),
         {"corner_frobenius": frob, "max_jeffrey_on_locus": max_jeff},
-        t0,
     )
 
 
@@ -128,7 +123,6 @@ def _model(name):
 def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
     """Distance upper estimates dominate the TV norm on random pairs, and
     never fall below the Bhattacharyya angle (a lower bound of the distance)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
     failures = 0
     unconverged = 0
@@ -149,7 +143,7 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
                 failures += 1
             unconverged += not res.converged
             warm_started += res.warm_start
-    return _result(
+    return CriterionResult(
         "tv-lower-bound: distance estimates >= TV on random pairs",
         failures == 0,
         {
@@ -160,13 +154,11 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
             "unconverged": unconverged,
             "warm_started": warm_started,
         },
-        t0,
     )
 
 
 def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
     """Symmetry, triangle, identity on random triples per model."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     stats = {}
     all_ok = True
@@ -195,17 +187,15 @@ def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
             "max_identity": worst_id,
             "axiom_tol": tol_used,
         }
-    return _result(
+    return CriterionResult(
         "metric-axioms: symmetry/triangle/identity on random triples",
         all_ok,
         stats,
-        t0,
     )
 
 
 def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
     """Simplex distances within 1% of the great-circle closed form."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
     cat = _model("categorical")
     worst = 0.0
@@ -215,17 +205,15 @@ def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
         # On the simplex the Bhattacharyya angle is the great circle.
         oracle = res.lower_bound_angle
         worst = max(worst, abs(res.length - oracle) / oracle)
-    return _result(
+    return CriterionResult(
         "sphere-oracle: simplex distances within 1% of the closed form",
-        worst <= 0.01,
+        bool(worst <= 0.01),
         {"worst_rel_err": worst},
-        t0,
     )
 
 
 def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
     """Metric never grows under kernels; permutations preserve it."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 6)
     cat4 = _model("categorical:4")
 
@@ -250,17 +238,15 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
         worst_perm = max(worst_perm, abs(markov.monotonicity_gap(kernel, cat4, theta, v)))
 
     passed = min_gap >= -1e-9 and worst_perm <= 1e-10
-    return _result(
+    return CriterionResult(
         "data-processing: monotone under random kernels, equality under permutations",
-        passed,
+        bool(passed),
         {"min_gap": float(min_gap), "max_abs_perm_gap": worst_perm},
-        t0,
     )
 
 
 def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
     """Jeffrey measure matches the Hausdorff estimate; dimensions recover."""
-    t0 = time.perf_counter()
     details = {}
 
     bern = _model("bernoulli")
@@ -288,17 +274,15 @@ def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
         and abs(dim_1d - 1.0) <= 0.15
         and abs(dim_2d - 2.0) <= 0.2
     )
-    return _result(
+    return CriterionResult(
         "hausdorff-jeffrey: measures agree within 5%, dimensions 1 and 2 recovered",
-        passed,
+        bool(passed),
         details,
-        t0,
     )
 
 
 def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
     """Pushed-cloud Hausdorff estimates never exceed the original by >10%."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 8)
     cat = _model("categorical")
     pts = np.clip(rng.dirichlet([2.0] * 3, size=48)[:, :2], 0.05, 0.9)
@@ -318,17 +302,15 @@ def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
     perm_dev = abs(res_p["after"] - res_p["before"]) / max(res_p["before"], 1e-300)
 
     passed = failures == 0 and perm_dev <= 1e-6
-    return _result(
+    return CriterionResult(
         "hausdorff-monotonicity: pushforward never inflates the estimate; permutations preserve it",
-        passed,
+        bool(passed),
         {"failures": failures, "max_ratio": float(np.max(ratios)), "perm_rel_dev": perm_dev},
-        t0,
     )
 
 
 def check_cramer_rao(seed=0) -> CriterionResult:
     """Gap PSD on the enumerated suite; efficiency equality for the mean."""
-    t0 = time.perf_counter()
     bern = _model("bernoulli")
     cat = _model("categorical")
     min_eig = np.inf
@@ -362,18 +344,16 @@ def check_cramer_rao(seed=0) -> CriterionResult:
             max_vmse = max(max_vmse, estimation.vmse_residual(prod_c, th, phi_c, mean_c))
 
     passed = min_eig >= -1e-7 and max_eff <= 1e-8 and max_vmse <= 1e-9
-    return _result(
+    return CriterionResult(
         "cramer-rao: gap PSD on the enumeration suite, mean estimator efficient",
-        passed,
+        bool(passed),
         {"min_gap_eigenvalue": float(min_eig), "max_efficiency_dev": max_eff, "max_vmse_residual": max_vmse},
-        t0,
     )
 
 
 def check_speed_jump(seed=0) -> CriterionResult:
     """Shrinking-bump family: one speed discontinuity at t=0, positive
     limit speed, vanishing velocity TV."""
-    t0 = time.perf_counter()
     model = _model("friedrich")
     curve = models.CurveInModel(model, [[-0.3], [0.3]])
 
@@ -400,33 +380,30 @@ def check_speed_jump(seed=0) -> CriterionResult:
         and limit_speed >= 0.1
         and max_tv <= 0.05
     )
-    return _result(
+    return CriterionResult(
         "speed-jump: exactly one flag at t=0, limit speed >= 0.1, velocity TV <= 0.05",
-        passed,
+        bool(passed),
         {
             "flagged": flagged.tolist(),
             "limit_speed": float(limit_speed),
             "velocity_tv_at_1e-3": max_tv,
             "speed_at_zero": float(probe.speed[mid]),
         },
-        t0,
     )
 
 
 def check_weak_demo(seed=0) -> CriterionResult:
     """Oscillatory curve: derivative exchanges with bounded integrals while
     the velocity keeps unit-scale TV norm."""
-    t0 = time.perf_counter()
     rows, tvs = models.weak_oscillatory_exchange((0.3, 0.25, 0.15))
     worst_exchange = max(row[3] for row in rows)
     min_tv = min(tvs.values())
 
     passed = worst_exchange <= 1e-4 and min_tv >= 0.5
-    return _result(
+    return CriterionResult(
         "weak-demo: exchange identity within 1e-4, velocity TV stays >= 0.5",
-        passed,
+        bool(passed),
         {"worst_exchange_dev": worst_exchange, "min_velocity_tv": float(min_tv)},
-        t0,
     )
 
 
@@ -451,5 +428,8 @@ def run_all(seed=0, only=None):
     for key, fn in CRITERIA:
         if only and only not in key:
             continue
-        results.append(fn(seed=seed))
+        t0 = time.perf_counter()
+        result = fn(seed=seed)
+        result.seconds = time.perf_counter() - t0
+        results.append(result)
     return results

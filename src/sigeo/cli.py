@@ -182,19 +182,12 @@ def _cmd_fisher_matrix(args):
 
 def _cmd_distance(args):
     model = models.get_model(args.model)
-    opts = distance.DistanceOptions(interior_nodes=args.nodes)
-    res = distance.fisher_distance(model, args.from_theta, args.to_theta, opts)
+    res = distance.fisher_distance(model, args.from_theta, args.to_theta, args.nodes)
     if args.emit_curve:
         curve = models.CurveInModel(model, res.nodes)
-
-        def points(ss):
-            return np.array([curve.point_at(s) for s in ss])
-
         ts = np.linspace(0.0, 1.0, 65)
-        lo, hi = np.maximum(ts - 1e-5, 0.0), np.minimum(ts + 1e-5, 1.0)
-        thetas = points(ts)
-        vs = (points(hi) - points(lo)) / (hi - lo)[:, None]
-        speeds = np.sqrt(np.maximum(fisher.directional_form(model, thetas, vs), 0.0))
+        thetas = np.array([curve.point_at(t) for t in ts])
+        speeds = fisher.two_integrability_probe(model, curve, ts).speed
         rows = np.column_stack([ts, thetas, speeds])
         _write_table(args.emit_curve, ["t"] + [f"theta{i}" for i in range(model.param_dim)] + ["speed"], rows)
     return {

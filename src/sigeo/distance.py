@@ -21,8 +21,11 @@ without either phase.
 
 Every returned length is that of a real in-domain path, measured with the
 accurate rule and each segment checked against its halves, so it is an
-upper estimate of the underlying infimum. The total-variation norm and the
-Bhattacharyya angle of the endpoints are attached as lower bounds.
+upper estimate of the underlying infimum; ``curve_length`` measures any
+piecewise-linear curve the same way. The total-variation norm and the
+Bhattacharyya angle of the endpoints are attached as lower bounds. The
+number of interior nodes is the one setting; tolerances, caps, steps and
+quadrature rules are the module constants below.
 """
 
 from __future__ import annotations
@@ -37,13 +40,22 @@ from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
 
+# Coordinate descent: relative stop tolerance and sweep cap (the energy
+# phase's stop tolerance and trial cap too), quadrature points per segment,
+# and the initial and largest step as fractions of the endpoints' largest
+# coordinate difference.
 OPTIMIZER_TOL = 1e-6
+MAX_ITER = 500
+DESCENT_QUAD_POINTS = 4
+STEP_INIT = 0.05
+STEP_CAP = 0.25
 # Levenberg-Marquardt damping of the energy phase: start, and the give-up
 # level past which steps are too small to matter.
 INITIAL_DAMPING = 1e-3
 MAX_DAMPING = 1e12
-# Returned lengths: a segment is halved while its quadrature rule and the
-# sum over its two halves differ by more than LENGTH_TOL (absolute).
+# Returned lengths: a segment's LENGTH_QUAD_POINTS rule is halved while it
+# and the sum over its two halves differ by more than LENGTH_TOL (absolute).
+LENGTH_QUAD_POINTS = 8
 LENGTH_TOL = 1e-9
 MAX_HALVINGS = 40
 # Relative optimizer accuracy allowance used by the axiom checks. The stop
@@ -76,21 +88,12 @@ def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
     return (np.sqrt(np.maximum(speeds2, 0.0)).reshape(-1, quad_points) @ qw).reshape(v.shape[:-1])
 
 
-def curve_length(model: ParamModel, curve: CurveInModel, quad_points=8) -> float:
-    """Fisher length of a piecewise-linear curve (sum of segment lengths)."""
+def curve_length(model: ParamModel, curve: CurveInModel) -> float:
+    """Fisher length of a piecewise-linear curve, each segment checked
+    against its halves as in ``fisher_distance``."""
     if curve.model is not model:
         raise UsageError("curve belongs to a different model")
-    return float(np.sum(_segment_lengths(model, curve.nodes, quad_points)))
-
-
-@dataclass(frozen=True)
-class DistanceOptions:
-    interior_nodes: int = 8
-    max_iter: int = 500
-    tol: float = OPTIMIZER_TOL
-    quad_points: int = 4
-    step_init: float = 0.05
-    step_cap: float = 0.25
+    return _path_length(model, curve.nodes)
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,9 @@ class PathResult:
     degenerate_segments: tuple = ()
 
 
-def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | None = None) -> PathResult:
-    """Upper estimate of the Fisher distance between two parameter points."""
-    opts = opts or DistanceOptions()
+def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> PathResult:
+    """Upper estimate of the Fisher distance between two parameter points,
+    over paths with ``interior_nodes`` free nodes."""
     theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     model.domain.require(theta1)
@@ -129,22 +132,21 @@ def fisher_distance(model: ParamModel, theta1, theta2, opts: DistanceOptions | N
         nodes = np.vstack([theta1, theta2])
         return PathResult(nodes, 0.0, *bounds, 0, True)
 
-    K = opts.interior_nodes
-    straight = np.linspace(theta1, theta2, K + 2)
+    straight = np.linspace(theta1, theta2, interior_nodes + 2)
     if model.param_dim == 1:
         # Every path between the endpoints of an interval sweeps the segment
         # joining them, so the segment is the geodesic.
-        return _final_path(model, straight, bounds, opts, 0, True)
-    if K > 0:
-        warm = _energy_path(model, straight, opts)
-        iterations, converged = _descend(model, warm, opts, max_iter=1)
+        return _final_path(model, straight, bounds, 0, True)
+    if interior_nodes > 0:
+        warm = _energy_path(model, straight)
+        iterations, converged = _descend(model, warm, max_iter=1)
         if converged:
-            return _final_path(model, warm, bounds, opts, iterations, True, warm_start=True)
-    iterations, converged = _descend(model, straight, opts, opts.max_iter)
-    return _final_path(model, straight, bounds, opts, iterations, converged)
+            return _final_path(model, warm, bounds, iterations, True, warm_start=True)
+    iterations, converged = _descend(model, straight, MAX_ITER)
+    return _final_path(model, straight, bounds, iterations, converged)
 
 
-def _energy_path(model: ParamModel, nodes, opts) -> np.ndarray:
+def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     """Interior nodes minimizing the chord energy sum_k |psi_{k+1} - psi_k|^2.
 
     psi = sqrt(p w) embeds the model in the unit sphere of R^X, where the
@@ -152,8 +154,8 @@ def _energy_path(model: ParamModel, nodes, opts) -> np.ndarray:
     the block-tridiagonal Gauss-Newton matrix, damped by its floored
     diagonal; a trial step that leaves the domain or does not lower the
     energy is rejected and the damping raised. Stops once an accepted step
-    lowers the energy by less than ``opts.tol`` relative, after
-    ``opts.max_iter`` trials, or when the damping passes ``MAX_DAMPING``.
+    lowers the energy by less than ``OPTIMIZER_TOL`` relative, after
+    ``MAX_ITER`` trials, or when the damping passes ``MAX_DAMPING``.
     Returns new nodes; ``nodes`` is not modified.
     """
     nodes = nodes.copy()
@@ -184,13 +186,13 @@ def _energy_path(model: ParamModel, nodes, opts) -> np.ndarray:
     psi, dpsi, energy = embed(nodes)
     A, scale, grad = normal_equations(psi, dpsi)
     damping = INITIAL_DAMPING
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         trial = nodes.copy()
         trial[1:-1] += np.linalg.solve(A + damping * scale, -grad).reshape(K, n)
         if all(model.domain.contains(theta) for theta in trial[1:-1]):
             t_psi, t_dpsi, t_energy = embed(trial)
             if t_energy < energy:
-                done = energy - t_energy < opts.tol * t_energy
+                done = energy - t_energy < OPTIMIZER_TOL * t_energy
                 nodes, psi, dpsi, energy = trial, t_psi, t_dpsi, t_energy
                 if done:
                     break
@@ -203,21 +205,21 @@ def _energy_path(model: ParamModel, nodes, opts) -> np.ndarray:
     return nodes
 
 
-def _descend(model: ParamModel, nodes, opts, max_iter) -> tuple:
+def _descend(model: ParamModel, nodes, max_iter) -> tuple:
     """Coordinate descent on the path length from ``nodes``, in place.
 
     Each sweep moves one coordinate of one interior node at a time along a
     central-difference gradient with backtracking; the run stops once a
-    sweep shortens the path by less than ``opts.tol`` relative. Returns
+    sweep shortens the path by less than ``OPTIMIZER_TOL`` relative. Returns
     (sweeps, converged).
     """
     K = nodes.shape[0] - 2
     scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
-    steps = np.full((K, model.param_dim), opts.step_init * scale)
+    steps = np.full((K, model.param_dim), STEP_INIT * scale)
     grad_h = max(1e-7, 1e-6 * scale)
 
     def local_len(j):
-        return float(np.sum(_segment_lengths(model, nodes[j - 1:j + 2], opts.quad_points)))
+        return float(np.sum(_segment_lengths(model, nodes[j - 1:j + 2], DESCENT_QUAD_POINTS)))
 
     def probe_lens(j, d):
         """local_len(j) with coordinate d of node j moved by +grad_h and by
@@ -226,9 +228,9 @@ def _descend(model: ParamModel, nodes, opts, max_iter) -> tuple:
         trial[:, 1, d] += (grad_h, -grad_h)
         if not all(model.domain.contains(theta) for theta in trial[:, 1]):
             return None
-        return np.sum(_segment_lengths(model, trial, opts.quad_points), axis=1)
+        return np.sum(_segment_lengths(model, trial, DESCENT_QUAD_POINTS), axis=1)
 
-    total = float(np.sum(_segment_lengths(model, nodes, opts.quad_points)))
+    total = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -257,25 +259,25 @@ def _descend(model: ParamModel, nodes, opts, max_iter) -> tuple:
                     st *= 0.25
                 if improved:
                     base = trial
-                    steps[j - 1, d] = min(st * 2.0, opts.step_cap * scale)
+                    steps[j - 1, d] = min(st * 2.0, STEP_CAP * scale)
                 else:
                     nodes[j, d] = old
                     steps[j - 1, d] = max(st * 0.25, 1e-10)
-        total = float(np.sum(_segment_lengths(model, nodes, opts.quad_points)))
-        if prev - total < opts.tol * max(total, 1e-12):
+        total = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
+        if prev - total < OPTIMIZER_TOL * max(total, 1e-12):
             converged = True
             break
     return iterations, converged
 
 
-def _final_path(model: ParamModel, nodes, bounds, opts, iterations, converged, warm_start=False) -> PathResult:
-    """The path's length at the accurate (at least 8-point) rule, with flags."""
-    length = _path_length(model, nodes, max(opts.quad_points, 8))
+def _final_path(model: ParamModel, nodes, bounds, iterations, converged, warm_start=False) -> PathResult:
+    """The path's checked length, with flags."""
+    length = _path_length(model, nodes)
     degenerate = _degenerate_segments(model, nodes)
     return PathResult(nodes.copy(), length, *bounds, iterations, converged, warm_start, degenerate)
 
 
-def _path_length(model: ParamModel, nodes, quad_points) -> float:
+def _path_length(model: ParamModel, nodes) -> float:
     """Length of the polyline, each segment checked against its two halves.
 
     A segment whose rule disagrees with the sum over its halves by more than
@@ -285,16 +287,16 @@ def _path_length(model: ParamModel, nodes, quad_points) -> float:
     near-singularity (a categorical node close to the simplex face).
     Segments that agree keep their one-rule value, bit for bit.
     """
-    rules = _segment_lengths(model, nodes, quad_points)
-    return float(np.sum(_checked_lengths(model, nodes[:-1], nodes[1:], rules, quad_points, MAX_HALVINGS)))
+    rules = _segment_lengths(model, nodes, LENGTH_QUAD_POINTS)
+    return float(np.sum(_checked_lengths(model, nodes[:-1], nodes[1:], rules, MAX_HALVINGS)))
 
 
-def _checked_lengths(model: ParamModel, a, b, rules, quad_points, halvings) -> np.ndarray:
+def _checked_lengths(model: ParamModel, a, b, rules, halvings) -> np.ndarray:
     """Lengths of the segments a[i] -> b[i] whose one-rule values are ``rules``."""
     mid = 0.5 * (a + b)
     # Two calls of S segments each: no jet holds more rows than the rule's.
     halves = np.column_stack([
-        _segment_lengths(model, np.stack(ends, axis=1), quad_points)[:, 0] for ends in ((a, mid), (mid, b))
+        _segment_lengths(model, np.stack(ends, axis=1), LENGTH_QUAD_POINTS)[:, 0] for ends in ((a, mid), (mid, b))
     ])  # (S, 2)
     out = rules.copy()
     bad = np.abs(np.sum(halves, axis=1) - rules) > LENGTH_TOL
@@ -309,7 +311,6 @@ def _checked_lengths(model: ParamModel, a, b, rules, quad_points, halvings) -> n
         np.concatenate([a[bad], mid[bad]]),
         np.concatenate([mid[bad], b[bad]]),
         np.concatenate([halves[bad, 0], halves[bad, 1]]),
-        quad_points,
         halvings - 1,
     )
     out[bad] = parts[:m] + parts[m:]
@@ -345,13 +346,13 @@ class TvBoundResult:
     warm_start: bool
 
 
-def tv_bound_check(model: ParamModel, theta1, theta2, opts: DistanceOptions | None = None) -> TvBoundResult:
+def tv_bound_check(model: ParamModel, theta1, theta2) -> TvBoundResult:
     """Check distance-estimate >= TV - quadrature slack.
 
     The distance estimate is itself an upper bound of the infimum, so a
     pass is genuine evidence for the lower-bound inequality.
     """
-    res = fisher_distance(model, theta1, theta2, opts)
+    res = fisher_distance(model, theta1, theta2)
     return TvBoundResult(
         res.length,
         res.lower_bound_tv,
@@ -380,9 +381,7 @@ class AxiomReport:
         )
 
 
-def metric_axiom_check(
-    model: ParamModel, thetas, opts: DistanceOptions | None = None, gap=OPTIMIZER_GAP
-) -> AxiomReport:
+def metric_axiom_check(model: ParamModel, thetas) -> AxiomReport:
     """Extended-metric axioms on distance estimates over sample points.
 
     Symmetry and triangle inequalities are tested on independently
@@ -397,12 +396,10 @@ def metric_axiom_check(
     for i in range(M):
         for j in range(M):
             if i != j:
-                d[i, j] = fisher_distance(model, pts[i], pts[j], opts).length
+                d[i, j] = fisher_distance(model, pts[i], pts[j]).length
     scale = max(float(np.max(d)), 1e-12)
-    tol = 2.0 * gap * scale
-    max_identity = max(
-        fisher_distance(model, pts[i], pts[i], opts).length for i in range(M)
-    )
+    tol = 2.0 * OPTIMIZER_GAP * scale
+    max_identity = max(fisher_distance(model, pts[i], pts[i]).length for i in range(M))
     max_asym = float(np.max(np.abs(d - d.T)))
     max_tri = 0.0
     for i in range(M):

@@ -25,6 +25,8 @@ from .models import ParamModel, outcome_table
 PSD_TOL = 1e-10
 CR_TOL = 1e-7
 RANGE_TOL = 1e-8
+# Regularity probe: squared-norm growth toward the boundary that flags a point.
+GROWTH_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def vmse_residual(model, theta, phi, sigma, sampling=Sampling()) -> float:
 # Inverse Fisher form and the gap
 # ---------------------------------------------------------------------------
 
-def inverse_fisher_form(model, theta, phi, sigma, range_tol=RANGE_TOL) -> QuadraticForm:
+def inverse_fisher_form(model, theta, phi, sigma) -> QuadraticForm:
     """dphi_mean G^+ dphi_mean^T on the rank-supported subspace of G.
 
     The phi-mean gradient is exact: the outcome values contracted with the
@@ -266,8 +268,8 @@ def inverse_fisher_form(model, theta, phi, sigma, range_tol=RANGE_TOL) -> Quadra
     Uk = U[:, keep]
     resid = dphi - (dphi @ Uk) @ Uk.T
     norms = np.linalg.norm(dphi, axis=1)
-    bad = np.linalg.norm(resid, axis=1) > range_tol * np.maximum(norms, range_tol)
-    if np.any(bad & (norms > range_tol)):
+    bad = np.linalg.norm(resid, axis=1) > RANGE_TOL * np.maximum(norms, RANGE_TOL)
+    if np.any(bad & (norms > RANGE_TOL)):
         raise OutsideRangeError(
             "phi-mean gradient leaves the range of the Fisher matrix; "
             "the inverse form is undefined in the degenerate direction"
@@ -287,23 +289,23 @@ class CramerRaoResult:
     inverse_fisher: QuadraticForm
 
 
-def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling(), tol=CR_TOL) -> CramerRaoResult:
-    """variance_form minus inverse_fisher_form; PSD up to ``tol``."""
+def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoResult:
+    """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL``."""
     V = variance_form(model, theta, phi, sigma, sampling)
     F = inverse_fisher_form(model, theta, phi, sigma)
     gap = QuadraticForm(V.matrix - F.matrix)
     mn = gap.min_eigenvalue()
-    return CramerRaoResult(gap, mn, mn >= -tol, V, F)
+    return CramerRaoResult(gap, mn, mn >= -CR_TOL, V, F)
 
 
 # ---------------------------------------------------------------------------
 # Regularity probe
 # ---------------------------------------------------------------------------
 
-def regularity_probe(model, thetas, phi, sigma, growth_ratio=2.0):
+def regularity_probe(model, thetas, phi, sigma):
     """L2 norms of phi(sigma) across a parameter grid, with blow-up flags.
 
-    A grid point is flagged when its squared norm exceeds ``growth_ratio``
+    A grid point is flagged when its squared norm exceeds ``GROWTH_RATIO``
     times a neighbor's squared norm while sitting closer to the domain
     boundary than that neighbor: bounded estimators stay unflagged, while
     inverse-style plug-ins light up toward the region they blow up in.
@@ -321,6 +323,6 @@ def regularity_probe(model, thetas, phi, sigma, growth_ratio=2.0):
     for i in range(thetas.shape[0]):
         for j in (i - 1, i + 1):
             if 0 <= j < thetas.shape[0] and edge[i] < edge[j]:
-                if norms[i] ** 2 > growth_ratio * norms[j] ** 2:
+                if norms[i] ** 2 > GROWTH_RATIO * norms[j] ** 2:
                     flagged[i] = True
     return {"thetas": thetas, "norms": norms, "flagged": flagged}

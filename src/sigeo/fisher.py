@@ -126,12 +126,12 @@ class SpeedProbe:
         return self.t[self.flagged]
 
 
-def two_integrability_probe(model: ParamModel, curve: CurveInModel, t_grid, jump_tol=JUMP_TOL) -> SpeedProbe:
+def two_integrability_probe(model: ParamModel, curve: CurveInModel, t_grid) -> SpeedProbe:
     """Metric speed |c'(t)|_g along a curve, with jump detection.
 
     Velocities are estimated by central differences in the curve parameter
     (Richardson-extrapolated once); a probe point is flagged when its speed
-    disagrees with both neighbors by more than ``jump_tol`` relative while
+    disagrees with both neighbors by more than ``JUMP_TOL`` relative while
     the neighbors see no such mutual jump attributable elsewhere. On models
     whose metric speed extends continuously this flags nothing; a removable
     drop (speed limit positive but pointwise value different) is flagged at
@@ -165,7 +165,7 @@ def two_integrability_probe(model: ParamModel, curve: CurveInModel, t_grid, jump
         left, mid, right = speed[i - 1], speed[i], speed[i + 1]
 
         def differs(a, b):
-            return abs(a - b) > jump_tol * max(abs(a), abs(b), floor)
+            return abs(a - b) > JUMP_TOL * max(abs(a), abs(b), floor)
 
         flagged[i] = differs(mid, left) and differs(mid, right)
     return SpeedProbe(t_grid, speed, flagged, capped)

@@ -8,9 +8,9 @@ diameter, which is what makes 1-d estimates track curve length instead of
 double-counting the greedy radius.
 
 Distance matrices come from cumulative segment lengths for 1-parameter
-models, pairwise path optimization (4 interior nodes) for higher
-dimensions, or cheaper straight-segment / midpoint evaluations for dense
-clouds where the metric barely turns.
+models, and from straight-segment or midpoint evaluations for higher
+dimensions, which suit dense clouds where the metric barely turns.
+Cloud sizes, quadrature rules and tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distance import DistanceOptions, _segment_lengths, fisher_distance
+from .distance import _segment_lengths
 from .errors import (
     DegenerateRegionError,
     DomainError,
@@ -34,6 +34,21 @@ from .fisher import directional_form, fisher_matrix
 from .markov import MarkovKernel, pushforward_model
 from .models import ParamModel
 from .quadrature import panel_nodes_weights, uniform_edges
+
+# Gauss points per straight segment of cumulative and segment clouds.
+CLOUD_QUAD_POINTS = 4
+# Flat-region dimension: sampled points and halving cover scales.
+FLAT_POINTS = 150000
+FLAT_LEVELS = 5
+# Jeffrey measure: quadrature panels per axis. Jeffrey-vs-Hausdorff check:
+# cloud size and metric-rank samples per axis.
+JEFFREY_PANELS = 24
+JEFFREY_CLOUD_SIZE = 1601
+RANK_SAMPLES = 9
+# Hausdorff monotonicity: the dimension k of both estimates, and the
+# relative slack by which the pushed estimate may exceed the original.
+MONOTONICITY_DIM = 1.0
+MONOTONICITY_TOL = 0.10
 
 
 def alpha_k(k) -> float:
@@ -223,9 +238,7 @@ def hausdorff_dimension_estimate(cloud: MetricCloud, deltas=None) -> float:
     return slope
 
 
-def flat_region_dimension_estimate(
-    model: ParamModel, region, n_points=150000, seed=0, levels=5
-):
+def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     """Dimension readout for a region over which the metric is constant.
 
     The greedy net needs thousands of points per ball before its covering
@@ -254,10 +267,10 @@ def flat_region_dimension_estimate(
     root = U @ np.diag(np.sqrt(eigs)) @ U.T
 
     rng = np.random.default_rng(seed)
-    pts = (lo + (hi - lo) * rng.random((int(n_points), n))) @ root.T
+    pts = (lo + (hi - lo) * rng.random((FLAT_POINTS, n))) @ root.T
     tree = cKDTree(pts)
     diam = float(np.linalg.norm((hi - lo) @ root.T))
-    deltas = diam / 6.0 / np.sqrt(2.0) ** np.arange(levels)
+    deltas = diam / 6.0 / np.sqrt(2.0) ** np.arange(FLAT_LEVELS)
 
     order = np.lexsort(pts.T[::-1])
     counts = []
@@ -280,19 +293,14 @@ def flat_region_dimension_estimate(
 # Cloud construction
 # ---------------------------------------------------------------------------
 
-def cloud_from_params(
-    model: ParamModel, params, mode="auto", opts: DistanceOptions | None = None, quad_points=4
-) -> MetricCloud:
+def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricCloud:
     """Build a metric cloud over parameter points of a model.
 
     Modes
     -----
-    auto       cumulative segment lengths for 1-parameter models, pairwise
-               path optimization with 4 interior nodes otherwise
     cumulative 1-d only: distances are differences of the cumulative
                Fisher length along the sorted parameter axis (exact for
                monotone 1-d families)
-    fisher     pairwise optimized distances (upper bounds)
     segment    straight-segment lengths (upper bounds; tight when the
                metric is near-constant across the cloud)
     midpoint   one-point metric evaluation sqrt(d^T G(mid) d), the
@@ -300,32 +308,24 @@ def cloud_from_params(
                is constant
     """
     pts = np.atleast_2d(np.asarray(params, dtype=float))
-    if mode == "auto":
-        mode = "cumulative" if model.param_dim == 1 else "fisher"
     if mode == "cumulative":
         if model.param_dim != 1:
-            raise UsageError("cumulative distances need a 1-parameter model")
-        return _cloud_cumulative(model, pts, quad_points)
-    if mode == "fisher":
-        o = opts or DistanceOptions(interior_nodes=4)
-        M = pts.shape[0]
-        d = np.zeros((M, M))
-        for i in range(M):
-            for j in range(i + 1, M):
-                d[i, j] = d[j, i] = fisher_distance(model, pts[i], pts[j], o).length
-        return MetricCloud(pts, d)
+            raise UsageError(
+                "cumulative distances need a 1-parameter model; name mode 'segment' or 'midpoint'"
+            )
+        return _cloud_cumulative(model, pts)
     if mode == "segment":
-        return _cloud_pairwise(model, pts, quad_points)
+        return _cloud_pairwise(model, pts, CLOUD_QUAD_POINTS)
     if mode == "midpoint":
         return _cloud_pairwise(model, pts, 1)
     raise UsageError(f"unknown cloud mode {mode!r}")
 
 
-def _cloud_cumulative(model, pts, quad_points) -> MetricCloud:
+def _cloud_cumulative(model, pts) -> MetricCloud:
     order = np.argsort(pts[:, 0])
     sorted_pts = pts[order]
     lengths = np.concatenate(
-        [[0.0], np.cumsum(_segment_lengths(model, sorted_pts, quad_points))]
+        [[0.0], np.cumsum(_segment_lengths(model, sorted_pts, CLOUD_QUAD_POINTS))]
     )
     s = np.empty(pts.shape[0])
     s[order] = lengths
@@ -376,11 +376,11 @@ def jeffrey_density(model: ParamModel, theta) -> float:
     return float(np.sqrt(max(det, 0.0)))
 
 
-def _region_rule(region, panels):
+def _region_rule(region):
     lo, hi = np.atleast_1d(np.asarray(region[0], float)), np.atleast_1d(np.asarray(region[1], float))
     if lo.shape != hi.shape or np.any(lo > hi):
         raise UsageError("region must satisfy lo <= hi componentwise")
-    rules = [panel_nodes_weights(uniform_edges(l, h, panels), 4) if h > l else (np.array([l]), np.array([0.0])) for l, h in zip(lo, hi)]
+    rules = [panel_nodes_weights(uniform_edges(l, h, JEFFREY_PANELS), 4) if h > l else (np.array([l]), np.array([0.0])) for l, h in zip(lo, hi)]
     if lo.size == 1:
         return rules[0][0][:, None], rules[0][1]
     if lo.size == 2:
@@ -392,9 +392,9 @@ def _region_rule(region, panels):
     raise UsageError("regions beyond 2 parameters are not supported")
 
 
-def jeffrey_measure(model: ParamModel, region, panels=24) -> float:
+def jeffrey_measure(model: ParamModel, region) -> float:
     """Integral of sqrt(det G) over a parameter box by tensor quadrature."""
-    pts, w = _region_rule(region, panels)
+    pts, w = _region_rule(region)
     if np.all(w == 0.0):
         return 0.0
     vals = np.array([jeffrey_density(model, th) for th in pts])
@@ -403,15 +403,9 @@ def jeffrey_measure(model: ParamModel, region, panels=24) -> float:
     return float(np.sum(vals * w))
 
 
-def jeffrey_vs_hausdorff_check(
-    model: ParamModel,
-    region,
-    k=None,
-    cloud_size=1601,
-    panels=24,
-    rank_samples=9,
-):
-    """Compare the Jeffrey measure of a region with the Hausdorff estimate.
+def jeffrey_vs_hausdorff_check(model: ParamModel, region):
+    """Compare the Jeffrey measure of a region with the model-dimensional
+    Hausdorff estimate.
 
     The region must be nondegenerate (full metric rank at sampled points);
     otherwise DegenerateRegionError is raised since the comparison's
@@ -420,21 +414,20 @@ def jeffrey_vs_hausdorff_check(
     does not leak gap mass.
     """
     n = model.param_dim
-    k = float(k) if k is not None else float(n)
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
-    for th in _grid(lo, hi, rank_samples):
+    for th in _grid(lo, hi, RANK_SAMPLES):
         G = fisher_matrix(model, th)
         if G.rank < n:
             raise DegenerateRegionError(f"metric rank {G.rank} < {n} at theta={th}")
 
-    jeffrey = jeffrey_measure(model, region, panels=panels)
+    jeffrey = jeffrey_measure(model, region)
 
-    cloud = region_cloud(model, lo, hi, cloud_size)
+    cloud = region_cloud(model, lo, hi, JEFFREY_CLOUD_SIZE)
     deltas = halving_schedule(cloud, 8, 100.0)
     if deltas.size < 2:
         raise SparseCloudError("cloud too sparse for a two-scale schedule")
-    report = hausdorff_measure_estimate(cloud, k, deltas)
+    report = hausdorff_measure_estimate(cloud, float(n), deltas)
     rel = abs(report.estimate - jeffrey) / max(abs(jeffrey), 1e-300)
     return {
         "jeffrey": jeffrey,
@@ -460,14 +453,7 @@ def _own_scale_estimate(cloud: MetricCloud, k) -> float:
     return hausdorff_measure_estimate(cloud, k, deltas, enforce_density=False).estimate
 
 
-def hausdorff_monotonicity_check(
-    kernel: MarkovKernel,
-    model: ParamModel,
-    params,
-    k=1.0,
-    mode="segment",
-    tolerance=0.10,
-):
+def hausdorff_monotonicity_check(kernel: MarkovKernel, model: ParamModel, params):
     """Pushforward never inflates the Hausdorff estimate (within tolerance).
 
     Both clouds sit over the same parameter points; the pushed cloud's
@@ -477,10 +463,10 @@ def hausdorff_monotonicity_check(
     is the honest discretization of comparing two measures.
     """
     pts = np.atleast_2d(np.asarray(params, dtype=float))
-    before_cloud = cloud_from_params(model, pts, mode=mode)
+    before_cloud = cloud_from_params(model, pts, mode="segment")
     pushed = pushforward_model(kernel, model)
-    after_cloud = cloud_from_params(pushed, pts, mode=mode)
-    before = _own_scale_estimate(before_cloud, k)
-    after = _own_scale_estimate(after_cloud, k)
-    holds = after <= before * (1.0 + tolerance) + 1e-12
+    after_cloud = cloud_from_params(pushed, pts, mode="segment")
+    before = _own_scale_estimate(before_cloud, MONOTONICITY_DIM)
+    after = _own_scale_estimate(after_cloud, MONOTONICITY_DIM)
+    holds = after <= before * (1.0 + MONOTONICITY_TOL) + 1e-12
     return {"before": before, "after": after, "holds": holds}

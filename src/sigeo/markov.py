@@ -152,10 +152,10 @@ def monotonicity_gap(kernel: MarkovKernel, model: ParamModel, theta, v) -> float
     return before - after
 
 
-def sufficiency_check(kernel: MarkovKernel, model: ParamModel, thetas, vs, tol=SUFF_TOL):
+def sufficiency_check(kernel: MarkovKernel, model: ParamModel, thetas, vs):
     """Metric-equality consequence of sufficiency over (theta, v) samples.
 
-    Returns the largest absolute gap and whether it stays within ``tol``.
+    Returns the largest absolute gap and whether it stays within ``SUFF_TOL``.
     A pass is consistent with sufficiency, not a certificate of it.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -164,4 +164,4 @@ def sufficiency_check(kernel: MarkovKernel, model: ParamModel, thetas, vs, tol=S
         raise UsageError("one direction per parameter sample required")
     gaps = [monotonicity_gap(kernel, model, th, v) for th, v in zip(thetas, vs)]
     max_abs = float(np.max(np.abs(gaps))) if gaps else 0.0
-    return {"max_abs_gap": max_abs, "sufficient_consistent": max_abs <= tol, "gaps": gaps}
+    return {"max_abs_gap": max_abs, "sufficient_consistent": max_abs <= SUFF_TOL, "gaps": gaps}

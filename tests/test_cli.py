@@ -42,6 +42,10 @@ def test_distance_summary_and_curve(tmp_path, capsys):
     lines = curve_path.read_text().splitlines()
     assert lines[0].split() == ["t", "theta0", "speed"]
     assert len(lines) == 66
+    # the path is p(t) = 0.25 + 0.5 t, so its speed is 0.5 / sqrt(p (1 - p))
+    for t, p, speed in (map(float, line.split()) for line in lines[1:]):
+        assert p == pytest.approx(0.25 + 0.5 * t, abs=1e-12)
+        assert speed == pytest.approx(0.5 / (p * (1 - p)) ** 0.5, abs=1e-6)
 
 
 def test_tv_check_exit_codes(capsys):

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sigeo.distance import (
-    DistanceOptions,
     _energy_path,
     curve_length,
     fisher_distance,
@@ -63,6 +62,15 @@ def test_curve_length_invariant_under_node_respacing():
     assert curve_length(BERN, even) == pytest.approx(curve_length(BERN, uneven), abs=1e-6)
 
 
+def test_curve_length_checks_segments_across_the_degenerate_line():
+    # The one segment crosses the mixture's b = 0, where the speed has a
+    # kink; the fixed 8-point rule read 1.5226355 (6.9e-5 high). Reference:
+    # the 8-point rule summed over 1024 equal sub-segments.
+    mix = get_model("mixture")
+    curve = CurveInModel(mix, [[0.8, -2.0], [0.1, 0.5]])
+    assert curve_length(mix, curve) == pytest.approx(1.5225306796831728, rel=1e-8)
+
+
 # -- fisher_distance ---------------------------------------------------------------
 
 def test_distance_same_point_is_zero():
@@ -117,8 +125,8 @@ def test_distance_categorical_matches_sphere_oracle():
 
 def test_distance_refinement_does_not_increase_length():
     th1, th2 = np.array([0.15, 0.2]), np.array([0.55, 0.3])
-    coarse = fisher_distance(CAT3, th1, th2, DistanceOptions(interior_nodes=4))
-    fine = fisher_distance(CAT3, th1, th2, DistanceOptions(interior_nodes=8))
+    coarse = fisher_distance(CAT3, th1, th2, interior_nodes=4)
+    fine = fisher_distance(CAT3, th1, th2, interior_nodes=8)
     assert fine.length <= coarse.length + 1e-4 * coarse.length
 
 
@@ -195,8 +203,8 @@ def _near_face_point(draw):
 def test_paths_near_the_simplex_face_stay_in_the_domain(th1, th2):
     assume(CAT3.domain.contains(th1) and CAT3.domain.contains(th2))
     assume(not np.array_equal(th1, th2))
-    straight = np.linspace(th1, th2, DistanceOptions().interior_nodes + 2)
-    energy = _energy_path(CAT3, straight, DistanceOptions())
+    straight = np.linspace(th1, th2, 8 + 2)  # fisher_distance's default nodes
+    energy = _energy_path(CAT3, straight)
     res = fisher_distance(CAT3, th1, th2)
     for theta in np.vstack([energy, res.nodes]):
         assert CAT3.domain.contains(theta)
@@ -207,9 +215,7 @@ def test_paths_near_the_simplex_face_stay_in_the_domain(th1, th2):
 def test_distance_flags_degenerate_segments():
     # single segment whose midpoint sits exactly on the rank-drop line b=0
     mix = gaussian_mixture()
-    res = fisher_distance(
-        mix, [0.3, -0.1], [0.3, 0.1], DistanceOptions(interior_nodes=0)
-    )
+    res = fisher_distance(mix, [0.3, -0.1], [0.3, 0.1], interior_nodes=0)
     assert res.degenerate_segments == (0,)
 
 

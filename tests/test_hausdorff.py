@@ -12,6 +12,7 @@ from sigeo.errors import (
     DomainError,
     InsufficientScaleError,
     SparseCloudError,
+    UsageError,
 )
 from sigeo.hausdorff import (
     MetricCloud,
@@ -29,11 +30,10 @@ from sigeo.hausdorff import (
     jeffrey_measure,
     jeffrey_vs_hausdorff_check,
 )
-from sigeo.distance import curve_length
+from sigeo.distance import _segment_lengths
 from sigeo.fisher import fisher_matrix
 from sigeo.markov import binning_kernel, permutation_kernel
 from sigeo.models import (
-    CurveInModel,
     bernoulli_family,
     categorical_family,
     gaussian_location2d_family,
@@ -120,12 +120,17 @@ def test_segment_cloud_entries_are_two_node_curve_lengths():
     ):
         cloud = cloud_from_params(model, pts, mode="segment")
         for i, j in itertools.combinations(range(len(pts)), 2):
-            curve = CurveInModel(model, [pts[i], pts[j]])
+            ends = np.array([pts[i], pts[j]])
             # BLAS may round a one-row quadrature sum differently from a
             # many-row one (measured: at most 1.2 ulp), so not bitwise
             assert cloud.dist[i, j] == pytest.approx(
-                curve_length(model, curve, quad_points=4), rel=4 * np.finfo(float).eps, abs=0
+                _segment_lengths(model, ends, 4)[0], rel=4 * np.finfo(float).eps, abs=0
             )
+
+
+def test_two_parameter_cloud_must_name_its_mode():
+    with pytest.raises(UsageError):
+        cloud_from_params(gaussian_mixture(), [[0.2, -0.5], [0.6, 0.5], [0.4, 0.0]])
 
 
 def test_midpoint_cloud_is_the_one_point_rule():
@@ -241,7 +246,7 @@ def test_dimension_needs_scales():
 
 def test_flat_region_dimension_2d():
     loc2 = gaussian_location2d_family()
-    dim = flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, 1.0]), n_points=40000, seed=1)
+    dim = flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, 1.0]), seed=1)
     assert abs(dim - 2.0) <= 0.2
 
 
@@ -291,7 +296,7 @@ def test_jeffrey_vs_hausdorff_gauss_location():
 def test_degenerate_region_rejected():
     mix = gaussian_mixture()
     with pytest.raises(DegenerateRegionError):
-        jeffrey_vs_hausdorff_check(mix, ([0.2, -0.5], [0.6, 0.5]), cloud_size=49)
+        jeffrey_vs_hausdorff_check(mix, ([0.2, -0.5], [0.6, 0.5]))
 
 
 # -- monotonicity -------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Full verification suite, one test per criterion.
+"""Full verification suite, two tests per criterion.
 
-Each test prints its pass/fail line (visible with pytest -s or on failure),
-asserts the criterion at its stated tolerance, and compares its details
-with the golden record below. The same checks back the `sigeo verify-all`
-command.
+`test_criterion` prints the pass/fail line (visible with pytest -s or on
+failure) and asserts the criterion at its stated tolerance;
+`test_criterion_details_golden` compares its details with the golden record
+below. Both read one seed-0 run per criterion. The same checks back the
+`sigeo verify-all` command.
 """
 
+import functools
 import json
 
 import pytest
@@ -93,9 +95,22 @@ def _assert_details_close(got, want, path=""):
         assert got == pytest.approx(want, rel=1e-12, abs=0), path
 
 
-@pytest.mark.parametrize("key,check", acceptance.CRITERIA, ids=[k for k, _ in acceptance.CRITERIA])
-def test_criterion(key, check):
-    result = check(seed=0)
+@functools.cache
+def _seed0_result(key):
+    return dict(acceptance.CRITERIA)[key](seed=0)
+
+
+@pytest.mark.parametrize("key", [k for k, _ in acceptance.CRITERIA])
+def test_criterion(key):
+    result = _seed0_result(key)
     print(result.line(), json.dumps(result.details, default=str))
     assert result.passed, f"{result.name}: {result.details}"
-    _assert_details_close(result.details, GOLDEN_DETAILS[key])
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DETAILS))
+def test_criterion_details_golden(key):
+    _assert_details_close(_seed0_result(key).details, GOLDEN_DETAILS[key])
+
+
+def test_golden_record_covers_every_criterion():
+    assert sorted(GOLDEN_DETAILS) == sorted(k for k, _ in acceptance.CRITERIA)

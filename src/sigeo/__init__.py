@@ -57,7 +57,6 @@ from .models import (
 )
 from .fisher import (
     FisherMatrix,
-    degeneracy_rank,
     fisher_inner,
     fisher_matrix,
     two_integrability_probe,
@@ -67,7 +66,6 @@ from .distance import (
     curve_length,
     fisher_distance,
     metric_axiom_check,
-    tv_bound_check,
 )
 from .markov import (
     MarkovKernel,

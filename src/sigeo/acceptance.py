@@ -120,6 +120,16 @@ def _model(name):
     return models.get_model(_MODEL_IDS.get(name, name))
 
 
+# Sample counts: random triples per model for the axioms, simplex pairs
+# for the sphere oracle, random kernels and permutations for the data
+# processing check, and random kernels for Hausdorff monotonicity.
+AXIOM_TRIPLES = 50
+SPHERE_PAIRS = 20
+DPI_KERNELS = 1000
+DPI_PERMUTATIONS = 50
+MONOTONICITY_KERNELS = 20
+
+
 def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
     """Distance upper estimates dominate the TV norm on random pairs, and
     never fall below the Bhattacharyya angle (a lower bound of the distance)."""
@@ -133,13 +143,13 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
         model = _model(name)
         for _ in range(per_model):
             _, th1, th2 = _random_pair(name, rng)
-            res = distance.tv_bound_check(model, th1, th2)
-            min_margin = min(min_margin, res.distance_estimate - res.tv)
+            res = distance.fisher_distance(model, th1, th2)
+            min_margin = min(min_margin, res.length - res.lower_bound_tv)
             # An estimate below the angle is no upper estimate of the
             # distance, so it cannot witness the TV bound either.
-            angle_margin = res.distance_estimate - res.angle
+            angle_margin = res.length - res.lower_bound_angle
             min_angle_margin = min(min_angle_margin, angle_margin)
-            if not res.holds or angle_margin < -QUAD_TOL:
+            if not res.tv_holds or angle_margin < -QUAD_TOL:
                 failures += 1
             unconverged += not res.converged
             warm_started += res.warm_start
@@ -157,7 +167,7 @@ def check_tv_lower_bound(seed=0, pairs=100) -> CriterionResult:
     )
 
 
-def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
+def check_metric_axioms(seed=0) -> CriterionResult:
     """Symmetry, triangle, identity on random triples per model."""
     rng = np.random.default_rng(seed + 4)
     stats = {}
@@ -172,7 +182,7 @@ def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
         model = _model(name)
         worst_sym = worst_tri = worst_id = 0.0
         tol_used = 0.0
-        for _ in range(triples):
+        for _ in range(AXIOM_TRIPLES):
             pts = [sample_point(name) for _ in range(3)]
             report = distance.metric_axiom_check(model, np.asarray(pts, dtype=float))
             worst_sym = max(worst_sym, report.max_asymmetry)
@@ -194,12 +204,12 @@ def check_metric_axioms(seed=0, triples=50) -> CriterionResult:
     )
 
 
-def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
+def check_sphere_oracle(seed=0) -> CriterionResult:
     """Simplex distances within 1% of the great-circle closed form."""
     rng = np.random.default_rng(seed + 5)
     cat = _model("categorical")
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(SPHERE_PAIRS):
         _, th1, th2 = _random_pair("categorical", rng)
         res = distance.fisher_distance(cat, th1, th2)
         # On the simplex the Bhattacharyya angle is the great circle.
@@ -212,7 +222,7 @@ def check_sphere_oracle(seed=0, pairs=20) -> CriterionResult:
     )
 
 
-def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
+def check_data_processing(seed=0) -> CriterionResult:
     """Metric never grows under kernels; permutations preserve it."""
     rng = np.random.default_rng(seed + 6)
     cat4 = _model("categorical:4")
@@ -222,7 +232,7 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
         return theta * 0.9 / np.sum(theta) if np.sum(theta) > 0.94 else theta
 
     min_gap = np.inf
-    for _ in range(draws):
+    for _ in range(DPI_KERNELS):
         theta = sample_point()
         v = rng.normal(size=3)
         kernel = markov.random_kernel(cat4.space, int(rng.integers(2, 6)), rng)
@@ -230,7 +240,7 @@ def check_data_processing(seed=0, draws=1000, perms=50) -> CriterionResult:
         min_gap = min(min_gap, gap)
 
     worst_perm = 0.0
-    for _ in range(perms):
+    for _ in range(DPI_PERMUTATIONS):
         theta = sample_point()
         v = rng.normal(size=3)
         perm = rng.permutation(4)
@@ -281,7 +291,7 @@ def check_hausdorff_jeffrey(seed=0) -> CriterionResult:
     )
 
 
-def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
+def check_hausdorff_monotonicity(seed=0) -> CriterionResult:
     """Pushed-cloud Hausdorff estimates never exceed the original by >10%."""
     rng = np.random.default_rng(seed + 8)
     cat = _model("categorical")
@@ -290,7 +300,7 @@ def check_hausdorff_monotonicity(seed=0, kernels=20) -> CriterionResult:
 
     failures = 0
     ratios = []
-    for _ in range(kernels):
+    for _ in range(MONOTONICITY_KERNELS):
         kernel = markov.random_kernel(cat.space, int(rng.integers(2, 4)), rng)
         res = hausdorff.hausdorff_monotonicity_check(kernel, cat, pts)
         ratios.append(res["after"] / max(res["before"], 1e-300))

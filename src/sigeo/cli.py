@@ -205,16 +205,16 @@ def _cmd_distance(args):
 
 def _cmd_tv_check(args):
     model = models.get_model(args.model)
-    res = distance.tv_bound_check(model, args.from_theta, args.to_theta)
+    res = distance.fisher_distance(model, args.from_theta, args.to_theta)
     return {
-        "distance_estimate": res.distance_estimate,
-        "tv": res.tv,
-        "angle": res.angle,
-        "holds": res.holds,
+        "distance_estimate": res.length,
+        "tv": res.lower_bound_tv,
+        "angle": res.lower_bound_angle,
+        "holds": res.tv_holds,
         "converged": res.converged,
         "iterations": res.iterations,
         "warm_start": res.warm_start,
-    }, _EXIT_OK if res.holds else _EXIT_PROPERTY
+    }, _EXIT_OK if res.tv_holds else _EXIT_PROPERTY
 
 
 def _cmd_metric_axioms(args):
@@ -338,6 +338,7 @@ def _cmd_cramer_rao(args):
         "gap_eigenvalues": np.linalg.eigvalsh(res.gap.matrix),
         "min_eigenvalue": res.min_eigenvalue,
         "holds": res.holds,
+        "noise_allowance": res.noise_allowance,
         "variance": res.variance.matrix,
         "inverse_fisher": res.inverse_fisher.matrix,
     }, _EXIT_OK if res.holds else _EXIT_PROPERTY

@@ -117,6 +117,12 @@ class PathResult:
     warm_start: bool = False
     degenerate_segments: tuple = ()
 
+    @property
+    def tv_holds(self) -> bool:
+        """length >= TV - QUAD_TOL; the length is an upper estimate, so a
+        pass is genuine evidence for the TV lower bound."""
+        return self.length >= self.lower_bound_tv - QUAD_TOL
+
 
 def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> PathResult:
     """Upper estimate of the Fisher distance between two parameter points,
@@ -328,40 +334,6 @@ def _degenerate_segments(model: ParamModel, nodes) -> tuple:
         if float(np.min(G.eigenvalues)) < EIGEN_TOL * scale:
             flagged.append(i)
     return tuple(flagged)
-
-
-@dataclass(frozen=True)
-class TvBoundResult:
-    """``holds`` compares the estimate with TV; ``angle`` is the
-    Bhattacharyya-angle lower bound, which the estimate must also dominate.
-    ``converged``, ``iterations`` and ``warm_start`` report the optimizer run
-    behind the estimate."""
-
-    distance_estimate: float
-    tv: float
-    holds: bool
-    converged: bool
-    iterations: int
-    angle: float
-    warm_start: bool
-
-
-def tv_bound_check(model: ParamModel, theta1, theta2) -> TvBoundResult:
-    """Check distance-estimate >= TV - quadrature slack.
-
-    The distance estimate is itself an upper bound of the infimum, so a
-    pass is genuine evidence for the lower-bound inequality.
-    """
-    res = fisher_distance(model, theta1, theta2)
-    return TvBoundResult(
-        res.length,
-        res.lower_bound_tv,
-        res.length >= res.lower_bound_tv - QUAD_TOL,
-        res.converged,
-        res.iterations,
-        res.lower_bound_angle,
-        res.warm_start,
-    )
 
 
 @dataclass(frozen=True)

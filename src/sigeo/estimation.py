@@ -24,6 +24,9 @@ from .models import ParamModel, outcome_table
 
 PSD_TOL = 1e-10
 CR_TOL = 1e-7
+# Monte Carlo Cramer-Rao verdicts allow this many standard errors of the
+# sampled variance along the gap's smallest-eigenvalue direction.
+CR_NOISE_SE = 4.0
 RANGE_TOL = 1e-8
 # Regularity probe: squared-norm growth toward the boundary that flags a point.
 GROWTH_RATIO = 2.0
@@ -207,8 +210,8 @@ class QuadraticForm:
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
-    def is_psd(self, tol=PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_psd(self) -> bool:
+        return self.min_eigenvalue() >= -PSD_TOL
 
 
 def _second_moment(vals, w, center) -> QuadraticForm:
@@ -287,15 +290,27 @@ class CramerRaoResult:
     holds: bool
     variance: QuadraticForm
     inverse_fisher: QuadraticForm
+    noise_allowance: float
 
 
 def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoResult:
-    """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL``."""
-    V = variance_form(model, theta, phi, sigma, sampling)
+    """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL`` plus a
+    noise allowance: 0 when exact, else ``CR_NOISE_SE`` standard errors
+    sqrt((E q^2 - (E q)^2) / (draws - 1)) of the sampled variance along the
+    gap's smallest-eigenvalue eigenvector u, q = (u.(x - mean))^2."""
+    vals = _phi_values(phi, sigma, model)
+    w = _outcome_weights(model, theta, sampling)
+    mean = w @ vals
+    V = _second_moment(vals, w, mean)
     F = inverse_fisher_form(model, theta, phi, sigma)
     gap = QuadraticForm(V.matrix - F.matrix)
     mn = gap.min_eigenvalue()
-    return CramerRaoResult(gap, mn, mn >= -CR_TOL, V, F)
+    allowance = 0.0
+    if sampling.draws:
+        q = ((vals - mean) @ np.linalg.eigh(gap.matrix)[1][:, 0]) ** 2
+        spread = max(float(w @ q**2 - (w @ q) ** 2), 0.0)
+        allowance = CR_NOISE_SE * (spread / (sampling.draws - 1)) ** 0.5
+    return CramerRaoResult(gap, mn, mn >= -CR_TOL - allowance, V, F, allowance)
 
 
 # ---------------------------------------------------------------------------

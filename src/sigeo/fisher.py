@@ -75,18 +75,9 @@ def fisher_matrix_from_jet(theta, p, J, w) -> FisherMatrix:
         raise IntegrationError(f"non-finite Fisher integrand mass at theta={theta}")
     capped_mass = _capped_mass(p, J, w)
     eigs = np.linalg.eigvalsh(G)
-    rank = _rank_from_eigs(eigs)
-    return FisherMatrix(theta, G, eigs, rank, capped_mass)
-
-
-def _rank_from_eigs(eigs) -> int:
     scale = max(float(np.max(eigs, initial=0.0)), 1.0)
-    return int(np.sum(eigs > EIGEN_TOL * scale))
-
-
-def degeneracy_rank(G: FisherMatrix) -> int:
-    """Number of eigenvalues above the scale-aware tolerance."""
-    return _rank_from_eigs(G.eigenvalues)
+    rank = int(np.sum(eigs > EIGEN_TOL * scale))
+    return FisherMatrix(theta, G, eigs, rank, capped_mass)
 
 
 def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:

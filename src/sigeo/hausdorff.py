@@ -204,33 +204,32 @@ def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=Tr
     return CoverReport(deltas, counts, pres, k, float(pres[-1]), stable)
 
 
-def hausdorff_dimension_estimate(cloud: MetricCloud, deltas=None) -> float:
+def hausdorff_dimension_estimate(cloud: MetricCloud) -> float:
     """Least-squares slope of log N(delta) against log(1/delta).
 
-    Scales below 2.5x the cloud mesh are excluded (covering numbers
-    saturate there) as are scales where the net collapses to a single
-    set next to larger informative scales. Fewer than three usable scales
-    raise InsufficientScaleError; a cloud with zero diameter has dimension
-    0 by convention.
+    The scales step down by sqrt(2) from diam/2 to max(2.5 mesh, diam/256),
+    at least four of them. Scales below 2.5x the cloud mesh are excluded
+    (covering numbers saturate there) as are scales where the net collapses
+    to a single set next to larger informative scales. Fewer than three
+    usable scales raise InsufficientScaleError; a cloud with zero diameter
+    has dimension 0 by convention.
     """
     diam = cloud.diameter()
     if diam <= 0:
         return 0.0
-    if deltas is None:
-        lo = max(2.5 * cloud.mesh(), diam / 256.0)
-        hi = diam / 2.0
-        if lo >= hi:
-            raise InsufficientScaleError("mesh too coarse relative to the diameter")
-        n = max(4, int(np.floor(np.log(hi / lo) / np.log(np.sqrt(2.0)))) + 1)
-        deltas = hi / np.sqrt(2.0) ** np.arange(n)
-    deltas, counts, _ = covering_profile(cloud, deltas)
+    lo = max(2.5 * cloud.mesh(), diam / 256.0)
+    hi = diam / 2.0
+    if lo >= hi:
+        raise InsufficientScaleError("mesh too coarse relative to the diameter")
+    n = max(4, int(np.floor(np.log(hi / lo) / np.log(np.sqrt(2.0)))) + 1)
+    deltas, counts, _ = covering_profile(cloud, hi / np.sqrt(2.0) ** np.arange(n))
     counts = counts.astype(float)
     if np.all(counts == 1.0):
         return 0.0
     usable = (deltas >= 2.5 * cloud.mesh()) & (counts < cloud.size)
     if int(np.sum(usable)) < 3:
         raise InsufficientScaleError(
-            f"only {int(np.sum(usable))} usable scales; refine the cloud or widen the schedule"
+            f"only {int(np.sum(usable))} usable scales; refine the cloud"
         )
     x = np.log(1.0 / deltas[usable])
     y = np.log(counts[usable])

@@ -157,11 +157,11 @@ def _check_same_space(a: Measure, b: Measure):
         raise UsageError("measures live on different sample spaces")
 
 
-def probability_measure(space: SampleSpace, density, tol=MASS_TOL) -> Measure:
-    """Construct a probability measure, validating normalization."""
+def probability_measure(space: SampleSpace, density) -> Measure:
+    """Construct a probability measure, validating normalization to ``MASS_TOL``."""
     mu = Measure(space, density, signed=False)
-    if abs(mu.total_mass() - 1.0) > tol:
-        raise UsageError(f"density integrates to {mu.total_mass():.3e}, not 1 within {tol:g}")
+    if abs(mu.total_mass() - 1.0) > MASS_TOL:
+        raise UsageError(f"density integrates to {mu.total_mass():.3e}, not 1 within {MASS_TOL:g}")
     return mu
 
 
@@ -209,16 +209,16 @@ def integrate(f, mu: Measure) -> float:
     return float(np.sum(vals * masses))
 
 
-def radon_nikodym(nu: Measure, xi: Measure, tol=DOMINANCE_TOL) -> np.ndarray:
-    """Pointwise density d(nu)/d(xi) where xi's density exceeds ``tol``.
+def radon_nikodym(nu: Measure, xi: Measure) -> np.ndarray:
+    """Pointwise density d(nu)/d(xi) where xi's density exceeds ``DOMINANCE_TOL``.
 
-    Nodes where xi vanishes but nu carries density above ``tol`` violate
+    Nodes where xi vanishes but nu carries density above that floor violate
     domination and raise NotDominated listing the offending node indices.
     Where both vanish the quotient is taken to be 0.
     """
     _check_same_space(nu, xi)
-    lo = xi.density <= tol
-    offending = np.nonzero(lo & (np.abs(nu.density) > tol))[0]
+    lo = xi.density <= DOMINANCE_TOL
+    offending = np.nonzero(lo & (np.abs(nu.density) > DOMINANCE_TOL))[0]
     if offending.size:
         raise NotDominated(
             f"measure carries density on {offending.size} node(s) where the base vanishes",

@@ -51,14 +51,23 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # Margin keeping baseline families away from boundary singularities.
 EPS_BOUNDARY = 1e-6
-SIGMA_MIN = 1e-3
 
 # Largest outcome space the product models and estimators enumerate.
 ENUM_LIMIT = 2 ** 20
 
-# Mixture b-range truncation; Fisher integrands are tail-negligible beyond
-# |x| = B_MAX + 8.
+# Parameter boxes: Gaussian location |theta_i| <= LOCATION_HALF_WIDTH in 1-d
+# and LOCATION2D_HALF_WIDTH in 2-d; location-scale |mu| <= MU_MAX and
+# SIGMA_LO <= sigma <= SIGMA_HI; mixture |b| <= B_MAX, whose Fisher
+# integrands are tail-negligible beyond |x| = B_MAX + 8.
+LOCATION_HALF_WIDTH = 2.0
+LOCATION2D_HALF_WIDTH = 1.2
+MU_MAX = 2.0
+SIGMA_LO = 0.5
+SIGMA_HI = 2.0
 B_MAX = 6.0
+
+# Fraction of each side that ``Box.sample`` keeps clear of the box walls.
+SAMPLE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -106,11 +115,11 @@ class Box:
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), self.lo, self.hi)
 
-    def sample(self, rng, margin=0.05) -> np.ndarray:
-        """Uniform draw from the box shrunk by ``margin`` of its width."""
+    def sample(self, rng) -> np.ndarray:
+        """Uniform draw from the box shrunk by ``SAMPLE_MARGIN`` of its width."""
         span = self.hi - self.lo
         for _ in range(1000):
-            theta = self.lo + span * (margin + (1 - 2 * margin) * rng.random(self.dim))
+            theta = self.lo + span * (SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * rng.random(self.dim))
             if self.contains(theta):
                 return theta
         raise DomainError("could not sample an admissible parameter point")
@@ -231,8 +240,8 @@ class CurveInModel:
 # Baseline regular families (oracle fodder)
 # ---------------------------------------------------------------------------
 
-def bernoulli_family(eps=EPS_BOUNDARY) -> ParamModel:
-    """Bernoulli(p) on two atoms, p in (eps, 1-eps)."""
+def bernoulli_family() -> ParamModel:
+    """Bernoulli(p) on two atoms, p in [EPS_BOUNDARY, 1 - EPS_BOUNDARY]."""
     space = finite_space(2)
 
     def dens(thetas):
@@ -246,21 +255,21 @@ def bernoulli_family(eps=EPS_BOUNDARY) -> ParamModel:
         J[:, 0, 1] = 1.0
         return J
 
-    return ParamModel("bernoulli", Box([eps], [1 - eps]), space, dens, jac)
+    return ParamModel("bernoulli", Box([EPS_BOUNDARY], [1 - EPS_BOUNDARY]), space, dens, jac)
 
 
-def categorical_family(m: int, eps=EPS_BOUNDARY) -> ParamModel:
+def categorical_family(m: int) -> ParamModel:
     """Categorical on m atoms parameterized by the first m-1 probabilities.
 
-    The density is the parameter itself (identity chart on the open
-    simplex); the last probability is 1 minus the rest.
+    The density is the parameter itself (identity chart on the simplex);
+    the last probability is 1 minus the rest.
     """
     if m < 2:
         raise UsageError("categorical family needs at least 2 atoms")
     space = finite_space(m)
 
     def constraint(theta):
-        return float(np.sum(theta)) <= 1.0 - eps
+        return float(np.sum(theta)) <= 1.0 - EPS_BOUNDARY
 
     def dens(thetas):
         last = 1.0 - np.sum(thetas, axis=1, keepdims=True)
@@ -274,15 +283,14 @@ def categorical_family(m: int, eps=EPS_BOUNDARY) -> ParamModel:
             J[:, i, m - 1] = -1.0
         return J
 
-    box = Box([eps] * (m - 1), [1 - eps] * (m - 1), constraint=constraint)
+    box = Box([EPS_BOUNDARY] * (m - 1), [1 - EPS_BOUNDARY] * (m - 1), constraint=constraint)
     return ParamModel(f"categorical:{m}", box, space, dens, jac)
 
 
-def gaussian_location_family(half_width=2.0, panels=80, npts=8) -> ParamModel:
+def gaussian_location_family(panels=80) -> ParamModel:
     """N(theta, 1) on a 1-d grid; the Fisher matrix is identically 1."""
-    lo = -half_width - 8.0
-    hi = half_width + 8.0
-    space = grid1d_space(lo, hi, panels=panels, npts=npts)
+    w = LOCATION_HALF_WIDTH
+    space = grid1d_space(-w - 8.0, w + 8.0, panels=panels)
     x = space.points
 
     def dens(thetas):
@@ -292,15 +300,14 @@ def gaussian_location_family(half_width=2.0, panels=80, npts=8) -> ParamModel:
         d = dens(thetas)
         return d, ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
 
-    return ParamModel(
-        "gauss-location", Box([-half_width], [half_width]), space, dens, jet_fn=jet
-    )
+    return ParamModel("gauss-location", Box([-w], [w]), space, dens, jet_fn=jet)
 
 
-def gaussian_location2d_family(half_width=1.2, panels=16, npts=4) -> ParamModel:
+def gaussian_location2d_family(panels=16) -> ParamModel:
     """N(theta, I_2) location family on a 2-d grid; Fisher matrix is I_2."""
-    r = half_width + 8.0
-    space = grid2d_space(-r, r, -r, r, panels=panels, npts=npts)
+    w = LOCATION2D_HALF_WIDTH
+    r = w + 8.0
+    space = grid2d_space(-r, r, -r, r, panels=panels)
     pts = space.points  # (X, 2)
 
     def offsets(thetas):
@@ -314,18 +321,14 @@ def gaussian_location2d_family(half_width=1.2, panels=16, npts=4) -> ParamModel:
         diff, d = offsets(thetas)
         return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
 
-    box = Box([-half_width, -half_width], [half_width, half_width])
+    box = Box([-w, -w], [w, w])
     return ParamModel("gauss-location-2d", box, space, dens, jet_fn=jet)
 
 
-def gaussian_location_scale_family(
-    mu_max=2.0, sigma_lo=0.5, sigma_hi=2.0, panels=144, npts=8
-) -> ParamModel:
+def gaussian_location_scale_family(panels=144) -> ParamModel:
     """N(mu, sigma^2) with (mu, sigma) in a box bounded away from sigma=0."""
-    if sigma_lo < SIGMA_MIN:
-        raise UsageError(f"sigma must stay above {SIGMA_MIN}")
-    r = mu_max + 8.0 * sigma_hi
-    space = grid1d_space(-r, r, panels=panels, npts=npts)
+    r = MU_MAX + 8.0 * SIGMA_HI
+    space = grid1d_space(-r, r, panels=panels)
     x = space.points
 
     def standardized(thetas):
@@ -343,7 +346,7 @@ def gaussian_location_scale_family(
         J[:, 1, :] = d * (z * z - 1.0) / sig
         return d, J
 
-    box = Box([-mu_max, sigma_lo], [mu_max, sigma_hi])
+    box = Box([-MU_MAX, SIGMA_LO], [MU_MAX, SIGMA_HI])
     return ParamModel("gauss-loc-scale", box, space, dens, jet_fn=jet)
 
 
@@ -351,11 +354,11 @@ def gaussian_location_scale_family(
 # Gaussian mixture with a degenerate parameter locus
 # ---------------------------------------------------------------------------
 
-def gaussian_mixture(b_max=B_MAX, panels=112, npts=8) -> ParamModel:
+def gaussian_mixture(panels=112) -> ParamModel:
     """Two-component Gaussian mixture p(x | a, b).
 
     p = ((1-a) exp(-x^2/2) + a exp(-(x-b)^2/2)) / sqrt(2 pi) with a in
-    [0, 1] and b truncated to [-b_max, b_max]. The parameter Jacobian uses
+    [0, 1] and b truncated to [-B_MAX, B_MAX]. The parameter Jacobian uses
     the closed forms
 
         d_a p = (-exp(-x^2/2) + exp(-(x-b)^2/2)) / sqrt(2 pi)
@@ -365,8 +368,8 @@ def gaussian_mixture(b_max=B_MAX, panels=112, npts=8) -> ParamModel:
     (for d_b), so the Fisher matrix drops rank there and is the zero matrix
     at the corner (0, 0).
     """
-    r = b_max + 8.0
-    space = grid1d_space(-r, r, panels=panels, npts=npts)
+    r = B_MAX + 8.0
+    space = grid1d_space(-r, r, panels=panels)
     x = space.points
     n0 = np.exp(-0.5 * x[None, :] ** 2)  # the fixed component, built once
 
@@ -386,7 +389,7 @@ def gaussian_mixture(b_max=B_MAX, panels=112, npts=8) -> ParamModel:
         J[:, 1, :] = a * diff * nb / SQRT2PI
         return p, J
 
-    box = Box([0.0, -b_max], [1.0, b_max])
+    box = Box([0.0, -B_MAX], [1.0, B_MAX])
     return ParamModel("mixture", box, space, dens, jet_fn=jet)
 
 
@@ -477,6 +480,11 @@ def singular_reparam_model() -> ParamModel:
 # total variation above 1/2.
 OSC_SUP = 0.5781875086663077
 OSC_AMPLITUDE = 2.0 * math.pi * OSC_SUP  # = 3.63285737...
+# Panels per period of sin(x/t) on the velocity's own grid; tolerance and
+# bisection depth of the adaptive cross-check of F_t.
+MIN_PANELS_PER_PERIOD = 8
+ADAPTIVE_TOL = 1e-9
+ADAPTIVE_MAX_DEPTH = 26
 
 
 def oscillatory_time_integral(t, x) -> np.ndarray:
@@ -498,19 +506,21 @@ def oscillatory_time_integral(t, x) -> np.ndarray:
     return out
 
 
-def oscillatory_time_integral_adaptive(t, x, tol=1e-9, max_depth=26) -> float:
+def oscillatory_time_integral_adaptive(t, x) -> float:
     """Direct adaptive quadrature of F_t at a single x; slow cross-check."""
     t = float(t)
     x = float(x)
     if t == 0.0 or x == 0.0:
         return 0.0
     return adaptive_integral(
-        lambda s: 0.0 if s == 0.0 else math.sin(x / s), 0.0, abs(t), tol=tol, max_depth=max_depth
+        lambda s: 0.0 if s == 0.0 else math.sin(x / s), 0.0, abs(t),
+        tol=ADAPTIVE_TOL, max_depth=ADAPTIVE_MAX_DEPTH,
     )
 
 
-def weak_oscillatory_measure(t, space=None) -> Measure:
-    """Probability measure with density 1/(2 pi) + F_t(x)/(2 A) on [-pi, pi].
+def weak_oscillatory_measure(t) -> Measure:
+    """Probability measure with density 1/(2 pi) + F_t(x)/(2 A) on [-pi, pi],
+    on the ``weak-curve`` model's grid.
 
     F_t integrates to zero (odd), so the total mass is 1 for every t; the
     density stays above 1/(4 pi) by the choice of A.
@@ -518,19 +528,18 @@ def weak_oscillatory_measure(t, space=None) -> Measure:
     t = float(t)
     if not -1.0 < t < 1.0:
         raise DomainError("oscillatory curve needs |t| < 1")
-    if space is None:
-        space = get_model("weak-curve").space
+    space = get_model("weak-curve").space
     dens = 1.0 / (2 * math.pi) + oscillatory_time_integral(t, space.points) / (
         2 * OSC_AMPLITUDE
     )
     return Measure(space, dens, signed=False)
 
 
-def weak_oscillatory_velocity(t, space=None, min_panels_per_period=8) -> Measure:
+def weak_oscillatory_velocity(t, space=None) -> Measure:
     """The curve's velocity sin(x/t)/(2 A) dx as a signed measure.
 
     For small t the default backend cannot resolve the oscillation, so a
-    dedicated grid with at least ``min_panels_per_period`` panels per
+    dedicated grid with at least ``MIN_PANELS_PER_PERIOD`` panels per
     period of sin(x/t) is built unless a space is supplied.
     """
     t = float(t)
@@ -541,7 +550,7 @@ def weak_oscillatory_velocity(t, space=None, min_panels_per_period=8) -> Measure
             space = get_model("weak-curve").space
         else:
             periods = max(1, int(math.ceil(1.0 / abs(t))))
-            panels = max(240, min_panels_per_period * periods)
+            panels = max(240, MIN_PANELS_PER_PERIOD * periods)
             space = grid1d_space(-math.pi, math.pi, panels=panels, npts=4)
     if t == 0.0:
         dens = np.zeros(space.size)
@@ -565,8 +574,8 @@ def weak_oscillatory_exchange(ts):
     for t in ts:
         h = 1e-4 * max(abs(t), 0.1)
         for H in (np.cos(x), np.sin(x)):
-            up = np.sum(H * weak_oscillatory_measure(t + h, space=space).masses)
-            dn = np.sum(H * weak_oscillatory_measure(t - h, space=space).masses)
+            up = np.sum(H * weak_oscillatory_measure(t + h).masses)
+            dn = np.sum(H * weak_oscillatory_measure(t - h).masses)
             lhs = (up - dn) / (2 * h)
             rhs = np.sum(H * weak_oscillatory_velocity(t, space=space).masses)
             rows.append([t, lhs, rhs, abs(lhs - rhs)])
@@ -578,9 +587,9 @@ def weak_oscillatory_exchange(ts):
     return rows, tvs
 
 
-def weak_oscillatory_model(panels=120, npts=8) -> ParamModel:
+def weak_oscillatory_model(panels=120) -> ParamModel:
     """The oscillatory curve packaged as a 1-parameter model on [-pi, pi]."""
-    space = grid1d_space(-math.pi, math.pi, panels=panels, npts=npts)
+    space = grid1d_space(-math.pi, math.pi, panels=panels)
     x = space.points
 
     def dens(thetas):
@@ -681,7 +690,7 @@ def normalized_friedrich_model() -> ParamModel:
     # Negative side is flat; the positive side clusters geometrically toward 0
     # so bumps of width down to ~1e-5 stay resolved.
     neg = uniform_edges(-1.0, 0.0, 16)
-    pos = geometric_edges(1e-7, 1.0, 96, origin=0.0)
+    pos = geometric_edges(1e-7, 1.0, 96)
     space = grid1d_from_edges(np.concatenate([neg[:-1], pos]), npts=6)
     x = space.points
     C = bump_square_integral()
@@ -710,7 +719,7 @@ def normalized_friedrich_model() -> ParamModel:
 # Tangent vectors, products, reparameterizations
 # ---------------------------------------------------------------------------
 
-def tangent_at(model: ParamModel, theta, v, validate=True) -> TangentVector:
+def tangent_at(model: ParamModel, theta, v) -> TangentVector:
     """Tangent vector of the model at theta in parameter direction v.
 
     log_rep = (sum_i v_i d_i p) / p where the density exceeds the dominance
@@ -718,7 +727,8 @@ def tangent_at(model: ParamModel, theta, v, validate=True) -> TangentVector:
     carries non-negligible velocity mass the derivative genuinely escapes
     the support and NotDominated is raised. (Vanishing-tail mismatches,
     where the score is huge but its mass is nil, pass through: the score of
-    a mixture is unbounded yet square-integrable.)
+    a mixture is unbounded yet square-integrable.) A tangent whose mass
+    defect exceeds 10 ``QUAD_TOL`` raises UsageError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -739,10 +749,9 @@ def tangent_at(model: ParamModel, theta, v, validate=True) -> TangentVector:
     rep = np.zeros_like(p)
     rep[~lo] = dv[~lo] / p[~lo]
     tangent = TangentVector(Measure(model.space, p, signed=False), rep)
-    if validate:
-        defect = tangent.mass_defect()
-        if abs(defect) > 10 * QUAD_TOL:
-            raise UsageError(f"tangent mass defect {defect:.3e} exceeds tolerance")
+    defect = tangent.mass_defect()
+    if abs(defect) > 10 * QUAD_TOL:
+        raise UsageError(f"tangent mass defect {defect:.3e} exceeds tolerance")
     return tangent
 
 

@@ -53,15 +53,15 @@ def uniform_edges(lo, hi, panels):
     return np.linspace(float(lo), float(hi), int(panels) + 1)
 
 
-def geometric_edges(lo, hi, panels, origin=0.0):
-    """Panel edges clustering geometrically toward ``origin`` from ``lo``.
+def geometric_edges(lo, hi, panels):
+    """Panel edges on [0, hi] clustering geometrically toward 0.
 
     Used for densities with detail concentrated near one endpoint (the
-    support-shrinking bump family). ``lo`` is the smallest edge offset
-    from ``origin``; a leading panel [origin, origin+lo] is prepended.
+    support-shrinking bump family). ``lo`` is the smallest positive edge;
+    a leading panel [0, lo] is prepended.
     """
-    off = np.geomspace(float(lo), float(hi - origin), int(panels))
-    return np.concatenate([[float(origin)], float(origin) + off])
+    off = np.geomspace(float(lo), float(hi), int(panels))
+    return np.concatenate([[0.0], off])
 
 
 def adaptive_integral(f, a, b, tol=1e-9, max_depth=40):

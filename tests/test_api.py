@@ -1,0 +1,90 @@
+"""The settable surface: every defaulted parameter of the public API.
+
+A parameter with a default is a value callers may tune. Each one should
+have callers that set it differently; a value with one setting in use is a
+module constant instead. Adding a knob means naming it here. Constructor
+defaults (dataclass fields, exception payloads) are data, not knobs, and
+are not listed.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import sigeo
+
+SETTABLE = {
+    "acceptance.check_cramer_rao(seed)",
+    "acceptance.check_data_processing(seed)",
+    "acceptance.check_fisher_oracles(seed)",
+    "acceptance.check_hausdorff_jeffrey(seed)",
+    "acceptance.check_hausdorff_monotonicity(seed)",
+    "acceptance.check_metric_axioms(seed)",
+    "acceptance.check_singularity(seed)",
+    "acceptance.check_speed_jump(seed)",
+    "acceptance.check_sphere_oracle(seed)",
+    "acceptance.check_tv_lower_bound(pairs)",
+    "acceptance.check_tv_lower_bound(seed)",
+    "acceptance.check_weak_demo(seed)",
+    "acceptance.run_all(only)",
+    "acceptance.run_all(seed)",
+    "cli.main(argv)",
+    "distance.fisher_distance(interior_nodes)",
+    "estimation.bias(sampling)",
+    "estimation.cramer_rao_gap(sampling)",
+    "estimation.mse_form(sampling)",
+    "estimation.phi_mean(sampling)",
+    "estimation.shrinkage_estimator(lam)",
+    "estimation.shrinkage_estimator(offset)",
+    "estimation.variance_form(sampling)",
+    "estimation.vmse_residual(sampling)",
+    "hausdorff.cloud_from_params(mode)",
+    "hausdorff.covering_profile(k)",
+    "hausdorff.flat_region_dimension_estimate(seed)",
+    "hausdorff.hausdorff_measure_estimate(enforce_density)",
+    "markov.binning_kernel(n_bins)",
+    "measures.grid1d_from_edges(npts)",
+    "measures.grid1d_space(npts)",
+    "measures.grid1d_space(panels)",
+    "measures.grid2d_space(npts)",
+    "measures.grid2d_space(panels)",
+    "models.gaussian_location2d_family(panels)",
+    "models.gaussian_location_family(panels)",
+    "models.gaussian_location_scale_family(panels)",
+    "models.gaussian_mixture(panels)",
+    "models.get_model(panels)",
+    "models.reparameterized_model(name)",
+    "models.weak_oscillatory_model(panels)",
+    "models.weak_oscillatory_velocity(space)",
+    "quadrature.adaptive_integral(max_depth)",
+    "quadrature.adaptive_integral(tol)",
+    "quadrature.panel_nodes_weights(npts)",
+}
+
+
+def _public_callables():
+    """(qualified name, function) for the public functions of every sigeo
+    module and the public methods of its public classes."""
+    for info in pkgutil.iter_modules(sigeo.__path__):
+        mod = importlib.import_module(f"sigeo.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for meth_name, meth in vars(obj).items():
+                    meth = getattr(meth, "__func__", meth)  # static and class methods
+                    if not meth_name.startswith("_") and inspect.isfunction(meth):
+                        yield f"{info.name}.{name}.{meth_name}", meth
+
+
+def test_settable_surface_is_the_named_set():
+    found = {
+        f"{qualname}({p.name})"
+        for qualname, fn in _public_callables()
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
+    assert found == SETTABLE
+    assert len(SETTABLE) == 45

@@ -180,6 +180,15 @@ def test_cramer_rao_command(capsys):
     payload = json.loads(out)
     assert payload["holds"] is True
     assert abs(payload["min_eigenvalue"]) < 1e-8
+    assert payload["noise_allowance"] == 0.0
+    code, out, _ = run_cli(
+        ["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--n", "5", "--draws", "2000",
+         "--no-timestamp"],
+        capsys,
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["holds"] is True
+    assert payload["noise_allowance"] > 0.0
 
 
 def test_verify_all_only_filter(capsys):

@@ -10,7 +10,6 @@ from sigeo.distance import (
     curve_length,
     fisher_distance,
     metric_axiom_check,
-    tv_bound_check,
 )
 from sigeo.measures import QUAD_TOL
 from sigeo.models import (
@@ -222,23 +221,23 @@ def test_distance_flags_degenerate_segments():
 # -- tv bound -----------------------------------------------------------------------
 
 def test_tv_bound_bernoulli():
-    res = tv_bound_check(BERN, [0.25], [0.75])
-    assert res.tv == pytest.approx(1.0, abs=1e-12)
-    assert res.distance_estimate == pytest.approx(ARC, abs=1e-6)
-    assert res.holds
+    res = fisher_distance(BERN, [0.25], [0.75])
+    assert res.lower_bound_tv == pytest.approx(1.0, abs=1e-12)
+    assert res.length == pytest.approx(ARC, abs=1e-6)
+    assert res.tv_holds
 
 
 def test_tv_bound_same_point():
-    res = tv_bound_check(BERN, [0.4], [0.4])
-    assert res.holds
-    assert res.tv == 0.0
+    res = fisher_distance(BERN, [0.4], [0.4])
+    assert res.tv_holds
+    assert res.lower_bound_tv == 0.0
 
 
 def test_tv_bound_mixture_pair():
     mix = gaussian_mixture()
-    res = tv_bound_check(mix, [0.5, 1.0], [0.5, 2.0])
-    assert res.holds
-    assert res.distance_estimate > 0
+    res = fisher_distance(mix, [0.5, 1.0], [0.5, 2.0])
+    assert res.tv_holds
+    assert res.length > 0
     assert res.converged
     assert res.iterations > 0
 

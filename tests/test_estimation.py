@@ -87,7 +87,7 @@ def test_monte_carlo_draws_once_per_form(monkeypatch):
 
     monkeypatch.setattr(estimation, "_outcome_weights", counted)
     prod, sigma, mc = product_model(BERN, 4), mean_estimator(BERN, 4), Sampling(500, seed=3)
-    for form in (phi_mean, mse_form, variance_form, vmse_residual):
+    for form in (phi_mean, mse_form, variance_form, vmse_residual, cramer_rao_gap):
         calls.clear()
         form(prod, [0.3], PHI_B, sigma, mc)
         assert len(calls) == 1, form.__name__
@@ -287,6 +287,37 @@ def test_mean_gap_vanishes_on_the_criterion_suite():
             for th in thetas:
                 worst = max(worst, np.max(np.abs(cramer_rao_gap(prod, th, phi, sigma).gap.matrix)))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "base,n,theta",
+    [(BERN, 4, [0.3]), (BERN, 10, [0.5]), (CAT3, 3, [0.2, 0.5])],
+    ids=["bernoulli^4", "bernoulli^10", "categorical:3^3"],
+)
+def test_monte_carlo_verdict_allows_sampling_noise(base, n, theta):
+    # The mean is efficient, so a sampled gap scatters around 0; without the
+    # allowance about half of these seeds (86 of 100 on categorical) fail.
+    prod, sigma, phi = product_model(base, n), mean_estimator(base, n), identity_chart(base)
+    failed = [s for s in range(100) if not cramer_rao_gap(prod, theta, phi, sigma, Sampling(2000, s)).holds]
+    assert failed == []
+    res = cramer_rao_gap(prod, theta, phi, sigma, Sampling(2000, 0))
+    assert 0.0 < res.noise_allowance < 0.2 * np.max(res.inverse_fisher.matrix)
+    assert cramer_rao_gap(prod, theta, phi, sigma).noise_allowance == 0.0
+
+
+def test_noise_allowance_reproduces_per_draw_formula():
+    # reference: 4 standard errors of the drawn values' variance along the
+    # gap's smallest-eigenvalue direction
+    n, theta, seed, count = 3, [0.25, 0.35], 21, 5000
+    prod = product_model(CAT3, n)
+    sigma = mean_estimator(CAT3, n)
+    probs = prod.density(theta)
+    idx = np.random.default_rng(seed).choice(prod.space.size, size=count, p=probs / probs.sum())
+    drawn = sigma.values[idx]
+    res = cramer_rao_gap(prod, theta, PHI_C, sigma, Sampling(count, seed))
+    u = np.linalg.eigh(res.gap.matrix)[1][:, 0]
+    q = ((drawn - drawn.mean(axis=0)) @ u) ** 2
+    assert res.noise_allowance == pytest.approx(4 * q.std(ddof=1) / np.sqrt(count), rel=1e-9)
 
 
 def test_gap_psd_for_shrinkage():

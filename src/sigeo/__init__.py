@@ -59,6 +59,7 @@ from .fisher import (
     FisherMatrix,
     fisher_inner,
     fisher_matrix,
+    fisher_matrices,
     two_integrability_probe,
 )
 from .distance import (

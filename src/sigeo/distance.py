@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .fisher import EIGEN_TOL, directional_form, fisher_matrix
+from .fisher import EIGEN_TOL, directional_form, fisher_matrices
 from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
@@ -324,16 +324,13 @@ def _checked_lengths(model: ParamModel, a, b, rules, halvings) -> np.ndarray:
 
 
 def _degenerate_segments(model: ParamModel, nodes) -> tuple:
-    flagged = []
-    for i in range(nodes.shape[0] - 1):
-        mid = 0.5 * (nodes[i] + nodes[i + 1])
-        if not model.domain.contains(mid):
-            continue
-        G = fisher_matrix(model, mid)
-        scale = max(float(np.max(G.eigenvalues, initial=0.0)), 1.0)
-        if float(np.min(G.eigenvalues)) < EIGEN_TOL * scale:
-            flagged.append(i)
-    return tuple(flagged)
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    inside = np.nonzero([model.domain.contains(mid) for mid in mids])[0]
+    if inside.size == 0:
+        return ()
+    eigs = np.linalg.eigvalsh(fisher_matrices(model, mids[inside]))
+    scale = np.maximum(np.max(eigs, axis=1), 1.0)
+    return tuple(inside[np.min(eigs, axis=1) < EIGEN_TOL * scale].tolist())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from .models import CurveInModel, ParamModel
 EIGEN_TOL = 1e-8  # relative to the largest eigenvalue, floored at 1
 JUMP_TOL = 0.1    # relative speed mismatch that counts as a discontinuity
 FD_STEP_T = 1e-4  # curve-velocity finite-difference step
+# Rows x reference nodes per jet call of a batched evaluation: 1.6 MB for
+# the densities, as much again per parameter for the Jacobian.
+JET_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,50 @@ def fisher_matrix(model: ParamModel, theta) -> FisherMatrix:
 
 def fisher_matrix_from_jet(theta, p, J, w) -> FisherMatrix:
     """``fisher_matrix`` from a jet (p, J) already evaluated at theta."""
-    scaled = J / np.maximum(p, DOMINANCE_TOL)[None, :]
-    G = (J * w[None, :]) @ scaled.T
-    G = 0.5 * (G + G.T)
+    G = _gram(p[None], J[None], w)[0]
     if not np.all(np.isfinite(G)):
         raise IntegrationError(f"non-finite Fisher integrand mass at theta={theta}")
     capped_mass = _capped_mass(p, J, w)
     eigs = np.linalg.eigvalsh(G)
-    scale = max(float(np.max(eigs, initial=0.0)), 1.0)
-    rank = int(np.sum(eigs > EIGEN_TOL * scale))
-    return FisherMatrix(theta, G, eigs, rank, capped_mass)
+    return FisherMatrix(theta, G, eigs, int(metric_ranks(eigs)), capped_mass)
+
+
+def fisher_matrices(model: ParamModel, thetas) -> np.ndarray:
+    """Fisher matrices (T, n, n) at the in-domain rows of thetas.
+
+    The batched ``fisher_matrix``: each matrix is bitwise the one
+    ``fisher_matrix`` assembles, and no jet call holds more than
+    ``JET_NODE_BUDGET`` rows x reference nodes.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    model.domain.require_rows(thetas)
+    w = model.space.weights
+    G = np.empty((thetas.shape[0], model.param_dim, model.param_dim))
+    chunk = jet_rows(model)
+    for start in range(0, thetas.shape[0], chunk):
+        G[start:start + chunk] = _gram(*model.jet(thetas[start:start + chunk]), w)
+    finite = np.all(np.isfinite(G), axis=(1, 2))
+    if not np.all(finite):
+        raise IntegrationError(f"non-finite Fisher integrand mass at theta={thetas[np.argmin(finite)]}")
+    return G
+
+
+def jet_rows(model: ParamModel) -> int:
+    """Parameter rows per jet call within ``JET_NODE_BUDGET``."""
+    return max(1, JET_NODE_BUDGET // max(model.space.size, 1))
+
+
+def _gram(P, J, w):
+    """Symmetrized G = (J w) (J / p)^T per row of a jet (T, X), (T, n, X)."""
+    G = (J * w) @ np.swapaxes(J / np.maximum(P, DOMINANCE_TOL)[:, None, :], 1, 2)
+    return 0.5 * (G + np.swapaxes(G, 1, 2))
+
+
+def metric_ranks(eigs) -> np.ndarray:
+    """Rank of each metric from its eigenvalues (..., n): the count above
+    ``EIGEN_TOL`` times the largest eigenvalue floored at 1."""
+    scale = np.maximum(np.max(eigs, axis=-1, initial=0.0), 1.0)
+    return np.sum(eigs > EIGEN_TOL * scale[..., None], axis=-1)
 
 
 def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:

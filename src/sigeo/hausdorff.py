@@ -9,8 +9,10 @@ double-counting the greedy radius.
 
 Distance matrices come from cumulative segment lengths for 1-parameter
 models, and from straight-segment or midpoint evaluations for higher
-dimensions, which suit dense clouds where the metric barely turns.
-Cloud sizes, quadrature rules and tolerances are module constants.
+dimensions, which suit dense clouds where the metric barely turns. A
+midpoint cloud assembles G once per distinct midpoint; the Jeffrey
+quadrature assembles G at all its nodes in one batched call. Cloud
+sizes, quadrature rules and tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     UsageError,
 )
 # directional_form is unused here; perfbench/tests/test_tracing.py expects the binding.
-from .fisher import directional_form, fisher_matrix
+from .fisher import directional_form, fisher_matrices, fisher_matrix, jet_rows, metric_ranks
 from .markov import MarkovKernel, pushforward_model
 from .models import ParamModel
 from .quadrature import panel_nodes_weights, uniform_edges
@@ -248,18 +250,18 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     G^(1/2)-mapped points. The slope window [diam/17, diam/6] balances
     boundary against occupancy bias.
     """
+    # Imported here, not at module level: the import takes about 0.2 s, which
+    # every other user of this module would pay.
     from scipy.spatial import cKDTree
 
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
     n = lo.size
-    samples = np.vstack([_grid(lo, hi, 2), 0.5 * (lo + hi)])
-    mats = [fisher_matrix(model, th).matrix for th in samples]
+    mats = fisher_matrices(model, np.vstack([_grid(lo, hi, 2), 0.5 * (lo + hi)]))
     G0 = mats[-1]
     scale = max(float(np.max(np.abs(G0))), 1e-300)
-    for m in mats:
-        if np.max(np.abs(m - G0)) > 0.01 * scale:
-            raise UsageError("metric varies over the region; constant-metric path invalid")
+    if np.max(np.abs(mats - G0)) > 0.01 * scale:
+        raise UsageError("metric varies over the region; constant-metric path invalid")
     eigs, U = np.linalg.eigh(G0)
     if np.min(eigs) <= 0:
         raise DegenerateRegionError("metric not positive definite on the region")
@@ -303,8 +305,9 @@ def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricClo
     segment    straight-segment lengths (upper bounds; tight when the
                metric is near-constant across the cloud)
     midpoint   one-point metric evaluation sqrt(d^T G(mid) d), the
-               segment rule with 1 Gauss point; cheapest, exact when G
-               is constant
+               segment rule with 1 Gauss point; G is assembled once per
+               distinct midpoint, so clouds on a grid, whose pairs share
+               midpoints, are cheapest; exact when G is constant
     """
     pts = np.atleast_2d(np.asarray(params, dtype=float))
     if mode == "cumulative":
@@ -314,9 +317,9 @@ def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricClo
             )
         return _cloud_cumulative(model, pts)
     if mode == "segment":
-        return _cloud_pairwise(model, pts, CLOUD_QUAD_POINTS)
+        return _cloud_segment(model, pts)
     if mode == "midpoint":
-        return _cloud_pairwise(model, pts, 1)
+        return _cloud_midpoint(model, pts)
     raise UsageError(f"unknown cloud mode {mode!r}")
 
 
@@ -331,16 +334,29 @@ def _cloud_cumulative(model, pts) -> MetricCloud:
     return MetricCloud(pts, np.abs(s[:, None] - s[None, :]))
 
 
-def _cloud_pairwise(model, pts, quad_points) -> MetricCloud:
+def _cloud_segment(model, pts) -> MetricCloud:
     """Straight-segment lengths between every pair of points, in chunks."""
     M = pts.shape[0]
     ii, jj = np.triu_indices(M, k=1)
     d = np.zeros((M, M))
-    chunk = max(1, 200_000 // max(model.space.size, 1))
+    chunk = max(1, jet_rows(model) // CLOUD_QUAD_POINTS)  # pairs per jet call
     for start in range(0, ii.size, chunk):
         sl = slice(start, start + chunk)
         ends = np.stack([pts[ii[sl]], pts[jj[sl]]], axis=1)  # (pairs, 2, n)
-        d[ii[sl], jj[sl]] = _segment_lengths(model, ends, quad_points)[:, 0]
+        d[ii[sl], jj[sl]] = _segment_lengths(model, ends, CLOUD_QUAD_POINTS)[:, 0]
+    return MetricCloud(pts, d + d.T)
+
+
+def _cloud_midpoint(model, pts) -> MetricCloud:
+    """sqrt(v^T G(a + v/2) v) for every pair a, a + v of points, with G
+    assembled once per distinct midpoint."""
+    M = pts.shape[0]
+    ii, jj = np.triu_indices(M, k=1)
+    v = pts[jj] - pts[ii]
+    mids, inverse = np.unique(pts[ii] + 0.5 * v, axis=0, return_inverse=True)
+    G = fisher_matrices(model, mids)
+    d = np.zeros((M, M))
+    d[ii, jj] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[inverse.ravel()], v), 0.0))
     return MetricCloud(pts, d + d.T)
 
 
@@ -396,7 +412,7 @@ def jeffrey_measure(model: ParamModel, region) -> float:
     pts, w = _region_rule(region)
     if np.all(w == 0.0):
         return 0.0
-    vals = np.array([jeffrey_density(model, th) for th in pts])
+    vals = np.sqrt(np.maximum(np.linalg.det(fisher_matrices(model, pts)), 0.0))
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite Jeffrey density in the region")
     return float(np.sum(vals * w))
@@ -415,10 +431,11 @@ def jeffrey_vs_hausdorff_check(model: ParamModel, region):
     n = model.param_dim
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
-    for th in _grid(lo, hi, RANK_SAMPLES):
-        G = fisher_matrix(model, th)
-        if G.rank < n:
-            raise DegenerateRegionError(f"metric rank {G.rank} < {n} at theta={th}")
+    samples = _grid(lo, hi, RANK_SAMPLES)
+    ranks = metric_ranks(np.linalg.eigvalsh(fisher_matrices(model, samples)))
+    if np.any(ranks < n):
+        i = int(np.argmax(ranks < n))
+        raise DegenerateRegionError(f"metric rank {ranks[i]} < {n} at theta={samples[i]}")
 
     jeffrey = jeffrey_measure(model, region)
 

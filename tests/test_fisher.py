@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
-from sigeo.errors import UsageError
+from sigeo import fisher
+from sigeo.errors import DomainError, UsageError
 from sigeo.fisher import (
     directional_form,
     fisher_inner,
+    fisher_matrices,
     fisher_matrix,
+    jet_rows,
+    metric_ranks,
     two_integrability_probe,
 )
 from sigeo.measures import zero_tangent
 from sigeo.models import (
     Box,
     CurveInModel,
+    ParamModel,
     bernoulli_family,
     categorical_family,
     gaussian_location_family,
     gaussian_location_scale_family,
     gaussian_mixture,
+    get_model,
     normalized_friedrich_model,
     reparameterized_model,
     tangent_at,
@@ -202,3 +208,54 @@ def test_probe_capped_mass_matches_fisher_matrix_per_point():
     assert probe.capped_mass.shape == (23,)
     assert np.array_equal(probe.capped_mass, per_point)
     assert np.count_nonzero(per_point) == 22
+
+
+REGISTRY_IDS = [
+    "bernoulli", "categorical:3", "mixture", "gauss-location", "gauss-location-2d",
+    "gauss-loc-scale", "weak-curve", "friedrich", "singular-curve",
+]
+
+
+def _assert_matches_per_row(model, thetas):
+    G = fisher_matrices(model, thetas)
+    per_row = [fisher_matrix(model, th) for th in thetas]
+    assert G.shape == (len(thetas), model.param_dim, model.param_dim)
+    assert np.array_equal(G, [f.matrix for f in per_row])
+    eigs = np.linalg.eigvalsh(G)
+    assert np.array_equal(eigs, [f.eigenvalues for f in per_row])
+    assert np.array_equal(metric_ranks(eigs), [f.rank for f in per_row])
+    assert np.array_equal(np.linalg.det(G), [np.linalg.det(f.matrix) for f in per_row])
+
+
+@pytest.mark.parametrize("model_id", REGISTRY_IDS)
+def test_fisher_matrices_match_fisher_matrix_bitwise(model_id, monkeypatch):
+    model = get_model(model_id)
+    rng = np.random.default_rng(0)
+    thetas = np.array([model.domain.sample(rng) for _ in range(64)])
+    _assert_matches_per_row(model, thetas[:1])
+    _assert_matches_per_row(model, thetas)
+    # jets of 5 rows: the 64 rows cross twelve chunk boundaries
+    monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5 * model.space.size)
+    assert jet_rows(model) == 5
+    _assert_matches_per_row(model, thetas)
+
+
+def test_fisher_matrices_chunk_at_the_node_budget():
+    model = get_model("gauss-location-2d")  # 4096 nodes: 48 rows per jet
+    rows = []
+
+    def jet(thetas):
+        rows.append(len(thetas))
+        return model.jet(thetas)
+
+    counting = ParamModel(model.name, model.domain, model.space, model.density_batch, jet_fn=jet)
+    fisher_matrices(counting, np.zeros((100, 2)))
+    assert rows == [48, 48, 4]
+    assert max(rows) * model.space.size <= fisher.JET_NODE_BUDGET
+
+
+def test_fisher_matrices_name_the_first_row_outside_the_domain():
+    with pytest.raises(DomainError, match=r"\[0.2 0.9\]"):
+        fisher_matrices(CAT3, [[0.2, 0.3], [0.2, 0.9], [1.5, 0.1]])
+    with pytest.raises(DomainError, match="coordinates"):
+        fisher_matrices(CAT3, [[0.2, 0.3, 0.1]])

@@ -16,6 +16,8 @@ from sigeo.errors import (
 )
 from sigeo.hausdorff import (
     MetricCloud,
+    _grid,
+    _region_rule,
     alpha_k,
     cloud_from_params,
     covering_number,
@@ -31,13 +33,15 @@ from sigeo.hausdorff import (
     jeffrey_vs_hausdorff_check,
 )
 from sigeo.distance import _segment_lengths
-from sigeo.fisher import fisher_matrix
+from sigeo.fisher import JET_NODE_BUDGET, fisher_matrix
 from sigeo.markov import binning_kernel, permutation_kernel
 from sigeo.models import (
+    ParamModel,
     bernoulli_family,
     categorical_family,
     gaussian_location2d_family,
     gaussian_location_family,
+    gaussian_location_scale_family,
     gaussian_mixture,
 )
 
@@ -143,6 +147,42 @@ def test_midpoint_cloud_is_the_one_point_rule():
         assert cloud.dist[i, j] == pytest.approx(np.sqrt(v @ G @ v), rel=1e-14, abs=0)
     # the model's quadrature gives G = I only to about 2e-8
     np.testing.assert_allclose(cloud.dist, euclid_cloud(pts).dist, rtol=1e-7, atol=0)
+
+
+def _pairs(pts):
+    ii, jj = np.triu_indices(len(pts), k=1)
+    return ii, jj, pts[ii] + 0.5 * (pts[jj] - pts[ii])
+
+
+def test_midpoint_cloud_assembles_g_once_per_distinct_midpoint():
+    loc2 = gaussian_location2d_family()
+    rows = []
+
+    def jet(thetas):
+        rows.append(len(thetas))
+        return loc2.jet(thetas)
+
+    counting = ParamModel(loc2.name, loc2.domain, loc2.space, loc2.density_batch, jet_fn=jet)
+    pts = _grid(np.array([-1.0, -1.0]), np.array([0.6, 0.6]), 12)  # a cover workload cloud
+    cloud = cloud_from_params(counting, pts, mode="midpoint")
+    ii, _, mids = _pairs(pts)
+    distinct = np.unique(mids, axis=0)
+    assert ii.size == 10296 and sum(rows) == len(distinct) < ii.size // 2
+    assert len(rows) > 1 and max(rows) * loc2.space.size <= JET_NODE_BUDGET
+    np.testing.assert_array_equal(cloud.dist, cloud_from_params(loc2, pts, mode="midpoint").dist)
+
+
+def test_mixture_midpoint_cloud_is_the_one_point_segment_rule_across_b0():
+    mix = gaussian_mixture()
+    pts = _grid(np.array([0.2, -0.8]), np.array([0.8, 1.0]), 10)  # straddles b = 0
+    cloud = cloud_from_params(mix, pts, mode="midpoint")
+    ii, jj, _ = _pairs(pts)
+    ref = np.concatenate([
+        _segment_lengths(mix, np.stack([pts[ii[s:s + 500]], pts[jj[s:s + 500]]], axis=1), 1)[:, 0]
+        for s in range(0, ii.size, 500)
+    ])
+    assert np.min(np.abs(pts[:, 1])) < 0.2 < np.max(pts[:, 1])
+    np.testing.assert_allclose(cloud.dist[ii, jj], ref, rtol=1e-12, atol=0)
 
 
 def test_halving_schedule_matches_reference_loops():
@@ -268,6 +308,23 @@ def test_jeffrey_density_vanishes_on_degenerate_lines():
 
 def test_jeffrey_measure_bernoulli_segment():
     assert jeffrey_measure(BERN, ([0.25], [0.75])) == pytest.approx(ARC, rel=1e-9)
+
+
+def _jeffrey_per_point(model, region):
+    """The quadrature with one fisher_matrix per node."""
+    pts, w = _region_rule(region)
+    return float(np.sum(np.array([jeffrey_density(model, th) for th in pts]) * w))
+
+
+@pytest.mark.parametrize("model, region", [
+    (BERN, ([0.1], [0.9])),
+    (gaussian_location_family(), ([-1.0], [1.5])),
+    (gaussian_location2d_family(), ([-1.0, -0.5], [0.8, 1.0])),
+    (gaussian_location_scale_family(), ([-1.0, 0.6], [1.2, 1.8])),
+    (gaussian_mixture(), ([0.2, -1.0], [0.8, 1.0])),  # straddles b = 0
+], ids=["bernoulli", "gauss-location", "gauss-location-2d", "gauss-loc-scale", "mixture"])
+def test_jeffrey_measure_is_the_per_point_quadrature_bitwise(model, region):
+    assert jeffrey_measure(model, region) == _jeffrey_per_point(model, region)
 
 
 def test_jeffrey_measure_empty_region():

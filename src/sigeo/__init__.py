@@ -31,10 +31,6 @@ from .measures import (
     grid1d_space,
     grid2d_space,
     integrate,
-    measure_from_json,
-    measure_to_json,
-    probability_measure,
-    radon_nikodym,
     tv_norm,
 )
 from .models import (
@@ -70,7 +66,6 @@ from .distance import (
 )
 from .markov import (
     MarkovKernel,
-    identity_kernel,
     monotonicity_gap,
     permutation_kernel,
     pushforward_measure,
@@ -84,7 +79,6 @@ from .hausdorff import (
     MetricCloud,
     alpha_k,
     cloud_from_params,
-    covering_number,
     covering_profile,
     flat_region_dimension_estimate,
     hausdorff_dimension_estimate,
@@ -105,9 +99,7 @@ from .estimation import (
     identity_chart,
     inverse_fisher_form,
     mean_estimator,
-    mse_form,
     phi_mean,
-    regularity_probe,
     variance_form,
     vmse_residual,
 )

@@ -60,10 +60,12 @@ LENGTH_TOL = 1e-9
 MAX_HALVINGS = 40
 # Relative optimizer accuracy allowance used by the axiom checks. The stop
 # rule bounds the last improvement, not the gap to the infimum, so this is
-# an allowance, not a certified bound: Gaussian location-scale estimates
-# have been measured up to 1.15e-3 above the closed-form distance, beyond
-# this value. Separating discretization from optimizer error is open work
-# (ROADMAP item 2).
+# an allowance, not a certified bound. On the 25 seed-0 Gaussian
+# location-scale pairs of tv-lower-bound, estimates sit up to 1.61e-3
+# above the closed-form distance (median 2.2e-4), beyond this value; with
+# 16 interior nodes instead of 8 the largest gap falls to 4.3e-4, so most
+# of it is path discretization. Separating discretization from optimizer
+# error is open work (ROADMAP item 3).
 OPTIMIZER_GAP = 1e-3
 
 

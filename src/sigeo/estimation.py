@@ -22,14 +22,11 @@ from .errors import OutsideRangeError, SamplingError, UsageError
 from .fisher import EIGEN_TOL, fisher_matrix_from_jet
 from .models import ParamModel, outcome_table
 
-PSD_TOL = 1e-10
 CR_TOL = 1e-7
 # Monte Carlo Cramer-Rao verdicts allow this many standard errors of the
 # sampled variance along the gap's smallest-eigenvalue direction.
 CR_NOISE_SE = 4.0
 RANGE_TOL = 1e-8
-# Regularity probe: squared-norm growth toward the boundary that flags a point.
-GROWTH_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,7 @@ class Estimator:
     """A raw estimator on a finite model: one parameter estimate per atom.
 
     Estimates nominally land in the model's parameter domain, though maps
-    that strain that contract (inverse-style plug-ins) are representable;
-    the regularity probe exists to catch their blow-ups.
+    that strain that contract (inverse-style plug-ins) are representable.
     """
 
     name: str
@@ -94,6 +90,10 @@ def shrinkage_estimator(base: ParamModel, n: int, lam=0.9, offset=0.05) -> Estim
 
 def constant_estimator(base: ParamModel, n: int, theta0) -> Estimator:
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    if theta0.shape != (base.param_dim,):
+        raise UsageError(
+            f"constant estimator needs {base.param_dim} values, one per parameter of {base.name}; got {theta0.size}"
+        )
     count = base.space.size ** n
     return Estimator("constant", np.tile(theta0, (count, 1)))
 
@@ -102,8 +102,7 @@ def plugin_inverse_estimator(base: ParamModel, n: int) -> Estimator:
     """1 over the Laplace-smoothed mean, (k+1)/(n+2); blows up near p -> 0.
 
     The smoothing keeps every value finite so second moments enumerate,
-    while the norm still grows steeply toward the boundary, which is what
-    the regularity probe is meant to flag.
+    while the norm still grows steeply toward the boundary.
     """
     if base.space.size != 2 or base.param_dim != 1:
         raise UsageError("plugin-inverse estimator is defined for Bernoulli bases")
@@ -124,6 +123,8 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
         if key.startswith("constant:"):
             theta0 = [float(s) for s in key.split(":", 1)[1].split(",")]
             return constant_estimator(base, n, theta0)
+    except UsageError:
+        raise
     except ValueError as exc:
         raise UsageError(f"estimator id {estimator_id!r} needs numeric parameters: {exc}") from None
     if key == "plugin-inverse":
@@ -147,18 +148,14 @@ class Sampling:
             raise UsageError(f"Monte Carlo draws must be 0 (exact) or at least 2, got {self.draws}")
 
 
-def _outcome_probs(model: ParamModel, theta) -> np.ndarray:
-    if model.space.kind != "finite":
-        raise UsageError("estimation expectations need a finite model")
-    p = model.density(theta) * model.space.weights
-    if np.any(p < -1e-12):
-        raise SamplingError("negative outcome probability")
-    return np.maximum(p, 0.0)
-
-
 def _outcome_weights(model: ParamModel, theta, sampling: Sampling) -> np.ndarray:
     """Outcome probabilities, or the frequencies of ``sampling.draws`` seeded draws."""
-    probs = _outcome_probs(model, theta)
+    if model.space.kind != "finite":
+        raise UsageError("estimation expectations need a finite model")
+    probs = model.density(theta) * model.space.weights
+    if np.any(probs < -1e-12):
+        raise SamplingError("negative outcome probability")
+    probs = np.maximum(probs, 0.0)
     if not sampling.draws:
         return probs
     rng = np.random.default_rng(sampling.seed)
@@ -210,21 +207,10 @@ class QuadraticForm:
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
-    def is_psd(self) -> bool:
-        return self.min_eigenvalue() >= -PSD_TOL
-
 
 def _second_moment(vals, w, center) -> QuadraticForm:
     centered = vals - center[None, :]
     return QuadraticForm((centered * w[:, None]).T @ centered)
-
-
-def mse_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
-    """E[(phi sigma - phi(theta)) (phi sigma - phi(theta))^T]."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = _phi_values(phi, sigma, model)
-    w = _outcome_weights(model, theta, sampling)
-    return _second_moment(vals, w, phi.apply(theta[None, :])[0])
 
 
 def variance_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
@@ -312,32 +298,3 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
         allowance = CR_NOISE_SE * (spread / (sampling.draws - 1)) ** 0.5
     return CramerRaoResult(gap, mn, mn >= -CR_TOL - allowance, V, F, allowance)
 
-
-# ---------------------------------------------------------------------------
-# Regularity probe
-# ---------------------------------------------------------------------------
-
-def regularity_probe(model, thetas, phi, sigma):
-    """L2 norms of phi(sigma) across a parameter grid, with blow-up flags.
-
-    A grid point is flagged when its squared norm exceeds ``GROWTH_RATIO``
-    times a neighbor's squared norm while sitting closer to the domain
-    boundary than that neighbor: bounded estimators stay unflagged, while
-    inverse-style plug-ins light up toward the region they blow up in.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    squares = _phi_values(phi, sigma, model) ** 2
-    norms = np.array(
-        [np.sqrt(np.max((squares * _outcome_probs(model, th)[:, None]).sum(axis=0))) for th in thetas]
-    )
-    edge = np.minimum(
-        np.min(thetas - model.domain.lo[None, :], axis=1),
-        np.min(model.domain.hi[None, :] - thetas, axis=1),
-    )
-    flagged = np.zeros(thetas.shape[0], dtype=bool)
-    for i in range(thetas.shape[0]):
-        for j in (i - 1, i + 1):
-            if 0 <= j < thetas.shape[0] and edge[i] < edge[j]:
-                if norms[i] ** 2 > GROWTH_RATIO * norms[j] ** 2:
-                    flagged[i] = True
-    return {"thetas": thetas, "norms": norms, "flagged": flagged}

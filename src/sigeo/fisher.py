@@ -39,10 +39,6 @@ class FisherMatrix:
     rank: int
     capped_mass: float = 0.0
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
 

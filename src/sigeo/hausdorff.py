@@ -128,11 +128,6 @@ def greedy_cover(cloud: MetricCloud, delta) -> list:
     return sets
 
 
-def covering_number(cloud: MetricCloud, delta) -> int:
-    """Size of the greedy delta-net."""
-    return len(greedy_cover(cloud, delta))
-
-
 def covering_profile(cloud: MetricCloud, deltas, k=None):
     """Covering counts (and raw premeasures) over a decreasing schedule.
 

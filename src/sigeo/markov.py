@@ -3,9 +3,9 @@
 A kernel assigns to every source atom/node a probability row over a finite
 target; pushing a measure forward integrates the rows against the measure.
 Pushforwards are linear, map probability measures to probability measures,
-and contract both the total-variation norm and the Fisher metric. Grid
-sources are handled by interval binning, which keeps rows exactly
-one-hot and hence exactly row-stochastic.
+and contract both the total-variation norm and the Fisher metric.
+Deterministic kernels (permutations, binnings) keep rows exactly one-hot
+and hence exactly row-stochastic.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class MarkovKernel:
             raise UsageError("kernel rows must sum to 1")
 
 
-def identity_kernel(space: SampleSpace) -> MarkovKernel:
-    if space.kind != "finite":
-        raise UsageError("identity kernel needs a finite space")
-    return MarkovKernel(space, space, np.eye(space.size))
-
-
 def permutation_kernel(space: SampleSpace, perm) -> MarkovKernel:
     perm = np.asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(space.size)):
@@ -60,26 +54,18 @@ def permutation_kernel(space: SampleSpace, perm) -> MarkovKernel:
     return MarkovKernel(space, space, rows)
 
 
-def binning_kernel(source: SampleSpace, labels, n_bins=None) -> MarkovKernel:
-    """Deterministic coarse-graining: atom i maps to bin labels[i]."""
+def binning_kernel(source: SampleSpace, labels) -> MarkovKernel:
+    """Deterministic coarse-graining: atom i maps to bin labels[i] of
+    labels.max() + 1 bins."""
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (source.size,):
         raise UsageError("one bin label per source node required")
-    m = int(n_bins) if n_bins is not None else int(labels.max()) + 1
-    if labels.min() < 0 or labels.max() >= m:
-        raise UsageError("bin labels out of range")
+    if labels.min() < 0:
+        raise UsageError("bin labels must be nonnegative")
+    m = int(labels.max()) + 1
     rows = np.zeros((source.size, m))
     rows[np.arange(source.size), labels] = 1.0
     return MarkovKernel(source, finite_space(m), rows)
-
-
-def interval_binning_kernel(source: SampleSpace, edges) -> MarkovKernel:
-    """Bin a 1-d grid source into the intervals delimited by ``edges``."""
-    if source.kind != "grid1d":
-        raise UsageError("interval binning needs a 1-d grid source")
-    edges = np.asarray(edges, dtype=float)
-    labels = np.clip(np.searchsorted(edges, source.points, side="right"), 0, edges.size)
-    return binning_kernel(source, labels, n_bins=edges.size + 1)
 
 
 def random_kernel(source: SampleSpace, n_target: int, rng) -> MarkovKernel:

@@ -13,20 +13,19 @@ numpy's fixed left-to-right summation for reproducibility.
 
 Tolerances
 ----------
-MASS_TOL = 1e-9       total-mass slack for probability measures
+MASS_TOL = 1e-9       row-sum slack for Markov kernels
 QUAD_TOL = 1e-6       grid quadrature slack for identities exact in the continuum
 DOMINANCE_TOL = 1e-12 density floor separating genuine mass from roundoff
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotDominated, UsageError
+from .errors import DomainError, UsageError
 from .quadrature import panel_nodes_weights, uniform_edges
 
 MASS_TOL = 1e-9
@@ -157,14 +156,6 @@ def _check_same_space(a: Measure, b: Measure):
         raise UsageError("measures live on different sample spaces")
 
 
-def probability_measure(space: SampleSpace, density) -> Measure:
-    """Construct a probability measure, validating normalization to ``MASS_TOL``."""
-    mu = Measure(space, density, signed=False)
-    if abs(mu.total_mass() - 1.0) > MASS_TOL:
-        raise UsageError(f"density integrates to {mu.total_mass():.3e}, not 1 within {MASS_TOL:g}")
-    return mu
-
-
 def tv_norm(mu: Measure) -> float:
     """Total variation norm: sum of |density| times reference weights."""
     return float(np.sum(np.abs(mu.density) * mu.space.weights))
@@ -209,27 +200,6 @@ def integrate(f, mu: Measure) -> float:
     return float(np.sum(vals * masses))
 
 
-def radon_nikodym(nu: Measure, xi: Measure) -> np.ndarray:
-    """Pointwise density d(nu)/d(xi) where xi's density exceeds ``DOMINANCE_TOL``.
-
-    Nodes where xi vanishes but nu carries density above that floor violate
-    domination and raise NotDominated listing the offending node indices.
-    Where both vanish the quotient is taken to be 0.
-    """
-    _check_same_space(nu, xi)
-    lo = xi.density <= DOMINANCE_TOL
-    offending = np.nonzero(lo & (np.abs(nu.density) > DOMINANCE_TOL))[0]
-    if offending.size:
-        raise NotDominated(
-            f"measure carries density on {offending.size} node(s) where the base vanishes",
-            nodes=offending.tolist(),
-        )
-    out = np.zeros(xi.space.size)
-    hi = ~lo
-    out[hi] = nu.density[hi] / xi.density[hi]
-    return out
-
-
 @dataclass(frozen=True)
 class TangentVector:
     """A tangent vector at a probability measure.
@@ -255,38 +225,3 @@ class TangentVector:
 
     def velocity_measure(self) -> Measure:
         return Measure(self.base.space, self.log_rep * self.base.density, signed=True)
-
-    def scaled(self, c) -> "TangentVector":
-        return TangentVector(self.base, self.log_rep * float(c))
-
-
-def zero_tangent(base: Measure) -> TangentVector:
-    return TangentVector(base, np.zeros(base.space.size))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization. Finite-backend round trips are bit-exact because
-# python floats serialize via repr (shortest round-trip form).
-# ---------------------------------------------------------------------------
-
-def measure_to_json(mu: Measure) -> str:
-    payload = {
-        "backend": mu.space.kind,
-        "points": mu.space.points.tolist(),
-        "reference_weights": mu.space.weights.tolist(),
-        "bounds": list(mu.space.bounds),
-        "densities": mu.density.tolist(),
-        "signed": bool(mu.signed),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def measure_from_json(text: str) -> Measure:
-    payload = json.loads(text)
-    space = SampleSpace(
-        payload["backend"],
-        np.asarray(payload["points"], dtype=float),
-        np.asarray(payload["reference_weights"], dtype=float),
-        tuple(payload.get("bounds", ())),
-    )
-    return Measure(space, np.asarray(payload["densities"], dtype=float), signed=payload["signed"])

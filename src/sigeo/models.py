@@ -123,9 +123,6 @@ class Box:
         if not np.all(inside):
             self.require(thetas[np.argmin(inside)])
 
-    def clip(self, theta) -> np.ndarray:
-        return np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), self.lo, self.hi)
-
     def sample(self, rng) -> np.ndarray:
         """Uniform draw from the box shrunk by ``SAMPLE_MARGIN`` of its width."""
         span = self.hi - self.lo
@@ -179,10 +176,6 @@ class ParamModel:
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(thetas), dtype=float)
         return np.asarray(self.jet_fn(thetas)[1], dtype=float)
-
-    def jacobian(self, theta) -> np.ndarray:
-        self.domain.require(theta)
-        return self.jacobian_batch([np.atleast_1d(theta)])[0]
 
     # -- both at once ------------------------------------------------------
 
@@ -242,9 +235,6 @@ class CurveInModel:
         i = min(int(scaled), self.segments - 1)
         local = scaled - i
         return (1 - local) * self.nodes[i] + local * self.nodes[i + 1]
-
-    def reversed(self) -> "CurveInModel":
-        return CurveInModel(self.model, self.nodes[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +419,6 @@ def singular_reparam_point(t) -> tuple:
     return alpha, beta
 
 
-def singular_reparam_measure(t) -> Measure:
-    """Mixture measure at (alpha(t), beta(t)); signed for t > 0."""
-    mix = get_model("mixture")
-    return Measure(mix.space, mix.density_batch([singular_reparam_point(t)])[0], signed=True)
-
-
-def corner_witness_measure(t) -> Measure:
-    """Mixture measure at (t^(2/3), t^(1/3)).
-
-    A continuous path through the corner (0, 0) whose measure-space
-    velocity tends to x exp(-x^2/2)/sqrt(2 pi) in total variation even
-    though both parameter partials of the density vanish identically at
-    the corner itself.
-    """
-    t = float(t)
-    if not -1.0 < t < 1.0:
-        raise DomainError("witness path needs |t| < 1")
-    mix = get_model("mixture")
-    root = math.copysign(abs(t) ** (1.0 / 3.0), t)
-    return Measure(mix.space, mix.density_batch([[root * root, root]])[0], signed=False)
-
-
-def corner_velocity_target() -> Measure:
-    """The limiting velocity x exp(-x^2/2)/sqrt(2 pi) as a signed measure."""
-    space = get_model("mixture").space
-    x = space.points
-    return Measure(space, x * np.exp(-0.5 * x * x) / SQRT2PI, signed=True)
-
-
 def singular_reparam_model() -> ParamModel:
     """The corner path: the mixture pulled back through (alpha, beta).
 
@@ -539,11 +500,8 @@ def weak_oscillatory_measure(t) -> Measure:
     t = float(t)
     if not -1.0 < t < 1.0:
         raise DomainError("oscillatory curve needs |t| < 1")
-    space = get_model("weak-curve").space
-    dens = 1.0 / (2 * math.pi) + oscillatory_time_integral(t, space.points) / (
-        2 * OSC_AMPLITUDE
-    )
-    return Measure(space, dens, signed=False)
+    model = get_model("weak-curve")
+    return Measure(model.space, model.density_batch([[t]])[0], signed=False)
 
 
 def weak_oscillatory_velocity(t, space=None) -> Measure:
@@ -686,11 +644,6 @@ def friedrich_measure(t) -> Measure:
     return Measure(space, friedrich_raw_density(t, space.points), signed=False)
 
 
-def normalized_friedrich_measure(t) -> Measure:
-    mu = friedrich_measure(t)
-    return Measure(mu.space, mu.density / tv_norm(mu), signed=False)
-
-
 def normalized_friedrich_model() -> ParamModel:
     """The normalized bump family as a 1-parameter model on (-1, 1).
 
@@ -772,9 +725,11 @@ def outcome_table(m: int, n: int) -> tuple:
     Returns the atom index of every draw, (m^n, n), and the occurrence
     count of every atom, (m^n, m).
     """
-    count = m ** n
+    # m >= 2 atoms pass ENUM_LIMIT within ENUM_LIMIT.bit_length() draws, so
+    # the power is capped there instead of growing with n.
+    count = m ** min(n, ENUM_LIMIT.bit_length())
     if count > ENUM_LIMIT:
-        raise UsageError("outcome space too large to enumerate")
+        raise UsageError(f"outcome space too large to enumerate: {m}^{n} outcomes exceed {ENUM_LIMIT}")
     digits = np.stack(np.unravel_index(np.arange(count), (m,) * n), axis=1)
     counts = np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
     return digits, counts

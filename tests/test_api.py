@@ -1,14 +1,20 @@
-"""The settable surface: every defaulted parameter of the public API.
+"""The public surface: its settable parameters and its library callers.
 
 A parameter with a default is a value callers may tune. Each one should
 have callers that set it differently; a value with one setting in use is a
 module constant instead. Adding a knob means naming it here. Constructor
 defaults (dataclass fields, exception payloads) are data, not knobs, and
 are not listed.
+
+A public function or method should have a caller in the library itself.
+One that only tests reach is named in ``TEST_ONLY`` with the reason it
+stays.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import sigeo
@@ -32,7 +38,6 @@ SETTABLE = {
     "distance.fisher_distance(interior_nodes)",
     "estimation.bias(sampling)",
     "estimation.cramer_rao_gap(sampling)",
-    "estimation.mse_form(sampling)",
     "estimation.phi_mean(sampling)",
     "estimation.shrinkage_estimator(lam)",
     "estimation.shrinkage_estimator(offset)",
@@ -42,7 +47,6 @@ SETTABLE = {
     "hausdorff.covering_profile(k)",
     "hausdorff.flat_region_dimension_estimate(seed)",
     "hausdorff.hausdorff_measure_estimate(enforce_density)",
-    "markov.binning_kernel(n_bins)",
     "measures.grid1d_from_edges(npts)",
     "measures.grid1d_space(npts)",
     "measures.grid1d_space(panels)",
@@ -87,4 +91,49 @@ def test_settable_surface_is_the_named_set():
         if p.default is not inspect.Parameter.empty
     }
     assert found == SETTABLE
-    assert len(SETTABLE) == 45
+    assert len(SETTABLE) == 43
+
+
+TEST_ONLY = {
+    "distance.curve_length": "length of a given polyline; tests check fisher_distance against it",
+    "estimation.bias": "the paper's bias of an estimator; tests check the closed forms",
+    "estimation.phi_mean": "the paper's phi-mean, reached through bias; tests check it against Monte Carlo",
+    "estimation.variance_form": "the variance side of the Cramer-Rao gap; tests check its closed forms",
+    "fisher.fisher_inner": "the paper's Fisher inner product of tangent vectors",
+    "markov.binning_kernel": "the paper's deterministic coarse-graining kernel",
+    "markov.compose": "composition of kernels; tests check that pushforwards compose",
+    "models.oscillatory_time_integral_adaptive": "adaptive-quadrature oracle of the closed-form F_t",
+}
+
+
+def _library_references():
+    """Names and attributes the sigeo modules refer to, outside ``np.`` and
+    ``math.`` and outside the bodies of the ``TEST_ONLY`` functions."""
+    names = set()
+
+    def visit(node, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}"
+            if qualname in TEST_ONLY:
+                return
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("np", "math")):
+                names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname)
+
+    for path in pathlib.Path(sigeo.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return names
+
+
+def test_every_public_function_has_a_library_caller():
+    referenced = _library_references()
+    unreached = {
+        qualname for qualname, _ in _public_callables()
+        if qualname.rsplit(".", 1)[1] not in referenced
+    }
+    assert unreached == set(TEST_ONLY)

@@ -227,11 +227,16 @@ def test_verify_all_only_filter(capsys):
           "--k", "nan"], {}, "dimension"),
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--n", "3", "--draws", "1"], {}, "--draws"),
         (["fisher-matrix", "--model", "bernoulli", "--theta", "0.5", "--grid", "4"], {}, "grid"),
+        (["cramer-rao", "--model", "categorical:3", "--theta", "0.3,0.3", "--n", "200000000"], {},
+         "too large to enumerate"),
+        (["cramer-rao", "--model", "categorical:3", "--theta", "0.3,0.3", "--estimator", "constant:0.5"], {},
+         "needs 2 values"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
-         "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded"],
+         "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
+         "constant-count"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:

@@ -12,7 +12,7 @@ from sigeo.fisher import (
     metric_ranks,
     two_integrability_probe,
 )
-from sigeo.measures import zero_tangent
+from sigeo.measures import TangentVector
 from sigeo.models import (
     Box,
     CurveInModel,
@@ -40,7 +40,7 @@ def test_inner_bernoulli_half():
 
 def test_inner_with_zero_tangent():
     v = tangent_at(BERN, [0.3], [1.0])
-    assert fisher_inner(v, zero_tangent(v.base)) == 0.0
+    assert fisher_inner(v, TangentVector(v.base, np.zeros(v.base.space.size))) == 0.0
 
 
 def test_inner_rejects_mismatched_bases():

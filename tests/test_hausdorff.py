@@ -20,7 +20,6 @@ from sigeo.hausdorff import (
     _region_rule,
     alpha_k,
     cloud_from_params,
-    covering_number,
     covering_profile,
     flat_region_dimension_estimate,
     greedy_cover,
@@ -75,20 +74,20 @@ def euclid_cloud(pts):
 def test_single_point_covering():
     cloud = MetricCloud([[0.0]], [[0.0]])
     for delta in (0.1, 1.0, 10.0):
-        assert covering_number(cloud, delta) == 1
+        assert len(greedy_cover(cloud, delta)) == 1
 
 
 def test_two_points_one_ball():
     cloud = euclid_cloud([[0.0], [1.0]])
-    assert covering_number(cloud, 2.0) == 1  # radius 1 >= distance
-    assert covering_number(cloud, 0.5) == 2
+    assert len(greedy_cover(cloud, 2.0)) == 1  # radius 1 >= distance
+    assert len(greedy_cover(cloud, 0.5)) == 2
 
 
 def test_uniform_line_count_within_factor_two():
     pts = np.linspace(0, 1, 401)[:, None]
     cloud = euclid_cloud(pts)
     for delta in (0.25, 0.1, 0.05):
-        n = covering_number(cloud, delta)
+        n = len(greedy_cover(cloud, delta))
         assert math.ceil(1.0 / delta) <= n <= 2 * math.ceil(1.0 / delta) + 1
 
 
@@ -109,7 +108,7 @@ def test_covering_profile_monotone_in_delta(seed):
     deltas = np.sort(rng.uniform(0.05, 1.5, size=6))[::-1]
     _, counts, _ = covering_profile(cloud, deltas)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
-    raw = [covering_number(cloud, d) for d in deltas]
+    raw = [len(greedy_cover(cloud, d)) for d in deltas]
     assert all(c <= r for c, r in zip(counts, raw))
 
 

@@ -8,8 +8,6 @@ from sigeo.fisher import fisher_inner
 from sigeo.markov import (
     binning_kernel,
     compose,
-    identity_kernel,
-    interval_binning_kernel,
     metric_along,
     monotonicity_gap,
     permutation_kernel,
@@ -19,7 +17,7 @@ from sigeo.markov import (
     random_kernel,
     sufficiency_check,
 )
-from sigeo.measures import Measure, finite_space, grid1d_space, probability_measure, tv_norm
+from sigeo.measures import Measure, finite_space, tv_norm
 from sigeo.models import (
     Box,
     ParamModel,
@@ -36,14 +34,14 @@ F4 = finite_space(4)
 
 
 def uniform4():
-    return probability_measure(F4, [0.25] * 4)
+    return Measure(F4, [0.25] * 4)
 
 
 # -- pushforward of measures ---------------------------------------------------
 
 def test_identity_kernel_preserves_measure():
-    mu = probability_measure(F4, [0.1, 0.2, 0.3, 0.4])
-    out = pushforward_measure(identity_kernel(F4), mu)
+    mu = Measure(F4, [0.1, 0.2, 0.3, 0.4])
+    out = pushforward_measure(permutation_kernel(F4, range(4)), mu)
     assert out.density == pytest.approx(mu.density)
 
 
@@ -56,7 +54,7 @@ def test_binning_uniform_four_to_two():
 def test_pushforward_preserves_probability():
     rng = np.random.default_rng(0)
     for _ in range(25):
-        mu = probability_measure(F4, rng.dirichlet([1.0] * 4))
+        mu = Measure(F4, rng.dirichlet([1.0] * 4))
         k = random_kernel(F4, int(rng.integers(2, 6)), rng)
         out = pushforward_measure(k, mu)
         assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
@@ -65,7 +63,7 @@ def test_pushforward_preserves_probability():
 
 def test_pushforward_space_mismatch():
     k = binning_kernel(F4, [0, 0, 1, 1])
-    mu = probability_measure(finite_space(3), [0.2, 0.3, 0.5])
+    mu = Measure(finite_space(3), [0.2, 0.3, 0.5])
     with pytest.raises(UsageError):
         pushforward_measure(k, mu)
 
@@ -89,24 +87,17 @@ def test_composition_exact():
     rng = np.random.default_rng(3)
     first = random_kernel(F4, 3, rng)
     second = random_kernel(finite_space(3), 2, rng)
-    mu = probability_measure(F4, rng.dirichlet([1.0] * 4))
+    mu = Measure(F4, rng.dirichlet([1.0] * 4))
     direct = pushforward_measure(compose(second, first), mu)
     staged = pushforward_measure(second, pushforward_measure(first, mu))
     assert direct.density == pytest.approx(staged.density, abs=1e-15)
-
-
-def test_grid_interval_binning_rows_are_stochastic():
-    grid = grid1d_space(-2, 2, panels=16, npts=4)
-    k = interval_binning_kernel(grid, [-0.5, 0.5])
-    assert k.rows.shape == (grid.size, 3)
-    assert np.max(np.abs(k.rows.sum(axis=1) - 1)) < 1e-12
 
 
 # -- pushforward of tangents ------------------------------------------------------
 
 def test_identity_preserves_tangent():
     v = tangent_at(CAT4, [0.2, 0.3, 0.1], [1.0, -1.0, 0.5])
-    out = pushforward_tangent(identity_kernel(CAT4.space), v)
+    out = pushforward_tangent(permutation_kernel(CAT4.space, range(4)), v)
     assert out.log_rep == pytest.approx(v.log_rep)
 
 
@@ -121,7 +112,7 @@ def test_pushed_tangent_has_zero_mass():
 
 def test_tangent_through_one_atom_space_vanishes():
     v = tangent_at(BERN, [0.3], [1.0])
-    k = binning_kernel(BERN.space, [0, 0], n_bins=1)
+    k = binning_kernel(BERN.space, [0, 0])
     out = pushforward_tangent(k, v)
     assert out.log_rep == pytest.approx([0.0])
     assert fisher_inner(out, out) == 0.0
@@ -130,7 +121,7 @@ def test_tangent_through_one_atom_space_vanishes():
 # -- monotonicity ------------------------------------------------------------------
 
 def test_gap_zero_for_identity():
-    gap = monotonicity_gap(identity_kernel(CAT4.space), CAT4, [0.2, 0.3, 0.1], [1.0, 0.0, -1.0])
+    gap = monotonicity_gap(permutation_kernel(CAT4.space, range(4)), CAT4, [0.2, 0.3, 0.1], [1.0, 0.0, -1.0])
     assert abs(gap) < 1e-10
 
 
@@ -159,7 +150,7 @@ def test_gap_zero_for_permutations():
 
 
 def test_one_atom_target_keeps_only_zero_metric():
-    k = binning_kernel(BERN.space, [0, 0], n_bins=1)
+    k = binning_kernel(BERN.space, [0, 0])
     gap = monotonicity_gap(k, BERN, [0.3], [1.0])
     # the image metric is 0, so the gap is the full metric
     assert gap == pytest.approx(metric_along(BERN, [0.3], [1.0]), rel=1e-12)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sigeo.errors import DomainError, NotDominated, UsageError
+from sigeo.errors import DomainError
 from sigeo.measures import (
     Measure,
     TangentVector,
@@ -14,10 +13,6 @@ from sigeo.measures import (
     finite_space,
     grid1d_space,
     integrate,
-    measure_from_json,
-    measure_to_json,
-    probability_measure,
-    radon_nikodym,
     tv_norm,
 )
 
@@ -25,7 +20,7 @@ F2 = finite_space(2)
 
 
 def bernoulli(p):
-    return probability_measure(F2, [1 - p, p])
+    return Measure(F2, [1 - p, p])
 
 
 # -- bhattacharyya_angle ------------------------------------------------------
@@ -93,7 +88,7 @@ def test_tv_triangle_inequality(d1, d2):
 # -- integrate ----------------------------------------------------------------
 
 GRID = grid1d_space(-8, 8, panels=64, npts=8)
-GAUSS = probability_measure(GRID, np.exp(-0.5 * GRID.points**2) / math.sqrt(2 * math.pi))
+GAUSS = Measure(GRID, np.exp(-0.5 * GRID.points**2) / math.sqrt(2 * math.pi))
 
 
 def test_integrate_normalization():
@@ -125,60 +120,9 @@ def test_integrate_ignores_nonfinite_off_support():
     assert integrate(f, mu) == pytest.approx(2.0)
 
 
-# -- radon_nikodym ------------------------------------------------------------
-
-def test_rn_identity():
-    xi = bernoulli(0.4)
-    assert radon_nikodym(xi, xi) == pytest.approx([1.0, 1.0])
-
-
-def test_rn_not_dominated():
-    xi = Measure(F2, [1.0, 0.0])
-    nu = Measure(F2, [0.0, 1.0])
-    with pytest.raises(NotDominated) as err:
-        radon_nikodym(nu, xi)
-    assert err.value.nodes == [1]
-
-
-def test_rn_bernoulli_path_tangent():
-    # velocity of t -> (1-t, t) at t = 1/2 against the base (0.5, 0.5)
-    xi = bernoulli(0.5)
-    vel = Measure(F2, [-1.0, 1.0], signed=True)
-    assert radon_nikodym(vel, xi) == pytest.approx([-2.0, 2.0])
-
-
-def test_rn_multiply_reintegrate_recovers_density():
-    xi = bernoulli(0.3)
-    nu = Measure(F2, [0.2, -0.4], signed=True)
-    dens = radon_nikodym(nu, xi) * xi.density
-    assert dens == pytest.approx(nu.density, abs=1e-15)
-
-
 # -- tangent vectors ----------------------------------------------------------
 
 def test_tangent_mass_defect_and_velocity():
     v = TangentVector(bernoulli(0.5), np.array([-2.0, 2.0]))
     assert v.mass_defect() == pytest.approx(0.0, abs=1e-15)
     assert v.velocity_measure().density == pytest.approx([-1.0, 1.0])
-
-
-def test_probability_measure_validates_mass():
-    with pytest.raises(UsageError):
-        probability_measure(F2, [0.4, 0.4])
-
-
-# -- serialization ------------------------------------------------------------
-
-def test_json_roundtrip_bit_exact_finite():
-    mu = Measure(F2, [0.1 + 1e-17, 0.9], signed=False)
-    text = measure_to_json(mu)
-    back = measure_from_json(text)
-    assert back.space.same_as(mu.space)
-    assert np.array_equal(back.density, mu.density)
-    assert measure_to_json(back) == text
-
-
-def test_json_carries_backend_and_weights():
-    payload = json.loads(measure_to_json(GAUSS))
-    assert payload["backend"] == "grid1d"
-    assert len(payload["reference_weights"]) == GRID.size

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sigeo import models
 from sigeo.errors import DomainError, NotDominated, UsageError
-from sigeo.measures import integrate, tv_norm
+from sigeo.measures import Measure, integrate, tv_norm
 from sigeo.models import (
     Box,
     CurveInModel,
@@ -14,20 +15,17 @@ from sigeo.models import (
     bump_derivative,
     bump_square_integral,
     categorical_family,
-    corner_velocity_target,
-    corner_witness_measure,
     friedrich_measure,
     gaussian_location_family,
     gaussian_location_scale_family,
     gaussian_mixture,
     get_model,
-    normalized_friedrich_measure,
     normalized_friedrich_model,
     oscillatory_time_integral,
     oscillatory_time_integral_adaptive,
+    outcome_table,
     product_model,
     reparameterized_model,
-    singular_reparam_measure,
     singular_reparam_point,
     tangent_at,
     weak_oscillatory_measure,
@@ -123,7 +121,7 @@ def test_zoo_densities_normalized(model, thetas):
 )
 def test_analytic_jacobians_match_finite_differences(model, theta):
     theta = np.asarray(theta, dtype=float)
-    J = model.jacobian(theta)
+    J = model.jet_at(theta)[1]
     h = 1e-5
     for i in range(model.param_dim):
         e = np.zeros(model.param_dim)
@@ -142,17 +140,29 @@ def test_mixture_with_zero_weight_is_standard_normal():
 
 
 def test_mixture_partials_vanish_at_corner():
-    J = MIX.jacobian([0.0, 0.0])
+    J = MIX.jet_at([0.0, 0.0])[1]
     assert np.max(np.abs(J)) == 0.0
 
 
 def test_mixture_b_partial_vanishes_on_a_zero_line():
-    J = MIX.jacobian([0.0, 2.0])
+    J = MIX.jet_at([0.0, 2.0])[1]
     assert np.max(np.abs(J[1])) == 0.0
     assert np.max(np.abs(J[0])) > 0.0
 
 
 # -- reparameterized corner path -------------------------------------------------
+
+def singular_reparam_measure(t):
+    """The mixture measure at (alpha(t), beta(t)); signed for t > 0."""
+    curve = get_model("singular-curve")
+    return Measure(curve.space, curve.density_batch([[t]])[0], signed=True)
+
+
+def corner_witness_measure(t):
+    """The mixture measure at (t^(2/3), t^(1/3)), a path through the corner."""
+    root = math.copysign(abs(t) ** (1.0 / 3.0), t)
+    return Measure(MIX.space, MIX.density_batch([[root * root, root]])[0])
+
 
 def test_singular_reparam_origin():
     assert singular_reparam_point(0.0) == (0.0, 0.0)
@@ -173,15 +183,14 @@ def test_singular_reparam_domain_error():
 
 def test_singular_curve_jacobian_vanishes_at_the_corner():
     # beta' diverges at t = 0, but it multiplies the b-partial, which is 0 there
-    assert np.max(np.abs(get_model("singular-curve").jacobian([0.0]))) == 0.0
+    assert np.max(np.abs(get_model("singular-curve").jet_at([0.0])[1])) == 0.0
 
 
 def test_singular_curve_is_the_mixture_pulled_back():
     curve = get_model("singular-curve")
     for t in (-0.6, 0.0, 0.2):
-        np.testing.assert_array_equal(curve.density_batch([[t]])[0], singular_reparam_measure(t).density)
         np.testing.assert_array_equal(
-            singular_reparam_measure(t).density, MIX.density_batch([singular_reparam_point(t)])[0]
+            curve.density_batch([[t]])[0], MIX.density_batch([singular_reparam_point(t)])[0]
         )
 
 
@@ -208,7 +217,8 @@ def test_corner_witness_velocity_reaches_nonzero_limit():
     # the witness path has measure-space velocity x exp(-x^2/2)/sqrt(2 pi)
     # at the corner even though the parameter Jacobian vanishes there;
     # its TV norm is 2/sqrt(2 pi)
-    target = corner_velocity_target()
+    x = MIX.space.points
+    target = Measure(MIX.space, x * np.exp(-0.5 * x * x) / SQ, signed=True)
     assert tv_norm(target) == pytest.approx(2 / math.sqrt(2 * math.pi), rel=1e-6)
     dists = []
     for t in (1e-2, 1e-4, 1e-6):
@@ -286,15 +296,10 @@ def test_friedrich_mass_at_least_one():
         assert tv_norm(friedrich_measure(t)) >= 1.0 - 1e-12
 
 
-def test_normalized_friedrich_is_probability():
-    for t in (-0.5, 0.0, 0.7):
-        assert normalized_friedrich_measure(t).total_mass() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_friedrich_model_jacobian_matches_finite_differences():
     model = normalized_friedrich_model()
     for t in (0.25, -0.4):
-        J = model.jacobian([t])[0]
+        J = model.jet_at([t])[1][0]
         h = 1e-6
         fd = (model.density_batch([[t + h]])[0] - model.density_batch([[t - h]])[0]) / (2 * h)
         assert np.max(np.abs(J - fd)) < 1e-5 * max(np.max(np.abs(fd)), 1.0)
@@ -336,7 +341,7 @@ def test_param_model_needs_exactly_one_jacobian_route():
     for routes in ({}, {"jacobian_fn": jac, "jet_fn": jet}):
         with pytest.raises(UsageError, match="exactly one"):
             ParamModel("coin", box, space, dens, **routes)
-    np.testing.assert_array_equal(ParamModel("coin", box, space, dens, jet_fn=jet).jacobian([0.4]), [[-1.0, 1.0]])
+    np.testing.assert_array_equal(ParamModel("coin", box, space, dens, jet_fn=jet).jet_at([0.4])[1], [[-1.0, 1.0]])
 
 
 def test_tangent_not_dominated():
@@ -372,7 +377,7 @@ def test_product_model_density_and_jacobian():
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
     # independent check at outcome (1, 0, 1) -> atom index 5
     assert dens[5] == pytest.approx(p * (1 - p) * p, rel=1e-12)
-    J = prod.jacobian([p])[0]
+    J = prod.jet_at([p])[1][0]
     h = 1e-6
     fd = (prod.density([p + h]) - prod.density([p - h])) / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-7
@@ -398,6 +403,18 @@ def test_product_model_size_guard():
         product_model(BERN, 25)
 
 
+def test_outcome_table_enumerates_up_to_the_limit(monkeypatch):
+    # 3^(10^9) would take minutes to form as a Python integer
+    with pytest.raises(UsageError, match="too large"):
+        outcome_table(3, 10**9)
+    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
+    digits, counts = outcome_table(2, 6)
+    assert digits.shape == (64, 6) and counts.shape == (64, 2)
+    for m, n in ((2, 7), (3, 4), (65, 1)):
+        with pytest.raises(UsageError, match="too large"):
+            outcome_table(m, n)
+
+
 def test_reparameterized_model_chain_rule():
     # u -> theta = 0.5 + 0.4 sin(u)
     rep = reparameterized_model(
@@ -407,8 +424,8 @@ def test_reparameterized_model_chain_rule():
         Box([-1.0], [1.0]),
     )
     u = 0.3
-    J = rep.jacobian([u])
-    expected = 0.4 * math.cos(u) * BERN.jacobian([0.5 + 0.4 * math.sin(u)])
+    J = rep.jet_at([u])[1]
+    expected = 0.4 * math.cos(u) * BERN.jet_at([0.5 + 0.4 * math.sin(u)])[1]
     assert np.allclose(J, expected, atol=1e-12)
 
 

@@ -13,6 +13,11 @@ dimensions, which suit dense clouds where the metric barely turns. A
 midpoint cloud assembles G once per distinct midpoint; the Jeffrey
 quadrature assembles G at all its nodes in one batched call. Cloud
 sizes, quadrature rules and tolerances are module constants.
+
+A cloud of M points holds its one M x M matrix plus blocks sized by
+``fisher.JET_NODE_BUDGET``: the builders evaluate segments and midpoint
+pairs in budget-sized blocks, and the matrix checks and the mesh scan it
+in row blocks of at most that many entries.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (
     SparseCloudError,
     UsageError,
 )
+from . import fisher
 # directional_form is unused here; perfbench/tests/test_tracing.py expects the binding.
 from .fisher import directional_form, fisher_matrices, fisher_matrix, jet_rows, metric_ranks
 from .markov import MarkovKernel, pushforward_model
@@ -65,9 +71,20 @@ def alpha_k(k) -> float:
     return float(np.exp(0.5 * k * np.log(np.pi) - gammaln(1.0 + 0.5 * k)))
 
 
+def _row_blocks(M) -> list:
+    """Row slices of an M x M matrix, each within ``JET_NODE_BUDGET`` entries."""
+    rows = max(1, fisher.JET_NODE_BUDGET // max(M, 1))
+    return [slice(start, min(start + rows, M)) for start in range(0, M, rows)]
+
+
 @dataclass(frozen=True)
 class MetricCloud:
-    """Parameter points plus pairwise Fisher-distance estimates."""
+    """Parameter points plus pairwise Fisher-distance estimates.
+
+    The matrix is checked (zero diagonal, no NaN or negative entry,
+    symmetric to 1e-12) and its mesh found in one scan of row blocks, so
+    no check allocates more than a block.
+    """
 
     points: np.ndarray
     dist: np.ndarray
@@ -82,10 +99,23 @@ class MetricCloud:
         M = pts.shape[0]
         if d.shape != (M, M):
             raise UsageError("distance matrix must be square over the points")
-        if np.any(np.abs(np.diag(d)) > 0):
+        if np.any(np.diag(d) != 0):
             raise UsageError("distance matrix needs a zero diagonal")
-        if np.max(np.abs(d - d.T), initial=0.0) > 1e-12:
-            raise UsageError("distance matrix must be symmetric")
+        mesh = 0.0
+        for rows in _row_blocks(M):
+            block = d[rows]
+            if not np.all(block >= 0):  # NaN fails too
+                raise UsageError("distances must be nonnegative numbers")
+            work = block - d[:, rows].T
+            if np.max(np.abs(work, out=work), initial=0.0) > 1e-12:
+                raise UsageError("distance matrix must be symmetric")
+            if M > 1:
+                # Nearest neighbors: the block with its diagonal entries at inf.
+                np.copyto(work, block)
+                r = np.arange(rows.stop - rows.start)
+                work[r, r + rows.start] = np.inf
+                mesh = max(mesh, float(np.max(np.min(work, axis=1))))
+        object.__setattr__(self, "_mesh", mesh)
 
     @property
     def size(self) -> int:
@@ -96,10 +126,7 @@ class MetricCloud:
 
     def mesh(self) -> float:
         """Largest nearest-neighbor distance (0 for a single point)."""
-        if self.size < 2:
-            return 0.0
-        d = self.dist + np.diag(np.full(self.size, np.inf))
-        return float(np.max(np.min(d, axis=1)))
+        return self._mesh
 
 
 def _lex_order(points) -> np.ndarray:
@@ -318,41 +345,75 @@ def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricClo
     raise UsageError(f"unknown cloud mode {mode!r}")
 
 
+def _segment_chunk(model) -> int:
+    """Segments per jet call of the cumulative and segment clouds."""
+    return max(1, jet_rows(model) // CLOUD_QUAD_POINTS)
+
+
 def _cloud_cumulative(model, pts) -> MetricCloud:
+    M = pts.shape[0]
     order = np.argsort(pts[:, 0])
     sorted_pts = pts[order]
-    lengths = np.concatenate(
-        [[0.0], np.cumsum(_segment_lengths(model, sorted_pts, CLOUD_QUAD_POINTS))]
-    )
-    s = np.empty(pts.shape[0])
-    s[order] = lengths
-    return MetricCloud(pts, np.abs(s[:, None] - s[None, :]))
+    chunk = _segment_chunk(model)
+    lengths = [
+        _segment_lengths(model, sorted_pts[start:start + chunk + 1], CLOUD_QUAD_POINTS)
+        for start in range(0, M - 1, chunk)
+    ]
+    s = np.empty(M)
+    s[order] = np.cumsum(np.concatenate([[0.0], *lengths]))
+    d = s[:, None] - s[None, :]
+    return MetricCloud(pts, np.abs(d, out=d))
+
+
+def _pair_blocks(M, size):
+    """Index pairs i < j of M points in row-major order, ``size`` at a time."""
+    # row_start[i] is the position of pair (i, i + 1) in that order
+    row_start = np.concatenate([[0], np.cumsum(np.arange(M - 1, 0, -1))])
+    pairs = M * (M - 1) // 2
+    for start in range(0, pairs, size):
+        k = np.arange(start, min(start + size, pairs))
+        ii = np.searchsorted(row_start, k, side="right") - 1
+        yield ii, k - row_start[ii] + ii + 1
 
 
 def _cloud_segment(model, pts) -> MetricCloud:
     """Straight-segment lengths between every pair of points, in chunks."""
     M = pts.shape[0]
-    ii, jj = np.triu_indices(M, k=1)
     d = np.zeros((M, M))
-    chunk = max(1, jet_rows(model) // CLOUD_QUAD_POINTS)  # pairs per jet call
-    for start in range(0, ii.size, chunk):
-        sl = slice(start, start + chunk)
-        ends = np.stack([pts[ii[sl]], pts[jj[sl]]], axis=1)  # (pairs, 2, n)
-        d[ii[sl], jj[sl]] = _segment_lengths(model, ends, CLOUD_QUAD_POINTS)[:, 0]
-    return MetricCloud(pts, d + d.T)
+    for ii, jj in _pair_blocks(M, _segment_chunk(model)):
+        ends = np.stack([pts[ii], pts[jj]], axis=1)  # (pairs, 2, n)
+        d[ii, jj] = d[jj, ii] = _segment_lengths(model, ends, CLOUD_QUAD_POINTS)[:, 0]
+    return MetricCloud(pts, d)
 
 
 def _cloud_midpoint(model, pts) -> MetricCloud:
     """sqrt(v^T G(a + v/2) v) for every pair a, a + v of points, with G
-    assembled once per distinct midpoint."""
-    M = pts.shape[0]
-    ii, jj = np.triu_indices(M, k=1)
-    v = pts[jj] - pts[ii]
-    mids, inverse = np.unique(pts[ii] + 0.5 * v, axis=0, return_inverse=True)
+    assembled once per distinct midpoint.
+
+    Pairs go in blocks whose midpoints hold at most ``JET_NODE_BUDGET``
+    coordinates. A first pass keeps each block's distinct midpoints and
+    the index of every pair into them; one merge of those gives the
+    cloud's distinct midpoints, where G is assembled, and a second pass
+    forms each block's distances.
+    """
+    M, n = pts.shape
+    size = max(1, fisher.JET_NODE_BUDGET // n)  # pairs per block
+    local = [
+        np.unique(pts[ii] + 0.5 * (pts[jj] - pts[ii]), axis=0, return_inverse=True)
+        for ii, jj in _pair_blocks(M, size)
+    ]
+    mids, where = np.unique(
+        np.concatenate([pts[:0], *(u for u, _ in local)]), axis=0, return_inverse=True
+    )
     G = fisher_matrices(model, mids)
+    starts = np.cumsum([0, *(len(u) for u, _ in local)])
+    index = [where.ravel()[start + inverse.ravel()] for start, (_, inverse) in zip(starts, local)]
+    del local
     d = np.zeros((M, M))
-    d[ii, jj] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[inverse.ravel()], v), 0.0))
-    return MetricCloud(pts, d + d.T)
+    for (ii, jj), idx in zip(_pair_blocks(M, size), index):
+        v = pts[jj] - pts[ii]
+        d[ii, jj] = d[jj, ii] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[idx], v), 0.0))
+    return MetricCloud(pts, d)
 
 
 def _grid(lo, hi, side) -> np.ndarray:

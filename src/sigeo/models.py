@@ -119,7 +119,7 @@ class Box:
             raise DomainError(f"parameter rows have {thetas.shape[1]} coordinates where the model takes {self.dim}")
         inside = np.all((self.lo <= thetas) & (thetas <= self.hi), axis=1)  # NaN fails too
         if self.constraint is not None:
-            inside &= [bool(self.constraint(theta)) for theta in thetas]
+            inside &= np.array([bool(self.constraint(theta)) for theta in thetas], dtype=bool)
         if not np.all(inside):
             self.require(thetas[np.argmin(inside)])
 

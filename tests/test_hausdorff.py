@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,9 @@ from sigeo.hausdorff import (
     jeffrey_density,
     jeffrey_measure,
     jeffrey_vs_hausdorff_check,
+    region_cloud,
 )
+from sigeo import fisher
 from sigeo.distance import _segment_lengths
 from sigeo.fisher import JET_NODE_BUDGET, fisher_matrix
 from sigeo.markov import binning_kernel, permutation_kernel
@@ -45,6 +48,7 @@ from sigeo.models import (
 )
 
 BERN = bernoulli_family()
+CAT3 = categorical_family(3)
 ARC = 2 * (math.asin(math.sqrt(0.75)) - math.asin(math.sqrt(0.25)))
 
 
@@ -182,6 +186,121 @@ def test_mixture_midpoint_cloud_is_the_one_point_segment_rule_across_b0():
     ])
     assert np.min(np.abs(pts[:, 1])) < 0.2 < np.max(pts[:, 1])
     np.testing.assert_allclose(cloud.dist[ii, jj], ref, rtol=1e-12, atol=0)
+
+
+# -- bounded memory: matrix checks and builders in budget-sized blocks ----------------
+
+def _old_mesh(d):
+    """The mesh as computed before the row-block scan."""
+    return float(np.max(np.min(d + np.diag(np.full(len(d), np.inf)), axis=1)))
+
+
+def test_region_cloud_and_its_estimates_hold_little_beyond_the_matrix():
+    # A Jeffrey-vs-Hausdorff cloud on gauss-location: one 20.5 MB matrix;
+    # everything else comes in blocks of the jet budget.
+    loc = gaussian_location_family()
+    M = 1601
+    limit = 1.5 * M * M * 8
+    tracemalloc.start()
+    try:
+        cloud = region_cloud(loc, [-1.0], [1.0], M)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        hausdorff_dimension_estimate(cloud)
+        halving_schedule(cloud, 8, 100.0)
+        _, scan_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.dist.nbytes == M * M * 8
+    assert build_peak <= limit and scan_peak <= limit
+
+
+def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
+    loc, mix = gaussian_location_family(), gaussian_mixture()
+    grid_cat = _grid(np.array([0.1, 0.1]), np.array([0.5, 0.4]), 12)
+    grid_mix = _grid(np.array([0.3, -0.5]), np.array([0.7, 0.4]), 6)
+    cases = [
+        (loc, np.random.default_rng(7).uniform(-1.5, 1.5, (301, 1)), "cumulative"),
+        (mix, grid_mix, "segment"),
+        (CAT3, grid_cat, "segment"),
+        (mix, grid_mix, "midpoint"),
+        (CAT3, grid_cat, "midpoint"),
+    ]
+    ref = [cloud_from_params(model, pts, mode=mode) for model, pts, mode in cases]
+    # one segment per jet call, about 16 matrix rows per block, 2500 midpoint pairs
+    monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5000)
+    eps = np.finfo(float).eps
+    for (model, pts, mode), r in zip(cases, ref):
+        cloud = cloud_from_params(model, pts, mode=mode)
+        assert cloud.mesh() == r.mesh() == _old_mesh(r.dist)
+        if mode == "midpoint":
+            np.testing.assert_array_equal(cloud.dist, r.dist)
+        elif mode == "segment":
+            # one-segment jet calls round like the single-row reference
+            # of test_segment_cloud_entries_are_two_node_curve_lengths
+            np.testing.assert_allclose(cloud.dist, r.dist, rtol=4 * eps, atol=0)
+        else:
+            # cumulative distances are differences of cumulative lengths, so
+            # a rounding change in one length shifts them by ulps of the diameter
+            np.testing.assert_allclose(cloud.dist, r.dist, rtol=0, atol=4 * eps * r.diameter())
+
+
+def _line_matrix(M):
+    pts = np.arange(float(M))[:, None]
+    return pts, np.abs(pts - pts.T)
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ((10, 9), 1.0 + 1e-9, "symmetric"),
+    ((10, 9), float("nan"), "nonnegative"),
+    ((10, 9), -1.0, "nonnegative"),
+    ((10, 10), 1e-300, "diagonal"),
+], ids=["asymmetric", "nan", "negative", "diagonal"])
+def test_cloud_checks_reach_the_last_row_block(monkeypatch, entry, value, message):
+    monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 33)  # rows 0-2, 3-5, 6-8, 9-10
+    pts, d = _line_matrix(11)
+    d[entry] = value
+    if message != "symmetric":
+        d[entry[::-1]] = value
+    with pytest.raises(UsageError, match=message):
+        MetricCloud(pts, d)
+
+
+def test_cloud_rejects_nan_and_negative_distances():
+    nan = float("nan")
+    with pytest.raises(UsageError, match="nonnegative"):
+        MetricCloud([[0.0], [1.0], [2.0]], [[0, nan, 1], [nan, 0, 1], [1, 1, 0]])
+    with pytest.raises(UsageError, match="nonnegative"):
+        MetricCloud([[0.0], [1.0]], [[0, -1], [-1, 0]])
+
+
+def test_blocked_mesh_is_the_old_mesh_bitwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    clouds = [euclid_cloud(rng.uniform(0, 1, size=(M, 2))) for M in (2, 3, 17, 40)]
+    pts, d = _line_matrix(11)
+    d[10, 9] = d[9, 10] = 2.5  # the largest gap sits in the last row block
+    d[10, 8] = d[8, 10] = 2.75
+    for budget in (1, 33, JET_NODE_BUDGET):
+        monkeypatch.setattr(fisher, "JET_NODE_BUDGET", budget)
+        for cloud in clouds + [MetricCloud(pts, d)]:
+            assert MetricCloud(cloud.points, cloud.dist).mesh() == _old_mesh(cloud.dist)
+    assert MetricCloud(pts, d).mesh() == 2.5
+
+
+@pytest.mark.parametrize("model, pts, mode", [
+    (BERN, [[0.3]], "cumulative"),
+    (BERN, [[0.3], [0.6]], "cumulative"),
+    (CAT3, [[0.3, 0.3]], "segment"),
+    (CAT3, [[0.3, 0.3], [0.2, 0.5]], "segment"),
+    (CAT3, [[0.3, 0.3]], "midpoint"),
+    (CAT3, [[0.3, 0.3], [0.2, 0.5]], "midpoint"),
+], ids=["cumulative-1", "cumulative-2", "segment-1", "segment-2", "midpoint-1", "midpoint-2"])
+def test_one_and_two_point_clouds(model, pts, mode):
+    cloud = cloud_from_params(model, pts, mode=mode)
+    if cloud.size == 1:
+        assert cloud.dist.tolist() == [[0.0]] and cloud.mesh() == 0.0 == cloud.diameter()
+    else:
+        assert cloud.dist[0, 1] == cloud.dist[1, 0] == cloud.mesh() == cloud.diameter() > 0
 
 
 def test_halving_schedule_matches_reference_loops():
@@ -356,8 +475,6 @@ def test_degenerate_region_rejected():
 
 
 # -- monotonicity -------------------------------------------------------------------------
-
-CAT3 = categorical_family(3)
 
 
 def _simplex_cloud_points(rng, n=40):

@@ -227,7 +227,8 @@ def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
         (CAT3, grid_cat, "midpoint"),
     ]
     ref = [cloud_from_params(model, pts, mode=mode) for model, pts, mode in cases]
-    # one segment per jet call, about 16 matrix rows per block, 2500 midpoint pairs
+    # gauss-location and mixture get one segment per jet call, the 301-point
+    # matrix 16 rows per block, midpoint clouds 2500 pairs per block
     monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5000)
     eps = np.finfo(float).eps
     for (model, pts, mode), r in zip(cases, ref):

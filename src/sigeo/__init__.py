@@ -72,6 +72,7 @@ from .markov import (
     pushforward_model,
     pushforward_tangent,
     random_kernel,
+    random_kernel_gaps,
     sufficiency_check,
 )
 from .hausdorff import (

@@ -231,21 +231,15 @@ def check_data_processing(seed=0) -> CriterionResult:
         theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
         return theta * 0.9 / np.sum(theta) if np.sum(theta) > 0.94 else theta
 
-    min_gap = np.inf
-    for _ in range(DPI_KERNELS):
-        theta = sample_point()
-        v = rng.normal(size=3)
-        kernel = markov.random_kernel(cat4.space, int(rng.integers(2, 6)), rng)
-        gap = markov.monotonicity_gap(kernel, cat4, theta, v)
-        min_gap = min(min_gap, gap)
+    draws = ((sample_point(), rng.normal(size=3), int(rng.integers(2, 6))) for _ in range(DPI_KERNELS))
+    min_gap = np.min(markov.random_kernel_gaps(cat4, draws, rng))
 
-    worst_perm = 0.0
+    thetas, vs, kernels = [], [], []
     for _ in range(DPI_PERMUTATIONS):
-        theta = sample_point()
-        v = rng.normal(size=3)
-        perm = rng.permutation(4)
-        kernel = markov.permutation_kernel(cat4.space, perm)
-        worst_perm = max(worst_perm, abs(markov.monotonicity_gap(kernel, cat4, theta, v)))
+        thetas.append(sample_point())
+        vs.append(rng.normal(size=3))
+        kernels.append(markov.permutation_kernel(cat4.space, rng.permutation(4)))
+    worst_perm = float(np.max(np.abs(markov.monotonicity_gap(kernels, cat4, thetas, vs))))
 
     passed = min_gap >= -1e-9 and worst_perm <= 1e-10
     return CriterionResult(

@@ -250,13 +250,11 @@ def _cmd_pushforward(args):
 def _cmd_dpi_sweep(args):
     model = models.get_model(args.model)
     rng = np.random.default_rng(args.seed)
-    gaps = []
-    for _ in range(args.draws):
-        theta = model.domain.sample(rng)
-        v = rng.normal(size=model.param_dim)
-        kernel = markov.random_kernel(model.space, int(rng.integers(2, model.space.size + 2)), rng)
-        gaps.append(markov.monotonicity_gap(kernel, model, theta, v))
-    gaps = np.asarray(gaps)
+    draws = (
+        (model.domain.sample(rng), rng.normal(size=model.param_dim), int(rng.integers(2, model.space.size + 2)))
+        for _ in range(args.draws)
+    )
+    gaps = markov.random_kernel_gaps(model, draws, rng)
     ok = bool(np.min(gaps) >= -markov.MONO_TOL)
     if args.emit:
         _write_table(args.emit, ["draw", "gap"], [[i, g] for i, g in enumerate(gaps)])

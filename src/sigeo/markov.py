@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fisher
 from .errors import UsageError
 from .fisher import directional_form
 from .measures import DOMINANCE_TOL, MASS_TOL, Measure, SampleSpace, TangentVector, finite_space
-from .models import ParamModel, tangent_at
+from .models import ParamModel, tangent_log_reps
 
 SUFF_TOL = 1e-7
 MONO_TOL = 1e-9
@@ -39,6 +40,8 @@ class MarkovKernel:
             raise UsageError("kernel targets must be finite spaces")
         if rows.shape != (self.source.size, self.target.size):
             raise UsageError("kernel needs one row per source node")
+        if not np.all(np.isfinite(rows)):
+            raise UsageError("kernel entries must be finite")
         if np.any(rows < 0):
             raise UsageError("kernel entries must be nonnegative")
         if np.max(np.abs(rows.sum(axis=1) - 1.0)) > MASS_TOL:
@@ -119,35 +122,105 @@ def pushforward_model(kernel: MarkovKernel, model: ParamModel) -> ParamModel:
     return ParamModel(f"{model.name}>>pushed", model.domain, kernel.target, dens, jet_fn=jet)
 
 
-def metric_along(model: ParamModel, theta, v) -> float:
-    """g_theta(v, v) evaluated directly on the model."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(directional_form(model, theta[None, :], v[None, :])[0])
+def monotonicity_gap(kernel, model: ParamModel, thetas, vs) -> np.ndarray:
+    """g(v, v) minus the pushed metric g(T v, T v) for rows of thetas and vs.
 
-
-def monotonicity_gap(kernel: MarkovKernel, model: ParamModel, theta, v) -> float:
-    """g(v, v) minus the pushed metric g(T v, T v); nonnegative up to roundoff."""
-    before = metric_along(model, theta, v)
-    tangent = tangent_at(model, theta, v)
-    pushed = pushforward_tangent(kernel, tangent)
-    ok = pushed.base.density > DOMINANCE_TOL
-    after = float(
-        np.sum(pushed.log_rep[ok] ** 2 * pushed.base.density[ok] * pushed.base.space.weights[ok])
-    )
+    ``kernel`` is one MarkovKernel for every row or a sequence of one per
+    row. The gaps (T,) are nonnegative up to roundoff. One jet serves every
+    row, and the rows of kernels with one target size are pushed in one
+    stacked product; each gap is bitwise the one the per-row composition
+    ``tangent_at``, ``pushforward_tangent`` and the weighted square sum of
+    the pushed log_rep gives. A bad row raises what that composition
+    raises for it; of several bad rows, the first one's error is raised,
+    except that the domain and finiteness checks of every row come before
+    the tangent checks.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    vs = np.atleast_2d(np.asarray(vs, dtype=float))
+    kernels = [kernel] * len(thetas) if isinstance(kernel, MarkovKernel) else list(kernel)
+    if len(kernels) != len(thetas):
+        raise UsageError("one kernel per parameter row required")
+    before = directional_form(model, thetas, vs)
+    model.domain.require_rows(thetas)
+    P, J = model.jet(thetas)
+    w = model.space.weights
+    rep = tangent_log_reps(P, J, vs, w)
+    if not all(k.source.same_as(model.space) for k in kernels):
+        raise UsageError("measure lives on a different space than the kernel source")
+    base_masses = P * w
+    velocity_masses = rep * P * w
+    after = np.empty(len(thetas))
+    sizes = np.array([k.target.size for k in kernels])
+    for size in np.unique(sizes):
+        members = np.nonzero(sizes == size)[0]
+        K = _stacked_rows([kernels[i] for i in members])
+        base = np.matmul(base_masses[members, None, :], K)[:, 0, :]
+        velocity = np.matmul(velocity_masses[members, None, :], K)[:, 0, :]
+        ok = base > DOMINANCE_TOL
+        pushed = np.divide(velocity, base, out=np.zeros_like(velocity), where=ok)
+        terms = pushed ** 2 * base  # finite targets weigh every atom 1
+        sums = np.sum(terms, axis=1)
+        for i in np.nonzero(~np.all(ok, axis=1))[0]:
+            sums[i] = np.sum(terms[i][ok[i]])  # the sum over the kept atoms alone
+        after[members] = sums
     return before - after
+
+
+def _stacked_rows(kernels) -> np.ndarray:
+    """Rows (G, X, m) of kernels with one target size; a kernel repeated
+    across every row is broadcast, not copied."""
+    if all(k is kernels[0] for k in kernels):
+        return kernels[0].rows[None]
+    return np.stack([k.rows for k in kernels])
+
+
+def random_kernel_gaps(model: ParamModel, draws, rng) -> np.ndarray:
+    """Monotonicity gaps for draws (theta, v, n_target) under random kernels.
+
+    Each draw's kernel comes from ``random_kernel(model.space, n_target,
+    rng)`` right after the draw is taken, so ``rng`` runs through the same
+    stream as a loop that draws and evaluates one row at a time. Draws are
+    evaluated in blocks whose kernels hold at most ``JET_NODE_BUDGET``
+    entries together (a larger kernel makes a block alone), and a block is
+    released before the next one's first kernel is drawn.
+    """
+    gaps = []
+    block = []
+    entries = 0
+    for theta, v, n_target in draws:
+        size = model.space.size * n_target
+        if block and entries + size > fisher.JET_NODE_BUDGET:
+            gaps.append(_block_gaps(model, block))
+            block = []
+            entries = 0
+        block.append((theta, v, random_kernel(model.space, n_target, rng)))
+        entries += size
+    if block:
+        gaps.append(_block_gaps(model, block))
+    return np.concatenate(gaps or [np.empty(0)])
+
+
+def _block_gaps(model, block):
+    thetas, vs, kernels = zip(*block)
+    return monotonicity_gap(kernels, model, np.array(thetas), np.array(vs))
 
 
 def sufficiency_check(kernel: MarkovKernel, model: ParamModel, thetas, vs):
     """Metric-equality consequence of sufficiency over (theta, v) samples.
 
     Returns the largest absolute gap and whether it stays within ``SUFF_TOL``.
-    A pass is consistent with sufficiency, not a certificate of it.
+    A pass is consistent with sufficiency, not a certificate of it. Rows go
+    to ``monotonicity_gap`` in jet-budget chunks.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if thetas.shape != vs.shape:
         raise UsageError("one direction per parameter sample required")
-    gaps = [monotonicity_gap(kernel, model, th, v) for th, v in zip(thetas, vs)]
-    max_abs = float(np.max(np.abs(gaps))) if gaps else 0.0
+    gaps = np.empty(len(thetas))
+    chunk = fisher.jet_rows(model)
+    for start in range(0, len(thetas), chunk):
+        gaps[start:start + chunk] = monotonicity_gap(
+            kernel, model, thetas[start:start + chunk], vs[start:start + chunk]
+        )
+    max_abs = float(np.max(np.abs(gaps))) if gaps.size else 0.0
     return {"max_abs_gap": max_abs, "sufficient_consistent": max_abs <= SUFF_TOL, "gaps": gaps}

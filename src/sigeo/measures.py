@@ -219,9 +219,5 @@ class TangentVector:
         rep.setflags(write=False)
         object.__setattr__(self, "log_rep", rep)
 
-    def mass_defect(self) -> float:
-        """Integral of log_rep against the base; 0 in exact arithmetic."""
-        return integrate(self.log_rep, self.base)
-
     def velocity_measure(self) -> Measure:
         return Measure(self.base.space, self.log_rep * self.base.density, signed=True)

@@ -687,36 +687,59 @@ def tangent_at(model: ParamModel, theta, v) -> TangentVector:
     """Tangent vector of the model at theta in parameter direction v.
 
     log_rep = (sum_i v_i d_i p) / p where the density exceeds the dominance
-    floor. Nodes below the floor are excluded; if the excluded region
-    carries non-negligible velocity mass the derivative genuinely escapes
-    the support and NotDominated is raised. (Vanishing-tail mismatches,
-    where the score is huge but its mass is nil, pass through: the score of
-    a mixture is unbounded yet square-integrable.) A tangent whose mass
-    defect exceeds 10 ``QUAD_TOL`` raises UsageError.
+    floor; ``tangent_log_reps`` documents the checks.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.param_dim,):
         raise UsageError("direction must match the parameter dimension")
     p, J = model.jet_at(theta)
-    dv = v @ J
-    lo = p <= DOMINANCE_TOL
-    w = model.space.weights
-    dropped_mass = float(np.sum(np.abs(dv[lo]) * w[lo]))
-    total_mass = float(np.sum(np.abs(dv) * w))
-    if dropped_mass > max(1e-9, 1e-9 * total_mass):
-        offending = np.nonzero(lo & (np.abs(dv) > DOMINANCE_TOL))[0]
+    rep = tangent_log_reps(p[None], J[None], v[None], model.space.weights)[0]
+    return TangentVector(Measure(model.space, p, signed=False), rep)
+
+
+def tangent_log_reps(P, J, vs, w) -> np.ndarray:
+    """log_rep rows (T, X) of the tangents at densities P (T, X) with
+    Jacobians J (T, n, X) in directions vs (T, n), on reference weights w.
+
+    Nodes below the dominance floor are excluded; if the excluded region
+    carries non-negligible velocity mass the derivative genuinely escapes
+    the support and NotDominated is raised. (Vanishing-tail mismatches,
+    where the score is huge but its mass is nil, pass through: the score of
+    a mixture is unbounded yet square-integrable.) A negative density, or
+    a tangent whose mass defect exceeds 10 ``QUAD_TOL``, raises
+    UsageError. The first failing row raises, with the error ``tangent_at``
+    raises for it alone.
+    """
+    dv = np.matmul(vs[:, None, :], J)[:, 0, :]  # per row the vector-matrix product v @ J
+    lo = P <= DOMINANCE_TOL
+    flux = np.abs(dv) * w
+    dropped = np.sum(np.where(lo, flux, 0.0), axis=1)
+    escapes = dropped > np.maximum(1e-9, 1e-9 * np.sum(flux, axis=1))
+    negative = np.any(P < 0, axis=1)
+    rep = np.divide(dv, P, out=np.zeros_like(dv), where=~lo)
+    # The mass defect integrates log_rep against the base, as ``integrate``
+    # does: non-finite values raise on nodes with mass, count 0 elsewhere.
+    masses = P * w
+    bad = ~np.isfinite(rep)
+    carrying = bad & (np.abs(masses) > 0)
+    defect = np.sum(np.where(bad, 0.0, rep) * masses, axis=1)
+    excess = np.abs(defect) > 10 * QUAD_TOL
+    failed = escapes | negative | np.any(carrying, axis=1) | excess
+    if not np.any(failed):
+        return rep
+    t = np.argmax(failed)
+    if escapes[t]:
+        offending = np.nonzero(lo[t] & (np.abs(dv[t]) > DOMINANCE_TOL))[0]
         raise NotDominated(
             "directional derivative carries mass where the density vanishes",
             nodes=offending.tolist(),
         )
-    rep = np.zeros_like(p)
-    rep[~lo] = dv[~lo] / p[~lo]
-    tangent = TangentVector(Measure(model.space, p, signed=False), rep)
-    defect = tangent.mass_defect()
-    if abs(defect) > 10 * QUAD_TOL:
-        raise UsageError(f"tangent mass defect {defect:.3e} exceeds tolerance")
-    return tangent
+    if negative[t]:
+        raise UsageError("unsigned measure with negative density; pass signed=True")
+    if np.any(carrying[t]):
+        raise DomainError(f"integrand non-finite on {int(np.sum(carrying[t]))} node(s) with nonzero mass")
+    raise UsageError(f"tangent mass defect {defect[t]:.3e} exceeds tolerance")
 
 
 def outcome_table(m: int, n: int) -> tuple:

@@ -102,7 +102,14 @@ TEST_ONLY = {
     "fisher.fisher_inner": "the paper's Fisher inner product of tangent vectors",
     "markov.binning_kernel": "the paper's deterministic coarse-graining kernel",
     "markov.compose": "composition of kernels; tests check that pushforwards compose",
+    "markov.pushforward_tangent": "the paper's pushforward of one tangent vector; the per-draw reference of the "
+                                  "batched monotonicity gaps, and a traced benchmark entry point",
+    "measures.integrate": "the integral of a function against a measure, reached through fisher_inner; tests "
+                          "check its quadrature and its handling of non-finite values",
+    "measures.TangentVector.velocity_measure": "the velocity measure of a tangent, reached through pushforward_tangent",
     "models.oscillatory_time_integral_adaptive": "adaptive-quadrature oracle of the closed-form F_t",
+    "models.tangent_at": "the paper's tangent vector of a model at one point; tests check its log_rep and "
+                         "the batched monotonicity gaps against it",
 }
 
 

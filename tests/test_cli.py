@@ -3,11 +3,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigeo import markov
 from sigeo.cli import main
 
 
@@ -231,12 +233,14 @@ def test_verify_all_only_filter(capsys):
          "too large to enumerate"),
         (["cramer-rao", "--model", "categorical:3", "--theta", "0.3,0.3", "--estimator", "constant:0.5"], {},
          "needs 2 values"),
+        (["dpi-sweep", "--model", "singular-curve", "--draws", "3", "--seed", "0"], {},
+         "directional derivative carries mass where the density vanishes"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
-         "constant-count"],
+         "constant-count", "dpi-not-dominated"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:
@@ -254,6 +258,56 @@ def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsy
     assert out == ""
     assert err.strip() and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", [["pushforward", "--theta", "0.3,0.3"], ["sufficiency"]])
+def test_non_finite_kernel_exits_1_without_traceback(command, entry, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(f'{{"rows": [[{entry}, 1.0], [0.5, 0.5], [0.2, 0.8]]}}')
+    code, out, err = run_cli([command[0], "--model", "categorical:3", *command[1:], "--kernel", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "kernel entries must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model,seed,min_gap,mean_gap",
+    [("categorical:3", 3, 0.01749843308495892, 47.78784147274496),
+     ("categorical:4", 11, 0.143339230221195, 98.88149218488984)],
+)
+def test_dpi_sweep_keeps_the_per_draw_gaps(model, seed, min_gap, mean_gap, capsys):
+    # values of the loop that evaluated one draw at a time
+    code, out, _ = run_cli(
+        ["dpi-sweep", "--model", model, "--draws", "500", "--seed", str(seed), "--no-timestamp"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["min_gap"] == min_gap and payload["mean_gap"] == mean_gap
+
+
+def test_dpi_sweep_holds_one_kernel_block_at_a_time(capsys, monkeypatch):
+    # gauss-location-2d kernels are 4096 x k; at seed 4 the three draws
+    # take k = 1859, 2489 and 3082, each above the jet budget, so each is a
+    # block alone. Holding all of them, or copying one, passes 1.5 kernels.
+    sizes = []
+    draw_kernel = markov.random_kernel
+
+    def recording_kernel(space, n_target, rng):
+        sizes.append(n_target)
+        return draw_kernel(space, n_target, rng)
+
+    monkeypatch.setattr(markov, "random_kernel", recording_kernel)
+    tracemalloc.start()
+    try:
+        code = main(["dpi-sweep", "--model", "gauss-location-2d", "--draws", "3", "--seed", "4", "--no-timestamp"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert sizes == [1859, 2489, 3082]
+    assert peak <= 1.5 * 4096 * max(sizes) * 8
 
 
 def test_unwritable_table_leaves_stdout_empty(tmp_path, capsys):

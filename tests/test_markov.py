@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigeo.errors import UsageError
-from sigeo.fisher import fisher_inner
+from sigeo.errors import DomainError, NotDominated, UsageError
+from sigeo.fisher import directional_form, fisher_inner
 from sigeo.markov import (
+    MarkovKernel,
     binning_kernel,
     compose,
-    metric_along,
     monotonicity_gap,
     permutation_kernel,
     pushforward_measure,
@@ -17,12 +17,14 @@ from sigeo.markov import (
     random_kernel,
     sufficiency_check,
 )
-from sigeo.measures import Measure, finite_space, tv_norm
+from sigeo.measures import Measure, finite_space, integrate, tv_norm
 from sigeo.models import (
     Box,
     ParamModel,
     bernoulli_family,
     categorical_family,
+    gaussian_location_family,
+    get_model,
     reparameterized_model,
     tangent_at,
 )
@@ -107,7 +109,7 @@ def test_pushed_tangent_has_zero_mass():
     for _ in range(10):
         k = random_kernel(CAT4.space, int(rng.integers(2, 5)), rng)
         out = pushforward_tangent(k, v)
-        assert abs(out.mass_defect()) < 1e-9
+        assert abs(integrate(out.log_rep, out.base)) < 1e-9
 
 
 def test_tangent_through_one_atom_space_vanishes():
@@ -122,7 +124,8 @@ def test_tangent_through_one_atom_space_vanishes():
 
 def test_gap_zero_for_identity():
     gap = monotonicity_gap(permutation_kernel(CAT4.space, range(4)), CAT4, [0.2, 0.3, 0.1], [1.0, 0.0, -1.0])
-    assert abs(gap) < 1e-10
+    assert gap.shape == (1,)
+    assert abs(gap[0]) < 1e-10
 
 
 def test_gap_nonnegative_random_draws():
@@ -134,7 +137,7 @@ def test_gap_nonnegative_random_draws():
             theta = theta * 0.9 / theta.sum()
         v = rng.normal(size=3)
         k = random_kernel(CAT4.space, int(rng.integers(2, 6)), rng)
-        worst = min(worst, monotonicity_gap(k, CAT4, theta, v))
+        worst = min(worst, monotonicity_gap(k, CAT4, theta, v)[0])
     assert worst >= -1e-9
 
 
@@ -146,15 +149,107 @@ def test_gap_zero_for_permutations():
             theta = theta * 0.9 / theta.sum()
         v = rng.normal(size=3)
         k = permutation_kernel(CAT4.space, rng.permutation(4))
-        assert abs(monotonicity_gap(k, CAT4, theta, v)) <= 1e-10
+        assert abs(monotonicity_gap(k, CAT4, theta, v)[0]) <= 1e-10
 
 
 def test_one_atom_target_keeps_only_zero_metric():
     k = binning_kernel(BERN.space, [0, 0])
-    gap = monotonicity_gap(k, BERN, [0.3], [1.0])
+    gap = monotonicity_gap(k, BERN, [0.3], [1.0])[0]
     # the image metric is 0, so the gap is the full metric
-    assert gap == pytest.approx(metric_along(BERN, [0.3], [1.0]), rel=1e-12)
+    assert gap == pytest.approx(directional_form(BERN, [[0.3]], [[1.0]])[0], rel=1e-12)
     assert gap > 1.0
+
+
+def _per_draw_gap(kernel, model, theta, v):
+    """The gap of one draw, composed from the single-tangent API."""
+    before = directional_form(model, [theta], [v])[0]
+    pushed = pushforward_tangent(kernel, tangent_at(model, theta, v))
+    ok = pushed.base.density > 1e-12
+    after = np.sum(pushed.log_rep[ok] ** 2 * pushed.base.density[ok] * pushed.base.space.weights[ok])
+    return before - after
+
+
+def _categorical_point(rng, m):
+    return rng.dirichlet([2.0] * m)[:-1] * 0.95
+
+
+def _draws(case):
+    """(model, thetas, vs, kernels) of one batch; kernels is one kernel or a list."""
+    rng = np.random.default_rng(41)
+    if case == "mixed-sizes":
+        thetas = [_categorical_point(rng, 4) for _ in range(60)]
+        kernels = [random_kernel(CAT4.space, 2 + i % 4, rng) for i in range(60)]
+        return CAT4, np.array(thetas), rng.normal(size=(60, 3)), kernels
+    if case == "permutations":
+        thetas = [_categorical_point(rng, 4) for _ in range(30)]
+        kernels = [permutation_kernel(CAT4.space, rng.permutation(4)) for _ in range(30)]
+        return CAT4, np.array(thetas), rng.normal(size=(30, 3)), kernels
+    if case == "coin-pair-binning":
+        model = _bernoulli_pair_model()
+        thetas = rng.uniform(0.05, 0.95, size=(20, 2))
+        return model, thetas, rng.normal(size=(20, 2)), binning_kernel(model.space, [0, 1, 1, 2])
+    model = gaussian_location_family()
+    thetas = rng.uniform(-1.5, 1.5, size=(12, 1))
+    kernels = [random_kernel(model.space, int(rng.integers(2, 40)), rng) for _ in range(12)]
+    kernels[3] = kernels[7] = binning_kernel(model.space, np.arange(model.space.size) % 3)
+    return model, thetas, rng.normal(size=(12, 1)), kernels
+
+
+@pytest.mark.parametrize("case", ["mixed-sizes", "permutations", "coin-pair-binning", "gauss-location"])
+def test_batched_gaps_are_the_per_draw_composition_bitwise(case):
+    model, thetas, vs, kernels = _draws(case)
+    gaps = monotonicity_gap(kernels, model, thetas, vs)
+    per_row = kernels if isinstance(kernels, list) else [kernels] * len(thetas)
+    expected = [_per_draw_gap(k, model, th, v) for k, th, v in zip(per_row, thetas, vs)]
+    assert gaps.shape == (len(thetas),)
+    np.testing.assert_array_equal(gaps, expected)
+    assert np.min(gaps) >= -1e-9
+
+
+def test_batched_gaps_keep_the_one_row_values_when_the_pushed_base_vanishes():
+    # the second target atom receives no mass, so the pushed square sum
+    # runs over the first atom alone
+    k = MarkovKernel(CAT3.space, finite_space(3), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])
+    thetas = np.array([[0.2, 0.3], [0.5, 0.1]])
+    vs = np.array([[1.0, -0.5], [0.3, 0.2]])
+    gaps = monotonicity_gap(k, CAT3, thetas, vs)
+    np.testing.assert_array_equal(gaps, [_per_draw_gap(k, CAT3, th, v) for th, v in zip(thetas, vs)])
+
+
+def test_batched_gaps_raise_what_one_bad_row_raises():
+    good = [0.2, 0.3]
+    k = random_kernel(CAT3.space, 3, np.random.default_rng(2))
+    with pytest.raises(DomainError) as single:
+        tangent_at(CAT3, [0.6, 0.6], [1.0, 0.0])
+    with pytest.raises(DomainError) as batched:
+        monotonicity_gap(k, CAT3, [good, [0.6, 0.6], good], [[1.0, 0.0]] * 3)
+    assert str(batched.value) == str(single.value)
+
+    curve = get_model("singular-curve")
+    k = random_kernel(curve.space, 3, np.random.default_rng(3))
+    with pytest.raises(NotDominated) as single:
+        tangent_at(curve, [0.5], [1.0])
+    with pytest.raises(NotDominated) as batched:
+        monotonicity_gap(k, curve, [[-0.5], [0.5], [0.1]], [[1.0], [1.0], [1.0]])
+    assert "carries mass where the density vanishes" in str(batched.value)
+    assert batched.value.nodes == single.value.nodes
+    # t = 0.1 fails an earlier check on its own: the first bad row decides
+    with pytest.raises(UsageError, match="negative density"):
+        monotonicity_gap(k, curve, [[-0.5], [0.1], [0.5]], [[1.0], [1.0], [1.0]])
+
+
+def test_batched_gaps_need_one_kernel_per_row():
+    k = permutation_kernel(CAT4.space, range(4))
+    with pytest.raises(UsageError, match="one kernel per parameter row"):
+        monotonicity_gap([k, k], CAT4, [[0.2, 0.3, 0.1]], [[1.0, 0.0, 0.0]])
+    with pytest.raises(UsageError, match="kernel source"):
+        monotonicity_gap(permutation_kernel(F4, range(4)), CAT3, [[0.2, 0.3]], [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_kernel_rejects_non_finite_entries(entry):
+    with pytest.raises(UsageError, match="finite"):
+        MarkovKernel(CAT3.space, finite_space(2), [[entry, 1.0], [0.5, 0.5], [0.2, 0.8]])
 
 
 # -- sufficiency -------------------------------------------------------------------
@@ -199,7 +294,7 @@ def test_lossy_binning_on_coin_pair_inconsistent():
     k = binning_kernel(model.space, [0, 1, 1, 2])
     theta = np.array([0.3, 0.6])
     v = np.array([1.0, -1.0])
-    gap = monotonicity_gap(k, model, theta, v)
+    gap = monotonicity_gap(k, model, theta, v)[0]
     assert gap > 10 * 1e-7
     res = sufficiency_check(k, model, theta[None, :], v[None, :])
     assert not res["sufficient_consistent"]
@@ -211,7 +306,7 @@ def test_binomial_reduction_is_sufficient_for_equal_coins():
     model = _bernoulli_pair_model()
     k = binning_kernel(model.space, [0, 1, 1, 2])
     for p in (0.2, 0.5, 0.7):
-        gap = monotonicity_gap(k, model, [p, p], [1.0, 1.0])
+        gap = monotonicity_gap(k, model, [p, p], [1.0, 1.0])[0]
         assert abs(gap) < 1e-9
 
 

@@ -124,5 +124,5 @@ def test_integrate_ignores_nonfinite_off_support():
 
 def test_tangent_mass_defect_and_velocity():
     v = TangentVector(bernoulli(0.5), np.array([-2.0, 2.0]))
-    assert v.mass_defect() == pytest.approx(0.0, abs=1e-15)
+    assert integrate(v.log_rep, v.base) == pytest.approx(0.0, abs=1e-15)
     assert v.velocity_measure().density == pytest.approx([-1.0, 1.0])

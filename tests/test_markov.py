@@ -17,7 +17,7 @@ from sigeo.markov import (
     random_kernel,
     sufficiency_check,
 )
-from sigeo.measures import Measure, finite_space, integrate, tv_norm
+from sigeo.measures import DOMINANCE_TOL, Measure, finite_space, integrate, tv_norm
 from sigeo.models import (
     Box,
     ParamModel,
@@ -164,7 +164,7 @@ def _per_draw_gap(kernel, model, theta, v):
     """The gap of one draw, composed from the single-tangent API."""
     before = directional_form(model, [theta], [v])[0]
     pushed = pushforward_tangent(kernel, tangent_at(model, theta, v))
-    ok = pushed.base.density > 1e-12
+    ok = pushed.base.density > DOMINANCE_TOL
     after = np.sum(pushed.log_rep[ok] ** 2 * pushed.base.density[ok] * pushed.base.space.weights[ok])
     return before - after
 

@@ -3,21 +3,27 @@
 A path between two parameter points is a piecewise-linear curve in
 parameter space; its length integrates the metric speed sqrt(v^T G v)
 segment by segment with Gauss-Legendre quadrature. The distance estimate
-minimizes that length over the interior nodes in two phases:
+minimizes that length over the interior nodes. Everything rests on the
+square-root embedding psi = sqrt(p w), which maps the model into the unit
+sphere of R^X, where the Fisher length of a curve is twice the length of
+its image. Three stages:
 
 * an energy phase: Levenberg-Marquardt on the chord energy
-  sum_k |psi(theta_{k+1}) - psi(theta_k)|^2 of the square-root embedding
-  psi = sqrt(p w), with the block-tridiagonal Gauss-Newton matrix from one
-  model jet per trial and every trial node kept inside the domain;
-* coordinate descent on the length with central-difference gradients and
-  backtracking, stopped once a sweep shortens the path by less than the
-  relative tolerance.
+  sum_k |psi(theta_{k+1}) - psi(theta_k)|^2, with the block-tridiagonal
+  Gauss-Newton matrix from one model jet per trial and every trial node
+  kept inside the domain;
+* an acceptance sweep: one coordinate-descent sweep on the length from the
+  energy path, with central-difference gradients and backtracking. When
+  it shortens the path by less than the relative tolerance, the swept
+  energy path is the result;
+* otherwise the arc solver: projected L-BFGS from the energy path on the
+  sub-sampled arc length of psi, the sum of great-circle arcs between
+  psi at a few evenly spaced points of every segment, with its exact
+  gradient from one first-order jet per evaluation. Of the solver's path,
+  the energy path and the straight path, the shortest is returned.
 
-The energy path is kept only when the first descent sweep from it already
-meets that stop rule. Otherwise the descent runs from the straight path,
-so the result is the one the descent alone returns, bit for bit. For
-1-parameter models the straight segment is the geodesic and is returned
-without either phase.
+For 1-parameter models, and without interior nodes, the straight segment
+is returned without any stage.
 
 Every returned length is that of a real in-domain path, measured with the
 accurate rule and each segment checked against its halves, so it is an
@@ -31,6 +37,7 @@ quadrature rules are the module constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,19 +47,31 @@ from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
 
-# Coordinate descent: relative stop tolerance and sweep cap (the energy
-# phase's stop tolerance and trial cap too), quadrature points per segment,
-# and the initial and largest step as fractions of the endpoints' largest
-# coordinate difference.
+# Relative stop tolerance (of the acceptance sweep, the energy phase and
+# the arc solver) and the cap on energy trials and arc-solver iterations.
 OPTIMIZER_TOL = 1e-6
 MAX_ITER = 500
+# Acceptance sweep: quadrature points per segment. First step of every
+# sweep coordinate move and of the arc solver's steepest-descent restarts,
+# as a fraction of the endpoints' largest coordinate difference.
 DESCENT_QUAD_POINTS = 4
 STEP_INIT = 0.05
-STEP_CAP = 0.25
 # Levenberg-Marquardt damping of the energy phase: start, and the give-up
 # level past which steps are too small to matter.
 INITIAL_DAMPING = 1e-3
 MAX_DAMPING = 1e12
+# Arc solver: sample points per straight segment, the squared-chord
+# smoothing, the jet block (rows; larger blocks cost about twice as much
+# per row once the mixture's temporaries leave a 2 MB L2 cache), the
+# L-BFGS memory, the iterations over which the stop rule measures
+# progress, the Armijo constant and the backtracking halvings per step.
+ARC_SAMPLES = 4
+CHORD_SMOOTHING = 1e-8
+ARC_JET_ROWS = 13
+LBFGS_MEMORY = 20
+STALL_ITERATIONS = 10
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
 # Returned lengths: a segment's LENGTH_QUAD_POINTS rule is halved while it
 # and the sum over its two halves differ by more than LENGTH_TOL (absolute).
 LENGTH_QUAD_POINTS = 8
@@ -61,11 +80,13 @@ MAX_HALVINGS = 40
 # Relative optimizer accuracy allowance used by the axiom checks. The stop
 # rule bounds the last improvement, not the gap to the infimum, so this is
 # an allowance, not a certified bound. On the 25 seed-0 Gaussian
-# location-scale pairs of tv-lower-bound, estimates sit up to 1.61e-3
-# above the closed-form distance (median 2.2e-4), beyond this value; with
-# 16 interior nodes instead of 8 the largest gap falls to 4.3e-4, so most
-# of it is path discretization. Separating discretization from optimizer
-# error is open work (ROADMAP item 3).
+# location-scale pairs of tv-lower-bound, estimates sit up to 1.53e-3
+# above the closed-form distance (median 2.2e-4), beyond this value. The
+# two largest gaps are the arc solver's, and it cut them only from the
+# coordinate descent's 1.61e-3 and 1.53e-3 to 1.53e-3 and 1.48e-3; with 16
+# interior nodes the descent's largest gap fell to 4.3e-4, so most of it
+# is path discretization. Separating discretization from optimizer error
+# is open work (ROADMAP item 3).
 OPTIMIZER_GAP = 1e-3
 
 
@@ -75,9 +96,7 @@ def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
     ``nodes`` is one polyline (K, n) or a stack of polylines (..., K, n);
     every segment goes through one ``directional_form`` call.
     """
-    xg, wg = gauss_legendre_rule(quad_points)
-    qs = 0.5 * (xg + 1.0)
-    qw = 0.5 * wg
+    qs, qw = _unit_rule(quad_points)
     a = nodes[..., :-1, :]
     v = nodes[..., 1:, :] - a  # (..., S, n)
     n = v.shape[-1]
@@ -85,9 +104,21 @@ def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
     speeds2 = directional_form(
         model, thetas.reshape(-1, n), np.repeat(v, quad_points, axis=-2).reshape(-1, n)
     )
-    # One 2-D product (rows, q) @ qw, so a segment's length does not depend
-    # on the shape of the stack it came in (stacked matmuls round differently).
-    return (np.sqrt(np.maximum(speeds2, 0.0)).reshape(-1, quad_points) @ qw).reshape(v.shape[:-1])
+    # An elementwise product and a row sum, not a matrix-vector product:
+    # BLAS rounds the latter differently with the number of rows, and a
+    # segment's length must not depend on the stack it came in.
+    speeds = np.sqrt(np.maximum(speeds2, 0.0)).reshape(-1, quad_points)
+    return (speeds * qw).sum(axis=1).reshape(v.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _unit_rule(quad_points) -> tuple:
+    """Gauss-Legendre nodes and weights moved to [0, 1], read-only."""
+    xg, wg = gauss_legendre_rule(quad_points)
+    qs, qw = 0.5 * (xg + 1.0), 0.5 * wg
+    qs.setflags(write=False)
+    qw.setflags(write=False)
+    return qs, qw
 
 
 def curve_length(model: ParamModel, curve: CurveInModel) -> float:
@@ -104,9 +135,11 @@ class PathResult:
 
     ``length`` is an upper estimate of the distance; ``lower_bound_tv`` and
     ``lower_bound_angle`` are the total-variation and Bhattacharyya-angle
-    lower bounds. ``iterations`` counts descent sweeps; ``warm_start`` says
-    whether the descent ran from the energy path rather than the straight
-    one. ``degenerate_segments`` lists segments whose metric's smallest
+    lower bounds. ``warm_start`` says whether the acceptance sweep kept the
+    energy path; ``iterations`` is then 1 (the sweep), and otherwise counts
+    the arc solver's iterations, with ``converged`` false when the solver
+    stopped at its cap. Straight paths report 0 iterations.
+    ``degenerate_segments`` lists segments whose metric's smallest
     eigenvalue at the midpoint falls below the rank tolerance.
     """
 
@@ -141,17 +174,16 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
         return PathResult(nodes, 0.0, *bounds, 0, True)
 
     straight = np.linspace(theta1, theta2, interior_nodes + 2)
-    if model.param_dim == 1:
+    if model.param_dim == 1 or interior_nodes == 0:
         # Every path between the endpoints of an interval sweeps the segment
-        # joining them, so the segment is the geodesic.
-        return _final_path(model, straight, bounds, 0, True)
-    if interior_nodes > 0:
-        warm = _energy_path(model, straight)
-        iterations, converged = _descend(model, warm, max_iter=1)
-        if converged:
-            return _final_path(model, warm, bounds, iterations, True, warm_start=True)
-    iterations, converged = _descend(model, straight, MAX_ITER)
-    return _final_path(model, straight, bounds, iterations, converged)
+        # joining them, so the segment is the geodesic; without interior
+        # nodes the segment is the only path.
+        return _final_path(model, [straight], bounds, 0, True)
+    warm = _energy_path(model, straight)
+    if _sweep(model, warm):
+        return _final_path(model, [warm], bounds, 1, True, warm_start=True)
+    nodes, iterations, converged = _arc_solve(model, warm)
+    return _final_path(model, [nodes, warm, straight], bounds, iterations, converged)
 
 
 def _energy_path(model: ParamModel, nodes) -> np.ndarray:
@@ -213,17 +245,17 @@ def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     return nodes
 
 
-def _descend(model: ParamModel, nodes, max_iter) -> tuple:
-    """Coordinate descent on the path length from ``nodes``, in place.
+def _sweep(model: ParamModel, nodes) -> bool:
+    """One coordinate-descent sweep on the path length from ``nodes``, in
+    place; True when it shortens the path by less than ``OPTIMIZER_TOL``
+    relative.
 
-    Each sweep moves one coordinate of one interior node at a time along a
-    central-difference gradient with backtracking; the run stops once a
-    sweep shortens the path by less than ``OPTIMIZER_TOL`` relative. Returns
-    (sweeps, converged).
+    The sweep moves one coordinate of one interior node at a time along a
+    central-difference gradient with backtracking, each segment measured
+    with the ``DESCENT_QUAD_POINTS`` rule.
     """
     K = nodes.shape[0] - 2
     scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
-    steps = np.full((K, model.param_dim), STEP_INIT * scale)
     grad_h = max(1e-7, 1e-6 * scale)
 
     def local_len(j):
@@ -238,51 +270,180 @@ def _descend(model: ParamModel, nodes, max_iter) -> tuple:
             return None
         return np.sum(_segment_lengths(model, trial, DESCENT_QUAD_POINTS), axis=1)
 
+    prev = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
+    for j in range(1, K + 1):
+        # local_len(j) at the current nodes, kept up to date across d
+        base = local_len(j)
+        for d in range(model.param_dim):
+            probes = probe_lens(j, d)
+            if probes is None:
+                continue
+            g = (probes[0] - probes[1]) / (2 * grad_h)
+            if g == 0.0:
+                continue
+            old = nodes[j, d]
+            st = STEP_INIT * scale
+            for _ in range(8):
+                nodes[j, d] = old - st * np.sign(g) * min(abs(g), 1.0)
+                if model.domain.contains(nodes[j]):
+                    trial = local_len(j)
+                    if trial < base - 1e-15:
+                        base = trial
+                        break
+                nodes[j, d] = old
+                st *= 0.25
     total = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
-    converged = False
+    return prev - total < OPTIMIZER_TOL * max(total, 1e-12)
+
+
+def _arc_rows(nodes) -> np.ndarray:
+    """``ARC_SAMPLES`` evenly spaced points on each straight segment, from
+    its start, then the last node: (S * ARC_SAMPLES + 1, n)."""
+    t = np.arange(ARC_SAMPLES) / ARC_SAMPLES
+    a = nodes[:-1]
+    pts = a[:, None, :] + t[:, None] * (nodes[1:] - a)[:, None, :]
+    return np.vstack([pts.reshape(-1, nodes.shape[1]), nodes[-1:]])
+
+
+def _arc_objective(model: ParamModel, nodes) -> tuple:
+    """Sub-sampled arc length of psi = sqrt(p w) along the polyline, and its
+    gradient in the interior nodes.
+
+    The Fisher length is twice the length of psi's curve on the unit sphere.
+    Between consecutive sample points u = psi / |psi| that curve is replaced
+    by the great-circle arc 2 arcsin(r / 2) over the chord r, smoothed as
+    sqrt(r^2 + ``CHORD_SMOOTHING``) so the sum stays differentiable where
+    nodes collapse onto a face on which psi stops moving (the mixture's
+    a = 0). Returns (length, gradient (K, n)).
+    """
+    rows = _arc_rows(nodes)
+    blocks = [slice(i, i + ARC_JET_ROWS) for i in range(0, rows.shape[0], ARC_JET_ROWS)]
+    jets = [model.jet(rows[b]) for b in blocks]
+    sw = np.sqrt(model.space.weights)
+    u = np.empty((rows.shape[0], sw.size))
+    # d psi / d theta = J sqrt(w) / (2 sqrt(p)); per block, the factor
+    # sqrt(w) / (2 sqrt(p) |psi|) that takes a gradient in u to one in theta
+    scales = []
+    for b, (P, _) in zip(blocks, jets):
+        root = np.sqrt(np.maximum(P, 0.0))
+        psi = root * sw
+        norm = np.sqrt(np.einsum("rx,rx->r", psi, psi))[:, None]
+        np.divide(psi, norm, out=u[b])
+        scales.append(sw / (2.0 * norm * np.maximum(root, np.sqrt(DOMINANCE_TOL))))
+    chords = u[:-1] - u[1:]
+    r = np.sqrt(np.einsum("rx,rx->r", chords, chords) + CHORD_SMOOTHING)
+    h = np.minimum(0.5 * r, 1.0)
+    length = 4.0 * float(np.sum(np.arcsin(h)))
+    # d length / d chord, onto the sample points, then through u = psi / |psi|
+    chords *= (2.0 / (r * np.sqrt(np.maximum(1.0 - h * h, 1e-300))))[:, None]
+    du = np.zeros_like(u)
+    du[:-1] = chords
+    du[1:] -= chords
+    drows = []
+    for b, (_, J), scale in zip(blocks, jets, scales):
+        tangent = du[b] - np.einsum("rx,rx->r", du[b], u[b])[:, None] * u[b]
+        drows.append(np.einsum("rnx,rx->rn", J, tangent * scale))
+    drows = np.concatenate(drows)
+    # A sample point at fraction t of segment s moves with node s by 1 - t
+    # and with node s + 1 by t.
+    K, n = nodes.shape[0] - 2, nodes.shape[1]
+    t = np.arange(ARC_SAMPLES) / ARC_SAMPLES
+    per_segment = drows[:-1].reshape(K + 1, ARC_SAMPLES, n)
+    grad = np.einsum("j,sjn->sn", 1.0 - t, per_segment[1:]) + np.einsum("j,sjn->sn", t, per_segment[:-1])
+    return length, grad
+
+
+def _arc_solve(model: ParamModel, nodes) -> tuple:
+    """Projected L-BFGS on ``_arc_objective`` from ``nodes``.
+
+    Trial nodes are clipped to the domain's box, and a trial that still
+    leaves the domain (categorical's simplex constraint) or fails the
+    Armijo test halves the step. Coordinates held at a box wall by the
+    gradient stay out of the search direction. Stops once
+    ``STALL_ITERATIONS`` iterations have lowered the objective by less than
+    ``OPTIMIZER_TOL`` relative (converged), when no step along the
+    projected steepest descent lowers it (converged: nothing left to gain
+    at this precision), or after ``MAX_ITER`` iterations (not converged).
+    Returns (nodes, iterations, converged); ``nodes`` is not modified.
+    """
+    nodes = nodes.copy()
+    lo, hi = model.domain.lo, model.domain.hi
+    scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
+    length, grad = _arc_objective(model, nodes)
+    history = [length]
+    pairs = []  # L-BFGS (s, y, 1 / y.s), oldest first
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        prev = total
-        for j in range(1, K + 1):
-            # local_len(j) at the current nodes, kept up to date across d
-            base = local_len(j)
-            for d in range(model.param_dim):
-                probes = probe_lens(j, d)
-                if probes is None:
-                    continue
-                g = (probes[0] - probes[1]) / (2 * grad_h)
-                if g == 0.0:
-                    continue
-                old = nodes[j, d]
-                st = steps[j - 1, d]
-                improved = False
-                for _ in range(8):
-                    nodes[j, d] = old - st * np.sign(g) * min(abs(g), 1.0)
-                    if model.domain.contains(nodes[j]):
-                        trial = local_len(j)
-                        if trial < base - 1e-15:
-                            improved = True
-                            break
-                    nodes[j, d] = old
-                    st *= 0.25
-                if improved:
-                    base = trial
-                    steps[j - 1, d] = min(st * 2.0, STEP_CAP * scale)
-                else:
-                    nodes[j, d] = old
-                    steps[j - 1, d] = max(st * 0.25, 1e-10)
-        total = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
-        if prev - total < OPTIMIZER_TOL * max(total, 1e-12):
-            converged = True
-            break
-    return iterations, converged
+    for iterations in range(1, MAX_ITER + 1):
+        x = nodes[1:-1]
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        g = grad * free
+        direction = -_lbfgs_direction(g, pairs) * free
+        if not pairs or np.sum(direction * g) >= 0.0:
+            # no curvature pairs yet, or they no longer give a descent
+            # direction: restart along the scaled steepest descent
+            pairs.clear()
+            direction = -g * (STEP_INIT * scale / max(float(np.max(np.abs(g))), 1e-300))
+        accepted = _armijo_step(model, nodes, length, grad, direction)
+        if accepted is None:
+            if not pairs:
+                return nodes, iterations, True
+            pairs.clear()
+            continue
+        trial, t_length, t_grad = accepted
+        s = (trial[1:-1] - x).ravel()
+        y = (t_grad - grad).ravel()
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.sqrt((s @ s) * (y @ y))):
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
+        nodes, length, grad = trial, t_length, t_grad
+        history.append(length)
+        if len(history) > STALL_ITERATIONS and history[-1 - STALL_ITERATIONS] - length < OPTIMIZER_TOL * length:
+            return nodes, iterations, True
+    return nodes, iterations, False
 
 
-def _final_path(model: ParamModel, nodes, bounds, iterations, converged, warm_start=False) -> PathResult:
-    """The path's checked length, with flags."""
-    length = _path_length(model, nodes)
+def _lbfgs_direction(g, pairs) -> np.ndarray:
+    """Inverse-Hessian estimate times ``g`` by the two-loop recursion."""
+    q = g.ravel().copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q.reshape(g.shape)
+
+
+def _armijo_step(model: ParamModel, nodes, length, grad, direction):
+    """The first of the steps ``direction``, halved up to ``MAX_BACKTRACKS``
+    times, whose box-clipped nodes stay in the domain and lower the
+    objective by the Armijo rule: (nodes, length, gradient), or None."""
+    lo, hi = model.domain.lo, model.domain.hi
+    x = nodes[1:-1]
+    step = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        trial = nodes.copy()
+        trial[1:-1] = np.clip(x + step * direction, lo, hi)
+        if all(model.domain.contains(theta) for theta in trial[1:-1]):
+            t_length, t_grad = _arc_objective(model, trial)
+            if t_length <= length + ARMIJO * float(np.sum(grad * (trial[1:-1] - x))) and t_length < length:
+                return trial, t_length, t_grad
+        step *= 0.5
+    return None
+
+
+def _final_path(model: ParamModel, candidates, bounds, iterations, converged, warm_start=False) -> PathResult:
+    """The candidate path with the shortest checked length, with flags."""
+    lengths = [_path_length(model, nodes) for nodes in candidates]
+    best = int(np.argmin(lengths))
+    nodes = candidates[best]
     degenerate = _degenerate_segments(model, nodes)
-    return PathResult(nodes.copy(), length, *bounds, iterations, converged, warm_start, degenerate)
+    return PathResult(nodes.copy(), lengths[best], *bounds, iterations, converged, warm_start, degenerate)
 
 
 def _path_length(model: ParamModel, nodes) -> float:

@@ -11,6 +11,7 @@ and hence exactly row-stochastic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +75,14 @@ def binning_kernel(source: SampleSpace, labels) -> MarkovKernel:
 def random_kernel(source: SampleSpace, n_target: int, rng) -> MarkovKernel:
     """Rows drawn independently from the flat distribution on the simplex."""
     rows = rng.dirichlet(np.ones(n_target), size=source.size)
-    return MarkovKernel(source, finite_space(n_target), rows)
+    return MarkovKernel(source, _target_space(n_target), rows)
+
+
+@lru_cache(maxsize=64)
+def _target_space(n_target: int) -> SampleSpace:
+    """One finite space per target size; spaces are immutable, so kernels
+    drawn with the same size share it."""
+    return finite_space(n_target)
 
 
 def compose(second: MarkovKernel, first: MarkovKernel) -> MarkovKernel:

@@ -1,12 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sigeo import distance
 from sigeo.distance import (
+    _arc_objective,
     _energy_path,
+    _segment_lengths,
     curve_length,
     fisher_distance,
     metric_axiom_check,
@@ -173,18 +178,79 @@ def test_pinned_paths_match_their_closed_forms():
     assert loc.length == pytest.approx(oracle, rel=2e-4)
 
 
-def test_rejected_warm_start_falls_back_to_the_straight_path_descent():
+# A mixture pair whose energy path the acceptance sweep rejects.
+FALLBACK_PAIR = ([0.37871316923558307, -2.98634693799304], [0.2553746123112095, -1.4237405052020229])
+
+
+def test_rejected_warm_start_falls_back_to_the_arc_solver():
     # The first sweep from this pair's energy path still shortens it by more
-    # than the stop rule allows, so the descent runs from the straight path
-    # and the pin is the descent's own result.
-    res = fisher_distance(
-        get_model("mixture"),
-        [0.37871316923558307, -2.98634693799304],
-        [0.2553746123112095, -1.4237405052020229],
-    )
+    # than the stop rule allows, so the arc solver runs from that path and
+    # the pin is the solver's own result. The coordinate descent that ran
+    # here before took 35 sweeps to 0.7650525932501462.
+    res = fisher_distance(get_model("mixture"), *FALLBACK_PAIR)
     assert not res.warm_start
-    assert res.iterations == 35 and res.converged
-    assert res.length == 0.7650525932501462
+    assert res.iterations == 132 and res.converged
+    assert res.length == pytest.approx(0.7650326018247952, rel=1e-12, abs=0.0)
+
+
+def test_capped_arc_solver_reports_no_convergence(monkeypatch):
+    mix = get_model("mixture")
+    monkeypatch.setattr(distance, "MAX_ITER", 5)
+    res = fisher_distance(mix, *FALLBACK_PAIR)
+    assert not res.warm_start
+    assert res.iterations == 5 and not res.converged
+    straight = CurveInModel(mix, np.linspace(*FALLBACK_PAIR, 8 + 2))
+    assert res.length <= curve_length(mix, straight)
+
+
+def test_fallback_never_imports_scipy_optimize():
+    code = (
+        "import sys; from sigeo.distance import fisher_distance; from sigeo.models import get_model; "
+        f"res = fisher_distance(get_model('mixture'), *{FALLBACK_PAIR!r}); "
+        "assert not res.warm_start; print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("model_id, ends", [
+    ("mixture", ([0.3, -1.5], [0.7, 2.0])),  # crosses the degenerate line b = 0
+    ("gauss-loc-scale", ([-1.0, 0.7], [1.2, 1.6])),
+])
+def test_arc_gradient_matches_central_differences(model_id, ends):
+    model = get_model(model_id)
+    nodes = np.linspace(*ends, 8 + 2)
+    nodes[1:-1, 0] += 0.05 * np.sin(np.arange(1, 9))
+    _, grad = _arc_objective(model, nodes)
+    h = 1e-6
+    numeric = np.zeros_like(grad)
+    for k, d in np.ndindex(grad.shape):
+        up, down = nodes.copy(), nodes.copy()
+        up[k + 1, d] += h
+        down[k + 1, d] -= h
+        numeric[k, d] = (_arc_objective(model, up)[0] - _arc_objective(model, down)[0]) / (2 * h)
+    assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_fallback_is_never_longer_than_the_straight_path():
+    # The coordinate descent that ran here before moved nodes toward the
+    # quadrature error of its 4-point rule near the simplex face and
+    # returned 0.0514821, longer than the straight path's 0.0514741.
+    th1, th2 = [0.4999995, 0.4999995], [0.49964265, 0.49964265]
+    res = fisher_distance(CAT3, th1, th2)
+    assert not res.warm_start
+    assert res.length <= curve_length(CAT3, CurveInModel(CAT3, np.linspace(th1, th2, 8 + 2)))
+    assert res.length >= sphere_distance(th1, th2) - QUAD_TOL
+
+
+def test_segment_lengths_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(5)
+    mix = get_model("mixture")
+    nodes = np.column_stack([rng.uniform(0.05, 0.95, 50), rng.uniform(-3.0, 3.0, 50)])  # 49 segments
+    for quad_points in (4, 8):
+        full = _segment_lengths(mix, nodes, quad_points)
+        single = [_segment_lengths(mix, nodes[i:i + 2], quad_points)[0] for i in range(49)]
+        np.testing.assert_array_equal(full, single)
 
 
 @st.composite

@@ -95,6 +95,14 @@ def test_composition_exact():
     assert direct.density == pytest.approx(staged.density, abs=1e-15)
 
 
+def test_kernels_of_one_size_share_their_target_space():
+    rng = np.random.default_rng(4)
+    first, second = random_kernel(F4, 3, rng), random_kernel(CAT4.space, 3, rng)
+    assert first.target is second.target
+    assert first.target.same_as(finite_space(3))
+    assert random_kernel(F4, 2, rng).target.same_as(finite_space(2))
+
+
 # -- pushforward of tangents ------------------------------------------------------
 
 def test_identity_preserves_tangent():

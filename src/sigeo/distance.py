@@ -81,12 +81,11 @@ MAX_HALVINGS = 40
 # rule bounds the last improvement, not the gap to the infimum, so this is
 # an allowance, not a certified bound. On the 25 seed-0 Gaussian
 # location-scale pairs of tv-lower-bound, estimates sit up to 1.53e-3
-# above the closed-form distance (median 2.2e-4), beyond this value. The
-# two largest gaps are the arc solver's, and it cut them only from the
-# coordinate descent's 1.61e-3 and 1.53e-3 to 1.53e-3 and 1.48e-3; with 16
-# interior nodes the descent's largest gap fell to 4.3e-4, so most of it
-# is path discretization. Separating discretization from optimizer error
-# is open work (ROADMAP item 3).
+# above the closed-form distance (median 2.2e-4), beyond this value; the
+# two largest (1.53e-3 and 1.48e-3) are arc-solver results. With 16
+# interior nodes the largest gap fell to 4.3e-4 (measured with the earlier
+# coordinate descent), so most of it is path discretization. Separating
+# discretization from optimizer error is open work (ROADMAP item 3).
 OPTIMIZER_GAP = 1e-3
 
 

@@ -16,13 +16,6 @@ from sigeo import acceptance
 
 # details at seed 0; a change that moves any of these numbers changes what
 # the criteria measure, so the record moves only with a stated reason.
-# Last moves: the arc solver replaced the coordinate-descent fallback, so
-# tv-lower-bound's 3 unconverged pairs (500 sweeps) now converge; and
-# segment lengths became a row sum instead of a BLAS matrix-vector product
-# (the same bits at every stack size), which moved the last bits of
-# lengths and so of the metric-axioms asymmetries and triangle
-# violations, the sphere-oracle error and the Hausdorff-monotonicity
-# ratios, all of them differences of nearly equal lengths.
 GOLDEN_DETAILS = {
     "fisher-oracles": {"worst_rel_err": 7.494782572337044e-12},
     "singular-locus": {"corner_frobenius": 0.0, "max_jeffrey_on_locus": 0.0},
@@ -70,6 +63,8 @@ GOLDEN_DETAILS = {
             "rel_err": 0.009374999999982505,
         },
     },
+    # a permuted model sums its atoms in another order, so its segment
+    # lengths, and the estimate, may differ in the last bit
     "hausdorff-monotonicity": {"failures": 0, "max_ratio": 0.43804942281557757, "perm_rel_dev": 2.6174869193188954e-16},
     "cramer-rao": {
         "max_efficiency_dev": 1.441902153231922e-14,

@@ -91,7 +91,7 @@ def test_distance_1d_equals_straight_line():
 
 
 def test_distance_1d_bernoulli_is_the_arcsine_distance():
-    # 1-parameter paths skip the descent: the evenly spaced straight segment
+    # 1-parameter paths skip the optimizer: the evenly spaced straight segment
     res = fisher_distance(BERN, [0.9], [0.12])
     arc = 2 * (math.asin(math.sqrt(0.9)) - math.asin(math.sqrt(0.12)))
     assert res.length == pytest.approx(arc, rel=1e-6)
@@ -185,8 +185,7 @@ FALLBACK_PAIR = ([0.37871316923558307, -2.98634693799304], [0.2553746123112095, 
 def test_rejected_warm_start_falls_back_to_the_arc_solver():
     # The first sweep from this pair's energy path still shortens it by more
     # than the stop rule allows, so the arc solver runs from that path and
-    # the pin is the solver's own result. The coordinate descent that ran
-    # here before took 35 sweeps to 0.7650525932501462.
+    # the pin is the solver's own result.
     res = fisher_distance(get_model("mixture"), *FALLBACK_PAIR)
     assert not res.warm_start
     assert res.iterations == 132 and res.converged
@@ -233,9 +232,9 @@ def test_arc_gradient_matches_central_differences(model_id, ends):
 
 
 def test_fallback_is_never_longer_than_the_straight_path():
-    # The coordinate descent that ran here before moved nodes toward the
-    # quadrature error of its 4-point rule near the simplex face and
-    # returned 0.0514821, longer than the straight path's 0.0514741.
+    # Near the simplex face a fixed quadrature rule understates segments, so
+    # an optimizer can move nodes toward that error and lengthen the true
+    # path; the shortest checked candidate is returned instead.
     th1, th2 = [0.4999995, 0.4999995], [0.49964265, 0.49964265]
     res = fisher_distance(CAT3, th1, th2)
     assert not res.warm_start

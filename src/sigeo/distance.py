@@ -6,21 +6,20 @@ segment by segment with Gauss-Legendre quadrature. The distance estimate
 minimizes that length over the interior nodes. Everything rests on the
 square-root embedding psi = sqrt(p w), which maps the model into the unit
 sphere of R^X, where the Fisher length of a curve is twice the length of
-its image. Three stages:
+its image. Two stages:
 
 * an energy phase: Levenberg-Marquardt on the chord energy
   sum_k |psi(theta_{k+1}) - psi(theta_k)|^2, with the block-tridiagonal
   Gauss-Newton matrix from one model jet per trial and every trial node
   kept inside the domain;
-* an acceptance sweep: one coordinate-descent sweep on the length from the
-  energy path, with central-difference gradients and backtracking. When
-  it shortens the path by less than the relative tolerance, the swept
-  energy path is the result;
-* otherwise the arc solver: projected L-BFGS from the energy path on the
+* the arc solver: projected L-BFGS from the energy path on the
   sub-sampled arc length of psi, the sum of great-circle arcs between
   psi at a few evenly spaced points of every segment, with its exact
-  gradient from one first-order jet per evaluation. Of the solver's path,
-  the energy path and the straight path, the shortest is returned.
+  gradient from one first-order jet per evaluation. Its first iteration
+  decides whether the energy path stands: when that iteration finds no
+  descent step or gains less than the relative tolerance, the solver
+  stops there. Of the solver's path, the energy path and the straight
+  path, the shortest is returned.
 
 For 1-parameter models, and without interior nodes, the straight segment
 is returned without any stage.
@@ -47,14 +46,13 @@ from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
 
-# Relative stop tolerance (of the acceptance sweep, the energy phase and
-# the arc solver) and the cap on energy trials and arc-solver iterations.
+# Relative stop tolerance (of the energy phase, the arc solver and its
+# first-iteration acceptance) and the cap on energy trials and arc-solver
+# iterations.
 OPTIMIZER_TOL = 1e-6
 MAX_ITER = 500
-# Acceptance sweep: quadrature points per segment. First step of every
-# sweep coordinate move and of the arc solver's steepest-descent restarts,
+# First step of a steepest-descent restart whose curvature estimate fails,
 # as a fraction of the endpoints' largest coordinate difference.
-DESCENT_QUAD_POINTS = 4
 STEP_INIT = 0.05
 # Levenberg-Marquardt damping of the energy phase: start, and the give-up
 # level past which steps are too small to matter.
@@ -134,10 +132,12 @@ class PathResult:
 
     ``length`` is an upper estimate of the distance; ``lower_bound_tv`` and
     ``lower_bound_angle`` are the total-variation and Bhattacharyya-angle
-    lower bounds. ``warm_start`` says whether the acceptance sweep kept the
-    energy path; ``iterations`` is then 1 (the sweep), and otherwise counts
-    the arc solver's iterations, with ``converged`` false when the solver
-    stopped at its cap. Straight paths report 0 iterations.
+    lower bounds. ``warm_start`` says whether the arc solver's first
+    iteration let the energy path stand; ``iterations`` is then 1, and
+    otherwise counts the arc solver's iterations, with ``converged`` false
+    when the solver stopped at its cap. Straight paths report 0 iterations.
+    Every length is at most the straight path's checked length: the
+    straight path is always a candidate, and may be the one returned.
     ``degenerate_segments`` lists segments whose metric's smallest
     eigenvalue at the midpoint falls below the rank tolerance.
     """
@@ -179,10 +179,8 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
         # nodes the segment is the only path.
         return _final_path(model, [straight], bounds, 0, True)
     warm = _energy_path(model, straight)
-    if _sweep(model, warm):
-        return _final_path(model, [warm], bounds, 1, True, warm_start=True)
-    nodes, iterations, converged = _arc_solve(model, warm)
-    return _final_path(model, [nodes, warm, straight], bounds, iterations, converged)
+    nodes, iterations, converged, warm_start = _arc_solve(model, warm)
+    return _final_path(model, [nodes, warm, straight], bounds, iterations, converged, warm_start)
 
 
 def _energy_path(model: ParamModel, nodes) -> np.ndarray:
@@ -244,57 +242,6 @@ def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     return nodes
 
 
-def _sweep(model: ParamModel, nodes) -> bool:
-    """One coordinate-descent sweep on the path length from ``nodes``, in
-    place; True when it shortens the path by less than ``OPTIMIZER_TOL``
-    relative.
-
-    The sweep moves one coordinate of one interior node at a time along a
-    central-difference gradient with backtracking, each segment measured
-    with the ``DESCENT_QUAD_POINTS`` rule.
-    """
-    K = nodes.shape[0] - 2
-    scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
-    grad_h = max(1e-7, 1e-6 * scale)
-
-    def local_len(j):
-        return float(np.sum(_segment_lengths(model, nodes[j - 1:j + 2], DESCENT_QUAD_POINTS)))
-
-    def probe_lens(j, d):
-        """local_len(j) with coordinate d of node j moved by +grad_h and by
-        -grad_h, in one call; None when either probe leaves the domain."""
-        trial = np.repeat(nodes[None, j - 1:j + 2], 2, axis=0)
-        trial[:, 1, d] += (grad_h, -grad_h)
-        if not all(model.domain.contains(theta) for theta in trial[:, 1]):
-            return None
-        return np.sum(_segment_lengths(model, trial, DESCENT_QUAD_POINTS), axis=1)
-
-    prev = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
-    for j in range(1, K + 1):
-        # local_len(j) at the current nodes, kept up to date across d
-        base = local_len(j)
-        for d in range(model.param_dim):
-            probes = probe_lens(j, d)
-            if probes is None:
-                continue
-            g = (probes[0] - probes[1]) / (2 * grad_h)
-            if g == 0.0:
-                continue
-            old = nodes[j, d]
-            st = STEP_INIT * scale
-            for _ in range(8):
-                nodes[j, d] = old - st * np.sign(g) * min(abs(g), 1.0)
-                if model.domain.contains(nodes[j]):
-                    trial = local_len(j)
-                    if trial < base - 1e-15:
-                        base = trial
-                        break
-                nodes[j, d] = old
-                st *= 0.25
-    total = float(np.sum(_segment_lengths(model, nodes, DESCENT_QUAD_POINTS)))
-    return prev - total < OPTIMIZER_TOL * max(total, 1e-12)
-
-
 def _arc_rows(nodes) -> np.ndarray:
     """``ARC_SAMPLES`` evenly spaced points on each straight segment, from
     its start, then the last node: (S * ARC_SAMPLES + 1, n)."""
@@ -353,19 +300,23 @@ def _arc_objective(model: ParamModel, nodes) -> tuple:
 
 
 def _arc_solve(model: ParamModel, nodes) -> tuple:
-    """Projected L-BFGS on ``_arc_objective`` from ``nodes``.
+    """Projected L-BFGS on ``_arc_objective`` from ``nodes``, whose first
+    iteration decides whether ``nodes`` stand.
 
     Trial nodes are clipped to the domain's box, and a trial that still
     leaves the domain (categorical's simplex constraint) or fails the
     Armijo test halves the step. Coordinates held at a box wall by the
-    gradient stay out of the search direction. Stops once
+    gradient stay out of the search direction. When the first iteration
+    finds no descent step, or its step lowers the objective by less than
+    ``OPTIMIZER_TOL`` relative, ``nodes`` are the result (a warm start, 1
+    iteration, converged). Otherwise the solver stops once
     ``STALL_ITERATIONS`` iterations have lowered the objective by less than
     ``OPTIMIZER_TOL`` relative (converged), when no step along the
     projected steepest descent lowers it (converged: nothing left to gain
     at this precision), or after ``MAX_ITER`` iterations (not converged).
-    Returns (nodes, iterations, converged); ``nodes`` is not modified.
+    Returns (nodes, iterations, converged, warm_start); ``nodes`` is not
+    modified.
     """
-    nodes = nodes.copy()
     lo, hi = model.domain.lo, model.domain.hi
     scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
     length, grad = _arc_objective(model, nodes)
@@ -379,16 +330,18 @@ def _arc_solve(model: ParamModel, nodes) -> tuple:
         direction = -_lbfgs_direction(g, pairs) * free
         if not pairs or np.sum(direction * g) >= 0.0:
             # no curvature pairs yet, or they no longer give a descent
-            # direction: restart along the scaled steepest descent
+            # direction: restart along the steepest descent
             pairs.clear()
-            direction = -g * (STEP_INIT * scale / max(float(np.max(np.abs(g))), 1e-300))
+            direction = -_restart_step(model, nodes, grad, g, scale) * g
         accepted = _armijo_step(model, nodes, length, grad, direction)
         if accepted is None:
             if not pairs:
-                return nodes, iterations, True
+                return nodes, iterations, True, iterations == 1
             pairs.clear()
             continue
         trial, t_length, t_grad = accepted
+        if iterations == 1 and length - t_length < OPTIMIZER_TOL * t_length:
+            return nodes, 1, True, True
         s = (trial[1:-1] - x).ravel()
         y = (t_grad - grad).ravel()
         sy = float(s @ y)
@@ -398,8 +351,27 @@ def _arc_solve(model: ParamModel, nodes) -> tuple:
         nodes, length, grad = trial, t_length, t_grad
         history.append(length)
         if len(history) > STALL_ITERATIONS and history[-1 - STALL_ITERATIONS] - length < OPTIMIZER_TOL * length:
-            return nodes, iterations, True
-    return nodes, iterations, False
+            return nodes, iterations, True, False
+    return nodes, iterations, False, False
+
+
+def _restart_step(model: ParamModel, nodes, grad, g, scale) -> float:
+    """Step length along -g for a steepest-descent restart: |g|^2 / g^T H g,
+    with H g the difference quotient of the gradient between the nodes and
+    a probe moved by 1e-6 ``scale`` along -g. ``STEP_INIT`` ``scale`` /
+    max|g| when that curvature is not positive or the probe leaves the
+    domain."""
+    fallback = STEP_INIT * scale / max(float(np.max(np.abs(g))), 1e-300)
+    gg = float(np.sum(g * g))
+    if gg == 0.0:
+        return fallback
+    eps = 1e-6 * scale / np.sqrt(gg)
+    probe = nodes.copy()
+    probe[1:-1] -= eps * g
+    if not all(model.domain.contains(theta) for theta in probe[1:-1]):
+        return fallback
+    curvature = float(np.sum(g * (grad - _arc_objective(model, probe)[1]))) / eps
+    return gg / curvature if curvature > 0.0 else fallback
 
 
 def _lbfgs_direction(g, pairs) -> np.ndarray:
@@ -437,7 +409,9 @@ def _armijo_step(model: ParamModel, nodes, length, grad, direction):
 
 
 def _final_path(model: ParamModel, candidates, bounds, iterations, converged, warm_start=False) -> PathResult:
-    """The candidate path with the shortest checked length, with flags."""
+    """The candidate path with the shortest checked length, with flags;
+    a candidate equal to an earlier one is not measured again."""
+    candidates = [c for i, c in enumerate(candidates) if not any(np.array_equal(c, d) for d in candidates[:i])]
     lengths = [_path_length(model, nodes) for nodes in candidates]
     best = int(np.argmin(lengths))
     nodes = candidates[best]

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fisher
 from .errors import UsageError
+# directional_form is unused here; perfbench/tests/test_tracing.py expects the binding.
 from .fisher import directional_form
 from .measures import DOMINANCE_TOL, MASS_TOL, Measure, SampleSpace, TangentVector, finite_space
 from .models import ParamModel, tangent_log_reps
@@ -148,10 +149,12 @@ def monotonicity_gap(kernel, model: ParamModel, thetas, vs) -> np.ndarray:
     kernels = [kernel] * len(thetas) if isinstance(kernel, MarkovKernel) else list(kernel)
     if len(kernels) != len(thetas):
         raise UsageError("one kernel per parameter row required")
-    before = directional_form(model, thetas, vs)
+    if vs.shape != thetas.shape:
+        raise UsageError("one direction row per parameter row required")
     model.domain.require_rows(thetas)
     P, J = model.jet(thetas)
     w = model.space.weights
+    before = fisher._directional_values(P, J, vs, w)
     rep = tangent_log_reps(P, J, vs, w)
     if not all(k.source.same_as(model.space) for k in kernels):
         raise UsageError("measure lives on a different space than the kernel source")

@@ -90,13 +90,13 @@ def finite_space(m: int) -> SampleSpace:
     return SampleSpace(_FINITE, np.arange(m, dtype=float), np.ones(m), (0.0, float(m - 1)))
 
 
-def grid1d_space(lo, hi, panels=64, npts=8) -> SampleSpace:
+def grid1d_space(lo, hi, panels, npts=8) -> SampleSpace:
     """1-d interval backend with composite Gauss-Legendre weights."""
     nodes, weights = panel_nodes_weights(uniform_edges(lo, hi, panels), npts)
     return SampleSpace(_GRID1D, nodes, weights, (float(lo), float(hi)))
 
 
-def grid1d_from_edges(edges, npts=8) -> SampleSpace:
+def grid1d_from_edges(edges, npts) -> SampleSpace:
     """1-d backend over custom panel edges (for clustered grids)."""
     nodes, weights = panel_nodes_weights(edges, npts)
     return SampleSpace(_GRID1D, nodes, weights, (float(edges[0]), float(edges[-1])))

@@ -25,7 +25,7 @@ GOLDEN_DETAILS = {
         "min_margin": 0.0009695158251986635,
         "pairs": 100,
         "unconverged": 0,
-        "warm_started": 54,
+        "warm_started": 53,
     },
     "metric-axioms": {
         "bernoulli": {
@@ -35,10 +35,10 @@ GOLDEN_DETAILS = {
             "max_triangle_violation": 3.3306690738754696e-16,
         },
         "categorical": {
-            "axiom_tol": 0.004203903870756326,
-            "max_asymmetry": 1.3396993181480354e-07,
+            "axiom_tol": 0.004203903964352966,
+            "max_asymmetry": 4.440892098500626e-16,
             "max_identity": 0.0,
-            "max_triangle_violation": 2.481969327794431e-05,
+            "max_triangle_violation": 2.4835311204007837e-05,
         },
         "gauss-location": {
             "axiom_tol": 0.005375385717938602,
@@ -47,7 +47,7 @@ GOLDEN_DETAILS = {
             "max_triangle_violation": 1.199040866595169e-14,
         },
     },
-    "sphere-oracle": {"worst_rel_err": 0.00013590217469298035},
+    "sphere-oracle": {"worst_rel_err": 0.00013592358544626252},
     "data-processing": {"max_abs_perm_gap": 2.842170943040401e-14, "min_gap": 0.04992072496178532},
     "hausdorff-jeffrey": {
         "bernoulli": {

@@ -47,9 +47,7 @@ SETTABLE = {
     "hausdorff.covering_profile(k)",
     "hausdorff.flat_region_dimension_estimate(seed)",
     "hausdorff.hausdorff_measure_estimate(enforce_density)",
-    "measures.grid1d_from_edges(npts)",
     "measures.grid1d_space(npts)",
-    "measures.grid1d_space(panels)",
     "measures.grid2d_space(npts)",
     "measures.grid2d_space(panels)",
     "models.gaussian_location2d_family(panels)",
@@ -91,7 +89,7 @@ def test_settable_surface_is_the_named_set():
         if p.default is not inspect.Parameter.empty
     }
     assert found == SETTABLE
-    assert len(SETTABLE) == 43
+    assert len(SETTABLE) == 41
 
 
 TEST_ONLY = {

@@ -134,17 +134,17 @@ def test_distance_refinement_does_not_increase_length():
     assert fine.length <= coarse.length + 1e-4 * coarse.length
 
 
-# Results recorded when the energy-phase warm start went in: each pair keeps
-# the energy path, which one descent sweep certifies. Any speedup of the
-# optimizer must reach the same results: equal sweep counts and
-# convergence, lengths to rounding.
+# Results recorded when the arc solver's first iteration took over the
+# acceptance of the energy path: each pair keeps its energy path. Any
+# speedup of the optimizer must reach the same results: equal iteration
+# counts and convergence, lengths to rounding.
 GOLDEN_PATHS = [
     ("categorical:3", [0.320054408997409, 0.5680633552141084],
-     [0.7278255530465946, 0.09557675416392925], 1, 1.0858011738346534),
+     [0.7278255530465946, 0.09557675416392925], 1, 1.0858011742454372),
     ("gauss-loc-scale", [1.101536511956994, 1.4022236167928308],
-     [0.8629361302183645, 1.2364608149753948], 1, 0.25369279751042084),
+     [0.8629361302183645, 1.2364608149753948], 1, 0.2536927975104585),
     ("mixture", [0.3955540028033345, -2.0253777850274055],
-     [0.5201560316069069, -2.35002094715215], 1, 0.3199876965524038),
+     [0.5201560316069069, -2.35002094715215], 1, 0.3199876965555892),
 ]
 
 
@@ -178,18 +178,55 @@ def test_pinned_paths_match_their_closed_forms():
     assert loc.length == pytest.approx(oracle, rel=2e-4)
 
 
-# A mixture pair whose energy path the acceptance sweep rejects.
+# A mixture pair whose energy path the arc solver's first iteration rejects.
 FALLBACK_PAIR = ([0.37871316923558307, -2.98634693799304], [0.2553746123112095, -1.4237405052020229])
 
 
 def test_rejected_warm_start_falls_back_to_the_arc_solver():
-    # The first sweep from this pair's energy path still shortens it by more
-    # than the stop rule allows, so the arc solver runs from that path and
-    # the pin is the solver's own result.
+    # The first iteration from this pair's energy path still shortens it by
+    # more than the stop rule allows, so the arc solver runs on and the pin
+    # is the solver's own result.
     res = fisher_distance(get_model("mixture"), *FALLBACK_PAIR)
     assert not res.warm_start
-    assert res.iterations == 132 and res.converged
-    assert res.length == pytest.approx(0.7650326018247952, rel=1e-12, abs=0.0)
+    assert res.iterations == 106 and res.converged
+    assert res.length == pytest.approx(0.7650331632302794, rel=1e-12, abs=0.0)
+
+
+def test_energy_path_gaining_little_in_one_sweep_still_goes_to_the_arc_solver():
+    # Mixture pair 22 of tv-lower-bound: one coordinate-descent sweep gains
+    # only 7.1e-7 relative on its energy path (0.26718056830676085), yet a
+    # far shorter path exists; the arc solver's first step gains more than
+    # the tolerance, so the solver must run on.
+    res = fisher_distance(
+        get_model("mixture"),
+        [0.7574540708494671, 0.0380529084349317],
+        [0.5693686586280279, -0.41897873650727036],
+    )
+    assert not res.warm_start and res.converged
+    assert res.length <= 0.26718056830676085 * (1.0 - 2e-3)
+
+
+NEAR_FACE_PAIR = ([0.4999995, 0.4999995], [0.49964265, 0.49964265])
+
+
+@pytest.mark.parametrize(
+    "model_id, th1, th2",
+    [g[:3] for g in GOLDEN_PATHS] + [("categorical:3", *NEAR_FACE_PAIR)],
+    ids=[g[0] for g in GOLDEN_PATHS] + ["near-face"],
+)
+def test_accepted_warm_start_is_the_energy_or_the_straight_path(monkeypatch, model_id, th1, th2):
+    # Accepting costs the objective at the energy path, one curvature probe
+    # and one trial step; the energy path then stands unmodified, unless the
+    # straight path is shorter (near-face).
+    objective = distance._arc_objective
+    calls = []
+    monkeypatch.setattr(distance, "_arc_objective", lambda m, nodes: calls.append(1) or objective(m, nodes))
+    model = get_model(model_id)
+    res = fisher_distance(model, th1, th2)
+    assert res.warm_start and res.iterations == 1 and res.converged
+    assert len(calls) <= 3
+    straight = np.linspace(th1, th2, 8 + 2)
+    assert any(np.array_equal(res.nodes, path) for path in (_energy_path(model, straight), straight))
 
 
 def test_capped_arc_solver_reports_no_convergence(monkeypatch):
@@ -234,10 +271,10 @@ def test_arc_gradient_matches_central_differences(model_id, ends):
 def test_fallback_is_never_longer_than_the_straight_path():
     # Near the simplex face a fixed quadrature rule understates segments, so
     # an optimizer can move nodes toward that error and lengthen the true
-    # path; the shortest checked candidate is returned instead.
-    th1, th2 = [0.4999995, 0.4999995], [0.49964265, 0.49964265]
+    # path; the shortest checked candidate is returned instead. This pair's
+    # energy path stands, but is 4.6e-10 longer than the straight path.
+    th1, th2 = NEAR_FACE_PAIR
     res = fisher_distance(CAT3, th1, th2)
-    assert not res.warm_start
     assert res.length <= curve_length(CAT3, CurveInModel(CAT3, np.linspace(th1, th2, 8 + 2)))
     assert res.length >= sphere_distance(th1, th2) - QUAD_TOL
 

@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--region", required=True, help="lo:hi per parameter, comma separated")
     sp.add_argument("--k", type=float, default=None)
-    sp.add_argument("--schedule", type=int, default=6)
+    sp.add_argument("--schedule", type=_int_at_least(1), default=6)
     sp.add_argument("--points", type=_int_at_least(1), default=801)
     sp.add_argument("--emit", default="")
     sp.set_defaults(func=_cmd_hausdorff)

@@ -14,6 +14,7 @@ Fisher matrix rather than a hidden factor of n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,15 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
     if key == "mean":
         return mean_estimator(base, n)
     try:
-        if key.startswith("shrinkage:"):
-            lam, off = (float(s) for s in key.split(":", 1)[1].split(","))
+        if key.startswith(("shrinkage:", "constant:")):
+            params = [float(s) for s in key.split(":", 1)[1].split(",")]
+            # Shrunk means lie within |lam| + |offset|, so a finite sum keeps every estimate finite.
+            if not math.isfinite(sum(map(abs, params))):
+                raise UsageError(f"estimator id {estimator_id!r} needs finite parameters and estimates")
+            if key.startswith("constant:"):
+                return constant_estimator(base, n, params)
+            lam, off = params
             return shrinkage_estimator(base, n, lam, off)
-        if key.startswith("constant:"):
-            theta0 = [float(s) for s in key.split(":", 1)[1].split(",")]
-            return constant_estimator(base, n, theta0)
     except UsageError:
         raise
     except ValueError as exc:

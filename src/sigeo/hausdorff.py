@@ -193,10 +193,15 @@ def halving_schedule(cloud: MetricCloud, levels, mesh_factor) -> np.ndarray:
 
     Only scales at least ``mesh_factor`` times the cloud mesh (and 1e-12)
     are kept: below a few meshes greedy sets degenerate into singletons
-    and the premeasure leaks gap mass. The result may be empty.
+    and the premeasure leaks gap mass. The result may be empty (always for
+    an infinite diameter); halving stops at the floor, whatever ``levels``.
     """
-    deltas = cloud.diameter() / 4.0 / 2.0 ** np.arange(levels)
-    return deltas[deltas >= max(mesh_factor * cloud.mesh(), 1e-12)]
+    floor = max(mesh_factor * cloud.mesh(), 1e-12)
+    deltas, d = [], cloud.diameter() / 4.0
+    while floor <= d < np.inf and len(deltas) < levels:
+        deltas.append(d)
+        d /= 2.0
+    return np.array(deltas)
 
 
 def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=True) -> CoverReport:

@@ -4,10 +4,11 @@ Every model exposes a density map p(theta, x) on a fixed sample-space
 backend together with its analytic parameter Jacobian. Evaluation is
 vectorized over batches of parameter points: ``density_batch`` maps
 (T, n) -> (T, X), ``jacobian_batch`` maps (T, n) -> (T, n, X), and ``jet``
-returns both. Gaussian families fuse the jet so each exponential is
-evaluated once per call, and derived models (products, reparameterizations,
-pushforwards) forward one jet of their base. ``get_model`` builds and
-caches the registry's models. Model objects are immutable and evaluation
+returns both, with no per-row loop in any model. Every family but
+Bernoulli and categorical supplies a fused jet (the Gaussian ones evaluate
+each exponential once per call), and derived models (products,
+reparameterizations, pushforwards) forward one jet of their base.
+``get_model`` builds and caches the registry's models. Model objects are immutable and evaluation
 is pure and reentrant.
 
 The singular members of the zoo:
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sici
+from scipy.special import expi, sici
 
 from .errors import DomainError, NotDominated, UsageError
 from .measures import (
@@ -139,6 +140,10 @@ class ParamModel:
 
     Exactly one of ``jacobian_fn`` and ``jet_fn`` (a fused thetas ->
     (density, Jacobian) agreeing bitwise with ``density_fn``) is given.
+    Only ``bernoulli`` and ``categorical:m`` give ``jacobian_fn``: the
+    perfbench tracer counts their ``density_batch`` and ``jacobian_batch``
+    calls, until tracing moves into sigeo (ROADMAP item 1) and the separate
+    Jacobian route goes.
     """
 
     name: str
@@ -398,25 +403,24 @@ def gaussian_mixture(panels=112) -> ParamModel:
 # Reparameterized path through the degenerate mixture corner
 # ---------------------------------------------------------------------------
 
-def singular_reparam_point(t) -> tuple:
-    """The (alpha, beta) reparameterization of the mixture corner path.
+def singular_reparam_points(ts) -> np.ndarray:
+    """The (alpha, beta) rows (T, 2) of the mixture corner path at ts (T,).
 
-    alpha(t) = integral_0^t d tau / log(tau^2) with the integrand extended
-    by 0 at tau = 0 (it tends to 0 there), beta(t) = t log(t^2) with
-    beta(0) = 0. Both are odd and vanish at t = 0. Note alpha(t) has the
-    opposite sign of t, so for t > 0 the path leaves the mixture's closed
-    parameter square and the induced measure is signed (mass stays 1).
+    alpha(t) = integral_0^t d tau / log(tau^2) = sign(t) Ei(log|t|) / 2 and
+    beta(t) = t log(t^2). Both are odd and vanish at t = 0.
+    Note alpha(t) has the opposite sign of t, so for t > 0 the path leaves
+    the mixture's closed parameter square and the induced measure is
+    signed (mass stays 1).
     """
-    t = float(t)
-    if not -1.0 < t < 1.0:
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.abs(ts) < 1.0):  # NaN fails too
         raise DomainError("reparameterized path needs |t| < 1")
-    if t == 0.0:
-        return 0.0, 0.0
-    alpha = adaptive_integral(
-        lambda u: 0.0 if u == 0.0 else 1.0 / math.log(u * u), 0.0, t, tol=1e-9
-    )
-    beta = t * math.log(t * t)
-    return alpha, beta
+    out = np.zeros((ts.size, 2))
+    moving = ts != 0.0
+    t = ts[moving]
+    out[moving, 0] = np.sign(t) * expi(np.log(np.abs(t))) / 2.0
+    out[moving, 1] = t * np.log(t * t)
+    return out
 
 
 def singular_reparam_model() -> ParamModel:
@@ -428,7 +432,7 @@ def singular_reparam_model() -> ParamModel:
     """
 
     def phi(ts):
-        return np.array([singular_reparam_point(t) for t in ts[:, 0]])
+        return singular_reparam_points(ts[:, 0])
 
     def dphi(ts):
         out = np.zeros((ts.shape[0], 1, 2))
@@ -464,15 +468,12 @@ def oscillatory_time_integral(t, x) -> np.ndarray:
 
     Substituting u = x/s turns the integral into x * (sin(y)/y - Ci(y))
     with y = x/t; the cosine integral comes from scipy. F is odd in x,
-    even in t, and F_0 = 0.
+    even in t, and F_0 = 0. ``t`` broadcasts against ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    t = abs(float(t))
-    out = np.zeros_like(x)
-    if t == 0.0:
-        return out
-    nz = x != 0.0
-    y = np.abs(x[nz]) / t
+    t, x = np.broadcast_arrays(np.abs(np.asarray(t, dtype=float)), np.asarray(x, dtype=float))
+    out = np.zeros(x.shape)
+    nz = (t != 0.0) & (x != 0.0)
+    y = np.abs(x[nz]) / t[nz]
     _, ci = sici(y)
     out[nz] = np.sign(x[nz]) * np.abs(x[nz]) * (np.sin(y) / y - ci)
     return out
@@ -562,21 +563,14 @@ def weak_oscillatory_model(panels=120) -> ParamModel:
     x = space.points
 
     def dens(thetas):
-        rows = [
-            1.0 / (2 * math.pi) + oscillatory_time_integral(t, x) / (2 * OSC_AMPLITUDE)
-            for t in thetas[:, 0]
-        ]
-        return np.vstack(rows)
+        return 1.0 / (2 * math.pi) + oscillatory_time_integral(thetas[:, 0:1], x) / (2 * OSC_AMPLITUDE)
 
-    def jac(thetas):
-        T = thetas.shape[0]
-        J = np.zeros((T, 1, x.size))
-        for k, t in enumerate(thetas[:, 0]):
-            if t != 0.0:
-                J[k, 0, :] = np.sin(x / t) / (2 * OSC_AMPLITUDE)
-        return J
+    def jet(thetas):
+        t = thetas[:, 0:1]
+        ratio = np.divide(x, t, out=np.zeros((t.shape[0], x.size)), where=t != 0.0)  # sin(0) = 0 at t = 0
+        return dens(thetas), (np.sin(ratio) / (2 * OSC_AMPLITUDE))[:, None, :]
 
-    return ParamModel("weak-curve", Box([-0.999], [0.999]), space, dens, jac)
+    return ParamModel("weak-curve", Box([-0.999], [0.999]), space, dens, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -611,27 +605,22 @@ def bump_square_integral() -> float:
 
 
 def friedrich_raw_density(t, x) -> np.ndarray:
-    """Unnormalized density: 1 for x <= 0, |t| f(x/|t|)^2 for x > 0, t != 0."""
-    x = np.asarray(x, dtype=float)
-    t = float(t)
+    """Unnormalized density: 1 for x <= 0, |t| f(x/|t|)^2 for x > 0, t != 0; t broadcasts against x."""
+    t, x = np.broadcast_arrays(np.abs(np.asarray(t, dtype=float)), np.asarray(x, dtype=float))
     out = np.where(x <= 0.0, 1.0, 0.0)
-    if t != 0.0:
-        m = x > 0.0
-        out = out.astype(float)
-        out[m] = abs(t) * bump(x[m] / abs(t)) ** 2
+    m = (x > 0.0) & (t != 0.0)
+    out[m] = t[m] * bump(x[m] / t[m]) ** 2
     return out
 
 
 def friedrich_raw_velocity(t, x) -> np.ndarray:
-    """d/dt of the unnormalized density: sign(t) (f^2 - 2 u f f') at u = x/|t|."""
-    x = np.asarray(x, dtype=float)
-    t = float(t)
-    out = np.zeros_like(x)
-    if t != 0.0:
-        m = x > 0.0
-        u = x[m] / abs(t)
-        f = bump(u)
-        out[m] = math.copysign(1.0, t) * (f * f - 2.0 * u * f * bump_derivative(u))
+    """d/dt of the unnormalized density, sign(t) (f^2 - 2 u f f') at u = x/|t|; t broadcasts against x."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    out = np.zeros(x.shape)
+    m = (x > 0.0) & (t != 0.0)
+    u = x[m] / np.abs(t[m])
+    f = bump(u)
+    out[m] = np.sign(t[m]) * (f * f - 2.0 * u * f * bump_derivative(u))
     return out
 
 
@@ -660,23 +649,17 @@ def normalized_friedrich_model() -> ParamModel:
     C = bump_square_integral()
 
     def dens(thetas):
-        rows = []
-        for t in thetas[:, 0]:
-            norm = 1.0 + t * t * C
-            rows.append(friedrich_raw_density(t, x) / norm)
-        return np.vstack(rows)
+        t = thetas[:, 0:1]
+        return friedrich_raw_density(t, x) / (1.0 + t * t * C)
 
-    def jac(thetas):
-        T = thetas.shape[0]
-        J = np.empty((T, 1, x.size))
-        for k, t in enumerate(thetas[:, 0]):
-            norm = 1.0 + t * t * C
-            p = friedrich_raw_density(t, x)
-            pd = friedrich_raw_velocity(t, x)
-            J[k, 0, :] = pd / norm - p * (2.0 * t * C) / (norm * norm)
-        return J
+    def jet(thetas):
+        t = thetas[:, 0:1]
+        norm = 1.0 + t * t * C
+        p = friedrich_raw_density(t, x)
+        J = friedrich_raw_velocity(t, x) / norm - p * (2.0 * t * C) / (norm * norm)
+        return p / norm, J[:, None, :]
 
-    return ParamModel("friedrich", Box([-0.999], [0.999]), space, dens, jac)
+    return ParamModel("friedrich", Box([-0.999], [0.999]), space, dens, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,18 @@ def test_verify_all_only_filter(capsys):
          "needs 2 values"),
         (["dpi-sweep", "--model", "singular-curve", "--draws", "3", "--seed", "0"], {},
          "directional derivative carries mass where the density vanishes"),
+        (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "constant:nan"], {}, "finite"),
+        (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:nan,0"], {}, "finite"),
+        (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:1e308,1e308"], {},
+         "finite"),
+        (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--schedule", "0"], {}, "--schedule"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
-         "constant-count", "dpi-not-dominated"],
+         "constant-count", "dpi-not-dominated", "constant-nan", "shrinkage-nan", "shrinkage-overflow",
+         "schedule-zero"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -360,6 +361,25 @@ def test_axioms_with_duplicate_points():
     report = metric_axiom_check(BERN, [[0.3], [0.3], [0.6]])
     assert report.max_identity == 0.0
     assert report.all_pass
+
+
+def test_axioms_triangle_excess_is_the_triple_loop(monkeypatch):
+    # Distances read from a table by point index, against the loop over distinct triples
+    rng = np.random.default_rng(4)
+    for M in (3, 4, 7):
+        for table in (rng.random((M, M)), np.abs(np.subtract.outer(np.arange(M), np.arange(M))) * 0.1):
+            np.fill_diagonal(table, 0.0)
+            monkeypatch.setattr(
+                distance, "fisher_distance",
+                lambda model, a, b, t=table: SimpleNamespace(length=t[int(a[0]), int(b[0])]),
+            )
+            loop = 0.0
+            for i in range(M):
+                for j in range(M):
+                    for k in range(M):
+                        if len({i, j, k}) == 3:
+                            loop = max(loop, table[i, k] - table[i, j] - table[j, k])
+            assert metric_axiom_check(BERN, np.arange(M, dtype=float)[:, None]).max_triangle_violation == loop
 
 
 def test_axioms_categorical_triple():

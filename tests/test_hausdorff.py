@@ -328,6 +328,17 @@ def test_halving_schedule_matches_reference_loops():
         assert halving_schedule(cloud, levels, 4.0).tolist() == cli_loop(diam, mesh, levels)
 
 
+def test_halving_schedule_stops_at_the_floor_for_any_level_count():
+    # 2.0 ** np.arange(10 ** 12) would need 8 TB; the floor stops the halving first
+    for diam, mesh in ((1.0, 0.0), (1e300, 1e-300), (5.0, 0.01)):
+        cloud = SimpleNamespace(diameter=lambda: diam, mesh=lambda: mesh)
+        full = halving_schedule(cloud, 10 ** 12, 4.0)
+        assert 0 < full.size < 1100
+        assert full.tolist() == halving_schedule(cloud, full.size, 4.0).tolist()
+        assert full[-1] / 2.0 < max(4.0 * mesh, 1e-12) <= full[-1]
+    assert halving_schedule(SimpleNamespace(diameter=lambda: np.inf, mesh=lambda: 0.0), 10 ** 12, 4.0).size == 0
+
+
 # -- measure estimates --------------------------------------------------------------
 
 def bern_cloud(n=1201):

@@ -26,11 +26,12 @@ from sigeo.models import (
     outcome_table,
     product_model,
     reparameterized_model,
-    singular_reparam_point,
+    singular_reparam_points,
     tangent_at,
     weak_oscillatory_measure,
     weak_oscillatory_velocity,
 )
+from sigeo.quadrature import adaptive_integral
 
 SQ = math.sqrt(2 * math.pi)
 
@@ -165,20 +166,27 @@ def corner_witness_measure(t):
 
 
 def test_singular_reparam_origin():
-    assert singular_reparam_point(0.0) == (0.0, 0.0)
+    np.testing.assert_array_equal(singular_reparam_points([0.0]), [[0.0, 0.0]])
 
 
 def test_singular_reparam_oddness():
-    for t in (0.1, 0.35, 0.7):
-        a_p, b_p = singular_reparam_point(t)
-        a_m, b_m = singular_reparam_point(-t)
-        assert a_m == pytest.approx(-a_p, rel=1e-9, abs=1e-12)
-        assert b_m == pytest.approx(-b_p, rel=1e-12)
+    t = np.array([0.1, 0.35, 0.7])
+    np.testing.assert_array_equal(singular_reparam_points(-t), -singular_reparam_points(t))
+
+
+def test_singular_reparam_alpha_is_the_integral():
+    # alpha(t) = integral_0^t d tau / log(tau^2), by direct adaptive quadrature
+    ts = np.array([1e-6, -1e-6, 0.3, -0.3, 0.98, -0.98])
+    direct = [
+        adaptive_integral(lambda u: 0.0 if u == 0.0 else 1.0 / math.log(u * u), 0.0, t, tol=1e-12) for t in ts
+    ]
+    np.testing.assert_allclose(singular_reparam_points(ts)[:, 0], direct, rtol=0.0, atol=1e-11)
 
 
 def test_singular_reparam_domain_error():
-    with pytest.raises(DomainError):
-        singular_reparam_point(1.0)
+    for t in (1.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            singular_reparam_points([0.2, t])
 
 
 def test_singular_curve_jacobian_vanishes_at_the_corner():
@@ -190,7 +198,7 @@ def test_singular_curve_is_the_mixture_pulled_back():
     curve = get_model("singular-curve")
     for t in (-0.6, 0.0, 0.2):
         np.testing.assert_array_equal(
-            curve.density_batch([[t]])[0], MIX.density_batch([singular_reparam_point(t)])[0]
+            curve.density_batch([[t]])[0], MIX.density_batch(singular_reparam_points([t]))[0]
         )
 
 
@@ -474,6 +482,17 @@ def test_jet_equals_separate_density_and_jacobian(model_id, rows):
     p1, J1 = model.jet_at(thetas[0])
     np.testing.assert_array_equal(p1, P[0])
     np.testing.assert_array_equal(J1, J[0])
+    for row, theta in enumerate(thetas):  # a row's values do not depend on the batch
+        p1, J1 = model.jet(theta[None])
+        np.testing.assert_array_equal(p1[0], P[row])
+        np.testing.assert_array_equal(J1[0], J[row])
+
+
+def test_only_the_finite_families_keep_a_separate_jacobian():
+    assert set(models._BUILDERS) <= set(ZOO_IDS)
+    for model_id in ZOO_IDS:
+        separate = get_model(model_id).jacobian_fn is not None
+        assert separate == (model_id == "bernoulli" or model_id.startswith("categorical:")), model_id
 
 
 def _unfused_jacobian(model_id, x, thetas):
@@ -504,6 +523,27 @@ def test_fused_jets_reproduce_the_unfused_jacobians(model_id, rows):
     thetas = _draw(model, rows, seed=5)
     _, J = model.jet(thetas)
     np.testing.assert_array_equal(J, _unfused_jacobian(model_id, model.space.points, thetas))
+
+
+def test_curve_jets_reproduce_the_per_row_formulas():
+    # The weak-curve and friedrich jets as they were evaluated before, one row at a time
+    weak, fried = get_model("weak-curve"), get_model("friedrich")
+    C = bump_square_integral()
+    for model in (weak, fried):
+        x = model.space.points
+        thetas = np.concatenate([_draw(model, 12, seed=7), [[0.0], [1e-7], [-1e-7]]])
+        P, J = model.jet(thetas)
+        for row, t in enumerate(thetas[:, 0]):
+            if model is weak:
+                p = 1.0 / (2 * math.pi) + oscillatory_time_integral(t, x) / (2 * models.OSC_AMPLITUDE)
+                dp = np.sin(x / t) / (2 * models.OSC_AMPLITUDE) if t != 0.0 else np.zeros(x.size)
+            else:
+                norm = 1.0 + t * t * C
+                raw = models.friedrich_raw_density(t, x)
+                p = raw / norm
+                dp = models.friedrich_raw_velocity(t, x) / norm - raw * (2.0 * t * C) / (norm * norm)
+            np.testing.assert_array_equal(P[row], p)
+            np.testing.assert_array_equal(J[row, 0], dp)
 
 
 def test_registry_ids():

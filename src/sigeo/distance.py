@@ -174,7 +174,7 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
         nodes = np.vstack([theta1, theta2])
         return PathResult(nodes, 0.0, *bounds, 0, True)
 
-    straight = np.linspace(theta1, theta2, interior_nodes + 2)
+    straight = _straight_path(model, theta1, theta2, interior_nodes + 2)
     if model.param_dim == 1 or interior_nodes == 0:
         # Every path between the endpoints of an interval sweeps the segment
         # joining them, so the segment is the geodesic; without interior
@@ -183,6 +183,21 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
     warm = _energy_path(model, straight)
     nodes, iterations, converged, warm_start = _arc_solve(model, warm)
     return _final_path(model, [nodes, warm, straight], bounds, iterations, converged, warm_start)
+
+
+def _straight_path(model: ParamModel, theta1, theta2, count) -> np.ndarray:
+    """``count`` evenly spaced nodes from theta1 to theta2, all in the domain.
+
+    ``np.linspace`` can round an interior node of a segment that runs along
+    a face of the domain (categorical's sum(theta) = 1 - eps) just outside
+    it; such a node is snapped to the nearer endpoint. That leaves a
+    zero-length segment, and the polyline still sweeps the segment.
+    """
+    nodes = np.linspace(theta1, theta2, count)
+    for k in range(1, count - 1):
+        if not model.domain.contains(nodes[k]):
+            nodes[k] = theta1 if 2 * k <= count - 1 else theta2
+    return nodes
 
 
 def _energy_path(model: ParamModel, nodes) -> np.ndarray:

@@ -287,12 +287,21 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
     """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL`` plus a
     noise allowance: 0 when exact, else ``CR_NOISE_SE`` standard errors
     sqrt((E q^2 - (E q)^2) / (draws - 1)) of the sampled variance along the
-    gap's smallest-eigenvalue eigenvector u, q = (u.(x - mean))^2."""
+    gap's smallest-eigenvalue eigenvector u, q = (u.(x - mean))^2.
+
+    Finite but huge estimates can overflow either form; that raises
+    UsageError, since no gap is defined for them."""
     vals = _phi_values(phi, sigma, model)
     w = _outcome_weights(model, theta, sampling)
     mean = w @ vals
-    V = _second_moment(vals, w, mean)
-    F = inverse_fisher_form(model, theta, phi, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = _second_moment(vals, w, mean)
+        F = inverse_fisher_form(model, theta, phi, sigma)
+    if not (np.all(np.isfinite(V.matrix)) and np.all(np.isfinite(F.matrix))):
+        raise UsageError(
+            f"estimator {sigma.name} overflows the variance or inverse-Fisher form; "
+            "its estimates need finite second moments"
+        )
     gap = QuadraticForm(V.matrix - F.matrix)
     mn = gap.min_eigenvalue()
     allowance = 0.0

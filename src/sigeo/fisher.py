@@ -24,8 +24,15 @@ from .models import CurveInModel, ParamModel
 EIGEN_TOL = 1e-8  # relative to the largest eigenvalue, floored at 1
 JUMP_TOL = 0.1    # relative speed mismatch that counts as a discontinuity
 FD_STEP_T = 1e-4  # curve-velocity finite-difference step
-# Rows x reference nodes per jet call of a batched evaluation: 1.6 MB for
-# the densities, as much again per parameter for the Jacobian.
+# Rows x reference nodes per jet call of a reducing evaluation (Fisher
+# matrices, segment lengths, monotonicity gaps): 128 KB for the densities,
+# as much again per parameter for the Jacobian, so a jet and its
+# temporaries stay in cache. Set from a sweep of ``fisher_matrices`` on
+# 2000 rows over budgets of 8192 to 200 000 entries; every matrix was
+# bitwise the same at every budget.
+JET_ENTRY_BUDGET = 16_384
+# Entries per block of the memory-bound loops: metric-cloud row blocks,
+# midpoint pair blocks and Markov kernel blocks. It bounds memory only.
 JET_NODE_BUDGET = 200_000
 
 
@@ -80,7 +87,7 @@ def fisher_matrices(model: ParamModel, thetas) -> np.ndarray:
 
     The batched ``fisher_matrix``: each matrix is bitwise the one
     ``fisher_matrix`` assembles, and no jet call holds more than
-    ``JET_NODE_BUDGET`` rows x reference nodes.
+    ``JET_ENTRY_BUDGET`` rows x reference nodes.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     model.domain.require_rows(thetas)
@@ -96,8 +103,8 @@ def fisher_matrices(model: ParamModel, thetas) -> np.ndarray:
 
 
 def jet_rows(model: ParamModel) -> int:
-    """Parameter rows per jet call within ``JET_NODE_BUDGET``."""
-    return max(1, JET_NODE_BUDGET // max(model.space.size, 1))
+    """Parameter rows per jet call within ``JET_ENTRY_BUDGET``."""
+    return max(1, JET_ENTRY_BUDGET // max(model.space.size, 1))
 
 
 def _gram(P, J, w):

@@ -15,9 +15,12 @@ quadrature assembles G at all its nodes in one batched call. Cloud
 sizes, quadrature rules and tolerances are module constants.
 
 A cloud of M points holds its one M x M matrix plus blocks sized by
-``fisher.JET_NODE_BUDGET``: the builders evaluate segments and midpoint
-pairs in budget-sized blocks, and the matrix checks and the mesh scan it
-in row blocks of at most that many entries.
+``fisher.JET_NODE_BUDGET``: midpoint pairs go in budget-sized blocks, each
+deduplicated by one lexsort, and the matrix checks and the mesh scan it in
+row blocks of at most that many entries. Model evaluations come in
+cache-sized jets of ``fisher.JET_ENTRY_BUDGET`` entries: the segments of
+cumulative and segment clouds, and the Fisher matrices at midpoints and
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -274,8 +277,10 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     cannot afford. When G is constant over the region (verified here by
     sampling; 1% relative tolerance) distances are exactly Mahalanobis, so
     the same greedy cover runs sparsely through a spatial index on
-    G^(1/2)-mapped points. The slope window [diam/17, diam/6] balances
-    boundary against occupancy bias.
+    G^(1/2)-mapped points. The points are sorted lexicographically once, so
+    the net visits only its representatives, each the first point not yet
+    covered. The slope window [diam/17, diam/6] balances boundary against
+    occupancy bias.
     """
     # Imported here, not at module level: the import takes about 0.2 s, which
     # every other user of this module would pay.
@@ -296,21 +301,22 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
 
     rng = np.random.default_rng(seed)
     pts = (lo + (hi - lo) * rng.random((FLAT_POINTS, n))) @ root.T
+    pts = pts[_lex_order(pts)]
     tree = cKDTree(pts)
     diam = float(np.linalg.norm((hi - lo) @ root.T))
     deltas = diam / 6.0 / np.sqrt(2.0) ** np.arange(FLAT_LEVELS)
 
-    order = np.lexsort(pts.T[::-1])
     counts = []
     for delta in deltas:
         covered = np.zeros(len(pts), dtype=bool)
         count = 0
-        r = 0.5 * delta
-        for idx in order:
-            if covered[idx]:
-                continue
-            covered[tree.query_ball_point(pts[idx], r)] = True
+        idx = 0
+        while not covered[idx]:
+            covered[tree.query_ball_point(pts[idx], 0.5 * delta)] = True
             count += 1
+            # the first uncovered point after idx (argmin of an all-covered
+            # tail is its start, which ends the loop)
+            idx += int(np.argmin(covered[idx:]))
         counts.append(count)
     x = np.log(1.0 / deltas)
     y = np.log(counts)
@@ -403,22 +409,31 @@ def _cloud_midpoint(model, pts) -> MetricCloud:
     """
     M, n = pts.shape
     size = max(1, fisher.JET_NODE_BUDGET // n)  # pairs per block
-    local = [
-        np.unique(pts[ii] + 0.5 * (pts[jj] - pts[ii]), axis=0, return_inverse=True)
-        for ii, jj in _pair_blocks(M, size)
-    ]
-    mids, where = np.unique(
-        np.concatenate([pts[:0], *(u for u, _ in local)]), axis=0, return_inverse=True
-    )
+    local = [_distinct_rows(pts[ii] + 0.5 * (pts[jj] - pts[ii])) for ii, jj in _pair_blocks(M, size)]
+    mids, where = _distinct_rows(np.concatenate([pts[:0], *(u for u, _ in local)]))
     G = fisher_matrices(model, mids)
     starts = np.cumsum([0, *(len(u) for u, _ in local)])
-    index = [where.ravel()[start + inverse.ravel()] for start, (_, inverse) in zip(starts, local)]
+    index = [where[start + inverse] for start, (_, inverse) in zip(starts, local)]
     del local
     d = np.zeros((M, M))
     for (ii, jj), idx in zip(_pair_blocks(M, size), index):
         v = pts[jj] - pts[ii]
         d[ii, jj] = d[jj, ii] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[idx], v), 0.0))
     return MetricCloud(pts, d)
+
+
+def _distinct_rows(a) -> tuple:
+    """The distinct rows of a (N, n) in lexicographic order, and the index
+    of every row into them: ``np.unique(a, axis=0, return_inverse=True)``
+    by one lexsort."""
+    order = _lex_order(a)
+    s = a[order]
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.any(s[1:] != s[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], inverse
 
 
 def _grid(lo, hi, side) -> np.ndarray:

@@ -314,18 +314,21 @@ def gaussian_location2d_family(panels=16) -> ParamModel:
     w = LOCATION2D_HALF_WIDTH
     r = w + 8.0
     space = grid2d_space(-r, r, -r, r, panels=panels)
-    pts = space.points  # (X, 2)
+    px, py = np.ascontiguousarray(space.points.T)  # (X,) each
 
     def offsets(thetas):
-        diff = pts[None, :, :] - thetas[:, None, :]
-        return diff, np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
+        # Contiguous (T, X) coordinate planes, so the Jacobian comes out
+        # C-contiguous and the Gram products take the BLAS path.
+        dx = px[None, :] - thetas[:, 0:1]
+        dy = py[None, :] - thetas[:, 1:2]
+        return dx, dy, np.exp(-0.5 * (dx * dx + dy * dy)) / (2 * math.pi)
 
     def dens(thetas):
-        return offsets(thetas)[1]
+        return offsets(thetas)[2]
 
     def jet(thetas):
-        diff, d = offsets(thetas)
-        return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+        dx, dy, d = offsets(thetas)
+        return d, np.stack([dx * d, dy * d], axis=1)
 
     box = Box([-w, -w], [w, w])
     return ParamModel("gauss-location-2d", box, space, dens, jet_fn=jet)

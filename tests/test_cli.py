@@ -239,6 +239,8 @@ def test_verify_all_only_filter(capsys):
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:nan,0"], {}, "finite"),
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:1e308,1e308"], {},
          "finite"),
+        (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:1e160,0"], {},
+         "finite second moments"),
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--schedule", "0"], {}, "--schedule"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
@@ -246,7 +248,7 @@ def test_verify_all_only_filter(capsys):
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
          "constant-count", "dpi-not-dominated", "constant-nan", "shrinkage-nan", "shrinkage-overflow",
-         "schedule-zero"],
+         "moment-overflow", "schedule-zero"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:

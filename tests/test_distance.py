@@ -12,6 +12,7 @@ from sigeo import distance
 from sigeo.distance import (
     _arc_objective,
     _energy_path,
+    _straight_path,
     _segment_lengths,
     curve_length,
     fisher_distance,
@@ -302,13 +303,16 @@ def _near_face_point(draw):
 @given(_near_face_point(), _near_face_point())
 # The fixed 8-point rule put this pair's path below the great circle.
 @example(np.array([0.4999995, 0.4999995]), np.array([0.49964265, 0.49964265]))
+# Both endpoints on the face: np.linspace rounds nodes 3 and 4 of the
+# straight path to a sum of 0.9999990000000001, outside the domain.
+@example(np.array([0.9206914365519517, 0.07930756344804826]), np.array([0.9243527293368478, 0.0756462706631522]))
 def test_paths_near_the_simplex_face_stay_in_the_domain(th1, th2):
     assume(CAT3.domain.contains(th1) and CAT3.domain.contains(th2))
     assume(not np.array_equal(th1, th2))
-    straight = np.linspace(th1, th2, 8 + 2)  # fisher_distance's default nodes
+    straight = _straight_path(CAT3, th1, th2, 8 + 2)  # fisher_distance's default nodes
     energy = _energy_path(CAT3, straight)
     res = fisher_distance(CAT3, th1, th2)
-    for theta in np.vstack([energy, res.nodes]):
+    for theta in np.vstack([straight, energy, res.nodes]):
         assert CAT3.domain.contains(theta)
     assert res.length >= sphere_distance(th1, th2) - QUAD_TOL
     assert res.length >= res.lower_bound_angle - QUAD_TOL

@@ -235,13 +235,13 @@ def test_fisher_matrices_match_fisher_matrix_bitwise(model_id, monkeypatch):
     _assert_matches_per_row(model, thetas[:1])
     _assert_matches_per_row(model, thetas)
     # jets of 5 rows: the 64 rows cross twelve chunk boundaries
-    monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5 * model.space.size)
+    monkeypatch.setattr(fisher, "JET_ENTRY_BUDGET", 5 * model.space.size)
     assert jet_rows(model) == 5
     _assert_matches_per_row(model, thetas)
 
 
 def test_fisher_matrices_chunk_at_the_node_budget():
-    model = get_model("gauss-location-2d")  # 4096 nodes: 48 rows per jet
+    model = get_model("gauss-location-2d")  # 4096 nodes: 4 rows per jet
     rows = []
 
     def jet(thetas):
@@ -249,9 +249,9 @@ def test_fisher_matrices_chunk_at_the_node_budget():
         return model.jet(thetas)
 
     counting = ParamModel(model.name, model.domain, model.space, model.density_batch, jet_fn=jet)
-    fisher_matrices(counting, np.zeros((100, 2)))
-    assert rows == [48, 48, 4]
-    assert max(rows) * model.space.size <= fisher.JET_NODE_BUDGET
+    fisher_matrices(counting, np.zeros((102, 2)))
+    assert rows == [4] * 25 + [2]
+    assert max(rows) * model.space.size <= fisher.JET_ENTRY_BUDGET
 
 
 def test_fisher_matrices_name_the_first_row_outside_the_domain():

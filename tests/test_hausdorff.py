@@ -16,8 +16,12 @@ from sigeo.errors import (
     UsageError,
 )
 from sigeo.hausdorff import (
+    FLAT_LEVELS,
+    FLAT_POINTS,
     MetricCloud,
+    _distinct_rows,
     _grid,
+    _pair_blocks,
     _region_rule,
     alpha_k,
     cloud_from_params,
@@ -168,8 +172,61 @@ def test_midpoint_cloud_assembles_g_once_per_distinct_midpoint():
     ii, _, mids = _pairs(pts)
     distinct = np.unique(mids, axis=0)
     assert ii.size == 10296 and sum(rows) == len(distinct) < ii.size // 2
-    assert len(rows) > 1 and max(rows) * loc2.space.size <= JET_NODE_BUDGET
+    assert len(rows) > 1 and max(rows) * loc2.space.size <= fisher.JET_ENTRY_BUDGET
     np.testing.assert_array_equal(cloud.dist, cloud_from_params(loc2, pts, mode="midpoint").dist)
+
+
+def _unique_midpoint_matrix(model, pts):
+    """The midpoint cloud's matrix as built before the lexsort dedupe: both
+    passes through ``np.unique(axis=0, return_inverse=True)``."""
+    M, n = pts.shape
+    size = max(1, fisher.JET_NODE_BUDGET // n)
+    local = [
+        np.unique(pts[ii] + 0.5 * (pts[jj] - pts[ii]), axis=0, return_inverse=True)
+        for ii, jj in _pair_blocks(M, size)
+    ]
+    mids, where = np.unique(
+        np.concatenate([pts[:0], *(u for u, _ in local)]), axis=0, return_inverse=True
+    )
+    G = fisher.fisher_matrices(model, mids)
+    starts = np.cumsum([0, *(len(u) for u, _ in local)])
+    index = [where.ravel()[start + inverse.ravel()] for start, (_, inverse) in zip(starts, local)]
+    d = np.zeros((M, M))
+    for (ii, jj), idx in zip(_pair_blocks(M, size), index):
+        v = pts[jj] - pts[ii]
+        d[ii, jj] = d[jj, ii] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[idx], v), 0.0))
+    return d
+
+
+def _lattice_points():
+    # repeated points and midpoints, negative coordinates and zeros
+    rng = np.random.default_rng(3)
+    return rng.integers(-4, 5, size=(60, 2)) * 0.25
+
+
+@pytest.mark.parametrize("budget", [JET_NODE_BUDGET, 500])
+@pytest.mark.parametrize("pts", [
+    _grid(np.array([-1.0, -1.0]), np.array([0.6, 0.6]), 12),
+    _lattice_points(),
+], ids=["grid", "lattice"])
+def test_midpoint_cloud_matches_the_unique_dedupe_bitwise(pts, budget, monkeypatch):
+    monkeypatch.setattr(fisher, "JET_NODE_BUDGET", budget)
+    loc2 = gaussian_location2d_family()
+    cloud = cloud_from_params(loc2, pts, mode="midpoint")
+    np.testing.assert_array_equal(cloud.dist, _unique_midpoint_matrix(loc2, pts))
+
+
+def test_distinct_rows_are_unique_rows_with_their_inverse():
+    rng = np.random.default_rng(4)
+    ii, jj = np.triu_indices(60, k=1)
+    lattice = _lattice_points()
+    for a in (lattice, lattice[ii] + 0.5 * (lattice[jj] - lattice[ii]), rng.normal(size=(50, 3)), np.empty((0, 2))):
+        rows, inverse = _distinct_rows(a)
+        ref_rows, ref_inverse = np.unique(a, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(inverse, ref_inverse.ravel())
+        np.testing.assert_array_equal(rows[inverse], a)
+    assert len(_distinct_rows(lattice)[0]) < len(lattice)
 
 
 def test_mixture_midpoint_cloud_is_the_one_point_segment_rule_across_b0():
@@ -226,6 +283,7 @@ def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
     ref = [cloud_from_params(model, pts, mode=mode) for model, pts, mode in cases]
     # gauss-location and mixture get one segment per jet call, the 301-point
     # matrix 16 rows per block, midpoint clouds 2500 pairs per block
+    monkeypatch.setattr(fisher, "JET_ENTRY_BUDGET", 5000)
     monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5000)
     for (model, pts, mode), r in zip(cases, ref):
         cloud = cloud_from_params(model, pts, mode=mode)
@@ -407,6 +465,43 @@ def test_flat_region_dimension_2d():
     loc2 = gaussian_location2d_family()
     dim = flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, 1.0]), seed=1)
     assert abs(dim - 2.0) <= 0.2
+
+
+def _flat_dimension_by_per_point_loop(model, lo, hi, seed):
+    """flat_region_dimension_estimate as written before its net skipped
+    covered points: the tree on unsorted points, and a Python loop over
+    every point in lexicographic order at each scale."""
+    from scipy.spatial import cKDTree
+
+    G0 = fisher_matrix(model, 0.5 * (lo + hi)).matrix
+    eigs, U = np.linalg.eigh(G0)
+    root = U @ np.diag(np.sqrt(eigs)) @ U.T
+    rng = np.random.default_rng(seed)
+    pts = (lo + (hi - lo) * rng.random((FLAT_POINTS, lo.size))) @ root.T
+    tree = cKDTree(pts)
+    diam = float(np.linalg.norm((hi - lo) @ root.T))
+    deltas = diam / 6.0 / np.sqrt(2.0) ** np.arange(FLAT_LEVELS)
+    order = np.lexsort(pts.T[::-1])
+    counts = []
+    for delta in deltas:
+        covered = np.zeros(len(pts), dtype=bool)
+        count = 0
+        r = 0.5 * delta
+        for idx in order:
+            if covered[idx]:
+                continue
+            covered[tree.query_ball_point(pts[idx], r)] = True
+            count += 1
+        counts.append(count)
+    return float(np.polyfit(np.log(1.0 / deltas), np.log(counts), 1)[0])
+
+
+@pytest.mark.parametrize("seed, lo", [(1, [-1.0, -1.0]), (20260, [-1.15, -0.85])])
+def test_flat_region_net_matches_the_per_point_loop_bitwise(seed, lo):
+    loc2 = gaussian_location2d_family()
+    lo = np.array(lo)
+    dim = flat_region_dimension_estimate(loc2, (lo, lo + 2.0), seed=seed)
+    assert dim == _flat_dimension_by_per_point_loop(loc2, lo, lo + 2.0, seed)
 
 
 # -- Jeffrey density and measure --------------------------------------------------------

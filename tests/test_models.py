@@ -525,6 +525,27 @@ def test_fused_jets_reproduce_the_unfused_jacobians(model_id, rows):
     np.testing.assert_array_equal(J, _unfused_jacobian(model_id, model.space.points, thetas))
 
 
+def _summed_offset_jet(x, thetas):
+    """The gauss-location-2d jet as written before its coordinate planes:
+    (T, X, 2) differences reduced over the length-2 axis, and J returned
+    as a transposed view."""
+    diff = x[None, :, :] - thetas[:, None, :]
+    d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
+    return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+
+
+@pytest.mark.parametrize("rows", [1, 4, 12, 48])
+def test_location2d_jet_on_coordinate_planes_is_the_summed_offset_jet(rows):
+    model = get_model("gauss-location-2d")
+    thetas = _draw(model, rows, seed=rows)
+    P, J = model.jet(thetas)
+    P_ref, J_ref = _summed_offset_jet(model.space.points, thetas)
+    assert J.flags.c_contiguous and J.shape == (rows, 2, model.space.size)
+    np.testing.assert_array_equal(P, P_ref)
+    np.testing.assert_array_equal(J, J_ref)
+    np.testing.assert_array_equal(model.density_batch(thetas), P_ref)
+
+
 def test_curve_jets_reproduce_the_per_row_formulas():
     # The weak-curve and friedrich jets as they were evaluated before, one row at a time
     weak, fried = get_model("weak-curve"), get_model("friedrich")

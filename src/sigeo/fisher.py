@@ -25,11 +25,12 @@ EIGEN_TOL = 1e-8  # relative to the largest eigenvalue, floored at 1
 JUMP_TOL = 0.1    # relative speed mismatch that counts as a discontinuity
 FD_STEP_T = 1e-4  # curve-velocity finite-difference step
 # Rows x reference nodes per jet call of a reducing evaluation (Fisher
-# matrices, segment lengths, monotonicity gaps): 128 KB for the densities,
-# as much again per parameter for the Jacobian, so a jet and its
-# temporaries stay in cache. Set from a sweep of ``fisher_matrices`` on
-# 2000 rows over budgets of 8192 to 200 000 entries; every matrix was
-# bitwise the same at every budget.
+# matrices, cloud segment lengths, sufficiency gaps): 128 KB for the
+# densities, as much again per parameter for the Jacobian. Set from a
+# sweep of ``fisher_matrices`` on 2000 rows over budgets of 8192 to
+# 200 000 entries: fastest or within noise of it on every model once the
+# allocator has served large blocks (in a fresh process 8192 faults less),
+# and every matrix was bitwise the same at every budget.
 JET_ENTRY_BUDGET = 16_384
 # Entries per block of the memory-bound loops: metric-cloud row blocks,
 # midpoint pair blocks and Markov kernel blocks. It bounds memory only.

@@ -12,8 +12,8 @@ from sigeo import distance
 from sigeo.distance import (
     _arc_objective,
     _energy_path,
-    _straight_path,
     _segment_lengths,
+    _straight_path,
     curve_length,
     fisher_distance,
     metric_axiom_check,

@@ -495,6 +495,15 @@ def test_only_the_finite_families_keep_a_separate_jacobian():
         assert separate == (model_id == "bernoulli" or model_id.startswith("categorical:")), model_id
 
 
+def _summed_offset_jet(x, thetas):
+    """The gauss-location-2d jet as written before its coordinate planes:
+    (T, X, 2) differences reduced over the length-2 axis, and J returned
+    as a transposed view."""
+    diff = x[None, :, :] - thetas[:, None, :]
+    d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
+    return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+
+
 def _unfused_jacobian(model_id, x, thetas):
     """The Gaussian Jacobians as written before the jets were fused: every
     exponential recomputed from scratch."""
@@ -511,9 +520,7 @@ def _unfused_jacobian(model_id, x, thetas):
     if model_id == "gauss-location":
         d = np.exp(-0.5 * (x[None, :] - thetas[:, 0:1]) ** 2) / SQ
         return ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
-    diff = x[None, :, :] - thetas[:, None, :]
-    d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
-    return np.transpose(diff, (0, 2, 1)) * d[:, None, :]
+    return _summed_offset_jet(x, thetas)[1]
 
 
 @pytest.mark.parametrize("rows", [1, 16])
@@ -523,15 +530,6 @@ def test_fused_jets_reproduce_the_unfused_jacobians(model_id, rows):
     thetas = _draw(model, rows, seed=5)
     _, J = model.jet(thetas)
     np.testing.assert_array_equal(J, _unfused_jacobian(model_id, model.space.points, thetas))
-
-
-def _summed_offset_jet(x, thetas):
-    """The gauss-location-2d jet as written before its coordinate planes:
-    (T, X, 2) differences reduced over the length-2 axis, and J returned
-    as a transposed view."""
-    diff = x[None, :, :] - thetas[:, None, :]
-    d = np.exp(-0.5 * np.sum(diff * diff, axis=2)) / (2 * math.pi)
-    return d, np.transpose(diff, (0, 2, 1)) * d[:, None, :]
 
 
 @pytest.mark.parametrize("rows", [1, 4, 12, 48])

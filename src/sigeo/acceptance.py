@@ -226,17 +226,12 @@ def check_data_processing(seed=0) -> CriterionResult:
     """Metric never grows under kernels; permutations preserve it."""
     rng = np.random.default_rng(seed + 6)
     cat4 = _model("categorical:4")
-
-    def sample_point():
-        theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
-        return theta * 0.9 / np.sum(theta) if np.sum(theta) > 0.94 else theta
-
-    draws = ((sample_point(), rng.normal(size=3), int(rng.integers(2, 6))) for _ in range(DPI_KERNELS))
+    draws = ((_dpi_point(rng), rng.normal(size=3), int(rng.integers(2, 6))) for _ in range(DPI_KERNELS))
     min_gap = np.min(markov.random_kernel_gaps(cat4, draws, rng))
 
     thetas, vs, kernels = [], [], []
     for _ in range(DPI_PERMUTATIONS):
-        thetas.append(sample_point())
+        thetas.append(_dpi_point(rng))
         vs.append(rng.normal(size=3))
         kernels.append(markov.permutation_kernel(cat4.space, rng.permutation(4)))
     worst_perm = float(np.max(np.abs(markov.monotonicity_gap(kernels, cat4, thetas, vs))))
@@ -247,6 +242,19 @@ def check_data_processing(seed=0) -> CriterionResult:
         bool(passed),
         {"min_gap": float(min_gap), "max_abs_perm_gap": worst_perm},
     )
+
+
+def _dpi_point(rng) -> list:
+    """A categorical:4 point of the data-processing criterion, kept off the
+    simplex faces: a Dirichlet(2) draw clipped to [0.05, 0.9] and scaled to
+    mass 0.9 if it holds more than 0.94.
+
+    Python floats do np.clip and np.sum's work: numpy sums three entries
+    in order, so each point is bitwise the array formula's.
+    """
+    theta = [min(max(x, 0.05), 0.9) for x in rng.dirichlet([2.0] * 4)[:3].tolist()]
+    total = theta[0] + theta[1] + theta[2]
+    return [x * 0.9 / total for x in theta] if total > 0.94 else theta
 
 
 def check_hausdorff_jeffrey(seed=0) -> CriterionResult:

@@ -42,12 +42,25 @@ class MarkovKernel:
             raise UsageError("kernel targets must be finite spaces")
         if rows.shape != (self.source.size, self.target.size):
             raise UsageError("kernel needs one row per source node")
+        # One pass accepts every valid kernel (spaces have at least one node,
+        # so rows is not empty here): a NaN fails the min, a +inf the sums.
+        # Any other kernel meets the ordered checks below, so the first
+        # failing check names the fault.
+        if rows.min() >= 0 and _mass_defect(rows) <= MASS_TOL:
+            return
         if not np.all(np.isfinite(rows)):
             raise UsageError("kernel entries must be finite")
         if np.any(rows < 0):
             raise UsageError("kernel entries must be nonnegative")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > MASS_TOL:
+        if _mass_defect(rows) > MASS_TOL:
             raise UsageError("kernel rows must sum to 1")
+
+
+def _mass_defect(rows) -> float:
+    """Largest |row sum - 1|; finite rows whose sum overflows give inf, quietly."""
+    with np.errstate(over="ignore"):
+        sums = rows.sum(axis=1)
+    return abs(sums - 1.0).max()
 
 
 def permutation_kernel(space: SampleSpace, perm) -> MarkovKernel:

@@ -75,7 +75,7 @@ class SampleSpace:
         return self.points.shape[0]
 
     def same_as(self, other: "SampleSpace") -> bool:
-        return (
+        return self is other or (
             self.kind == other.kind
             and self.size == other.size
             and np.array_equal(self.points, other.points)

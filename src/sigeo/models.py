@@ -55,6 +55,9 @@ EPS_BOUNDARY = 1e-6
 
 # Largest outcome space the product models and estimators enumerate.
 ENUM_LIMIT = 2 ** 20
+# Largest outcome table kept for reuse; the 3^10-outcome table of the
+# cramer-rao criterion takes 6.1 MB.
+OUTCOME_MEMO_BYTES = 8 * 2 ** 20
 
 # Parameter boxes: Gaussian location |theta_i| <= LOCATION_HALF_WIDTH in 1-d
 # and LOCATION2D_HALF_WIDTH in 2-d; location-scale |mu| <= MU_MAX and
@@ -77,7 +80,7 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
-    constraint: object = None  # optional callable theta -> bool
+    constraint: object = None  # optional callable, theta rows (..., dim) -> bool per row
     # (lo, hi) per coordinate as Python floats: ``contains`` runs on every
     # optimizer move, where two numpy reductions cost several times more.
     _bounds: tuple = field(init=False, repr=False, compare=False)
@@ -120,17 +123,26 @@ class Box:
             raise DomainError(f"parameter rows have {thetas.shape[1]} coordinates where the model takes {self.dim}")
         inside = np.all((self.lo <= thetas) & (thetas <= self.hi), axis=1)  # NaN fails too
         if self.constraint is not None:
-            inside &= np.array([bool(self.constraint(theta)) for theta in thetas], dtype=bool)
+            inside &= self.constraint(thetas)
         if not np.all(inside):
             self.require(thetas[np.argmin(inside)])
 
     def sample(self, rng) -> np.ndarray:
-        """Uniform draw from the box shrunk by ``SAMPLE_MARGIN`` of its width."""
-        span = self.hi - self.lo
+        """Uniform draw from the box shrunk by ``SAMPLE_MARGIN`` of its width.
+
+        Each try takes one ``rng.random(dim)`` and is formed in Python floats
+        by the IEEE operations, in the order, of
+        ``lo + (hi - lo) * (SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * u)``.
+        """
+        inner = 1 - 2 * SAMPLE_MARGIN
+        spans = [(lo, hi - lo) for lo, hi in self._bounds]
         for _ in range(1000):
-            theta = self.lo + span * (SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * rng.random(self.dim))
-            if self.contains(theta):
-                return theta
+            theta = [lo + span * (SAMPLE_MARGIN + inner * u)
+                     for (lo, span), u in zip(spans, rng.random(len(spans)).tolist())]
+            if all(lo <= t <= hi for t, (lo, hi) in zip(theta, self._bounds)):
+                theta = np.array(theta)
+                if self.constraint is None or self.constraint(theta):
+                    return theta
         raise DomainError("could not sample an admissible parameter point")
 
 
@@ -274,8 +286,10 @@ def categorical_family(m: int) -> ParamModel:
         raise UsageError("categorical family needs at least 2 atoms")
     space = finite_space(m)
 
-    def constraint(theta):
-        return float(np.sum(theta)) <= 1.0 - EPS_BOUNDARY
+    def constraint(thetas):
+        # A C-ordered row is summed as np.sum sums it alone; a Fortran-ordered
+        # array would add columns in sequence instead.
+        return np.add.reduce(np.ascontiguousarray(thetas), axis=-1) <= 1.0 - EPS_BOUNDARY
 
     def dens(thetas):
         last = 1.0 - np.sum(thetas, axis=1, keepdims=True)
@@ -732,16 +746,36 @@ def outcome_table(m: int, n: int) -> tuple:
     """Outcomes of n draws from m atoms, in product-model order.
 
     Returns the atom index of every draw, (m^n, n), and the occurrence
-    count of every atom, (m^n, m).
+    count of every atom, (m^n, m), both read-only. The latest table of at
+    most ``OUTCOME_MEMO_BYTES`` is kept, so callers asking for one (m, n)
+    in turn share one table.
     """
+    if n < 1:
+        raise UsageError("n must be >= 1")
     # m >= 2 atoms pass ENUM_LIMIT within ENUM_LIMIT.bit_length() draws, so
-    # the power is capped there instead of growing with n.
+    # the power is capped there instead of growing with n. The guard comes
+    # before the memo, so a lowered limit also refuses a kept table.
     count = m ** min(n, ENUM_LIMIT.bit_length())
     if count > ENUM_LIMIT:
         raise UsageError(f"outcome space too large to enumerate: {m}^{n} outcomes exceed {ENUM_LIMIT}")
-    digits = np.stack(np.unravel_index(np.arange(count), (m,) * n), axis=1)
-    counts = np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
-    return digits, counts
+    table = _outcome_memo.get((m, n))
+    if table is None:
+        _outcome_memo.clear()  # before the next table is built
+        digits = np.empty((count, n), dtype=np.intp)
+        for j in range(n):  # draw j runs through the atoms in blocks of m^(n-1-j) outcomes
+            digits.reshape(m ** j, m, m ** (n - 1 - j), n)[..., j] = np.arange(m)[:, None]
+        # outcome r's count of atom a is bin r*m + a
+        slots = np.arange(0, count * m, m)[:, None] + digits
+        counts = np.bincount(slots.ravel(), minlength=count * m).reshape(count, m)
+        digits.setflags(write=False)
+        counts.setflags(write=False)
+        table = digits, counts
+        if digits.nbytes + counts.nbytes <= OUTCOME_MEMO_BYTES:
+            _outcome_memo[(m, n)] = table
+    return table
+
+
+_outcome_memo: dict = {}  # (m, n) -> outcome_table's latest result
 
 
 def product_model(base: ParamModel, n: int) -> ParamModel:

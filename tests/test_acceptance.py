@@ -10,6 +10,7 @@ below. Both read one seed-0 run per criterion. The same checks back the
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from sigeo import acceptance
@@ -116,3 +117,19 @@ def test_criterion_details_golden(key):
 
 def test_golden_record_covers_every_criterion():
     assert sorted(GOLDEN_DETAILS) == sorted(k for k, _ in acceptance.CRITERIA)
+
+
+def _array_dpi_point(rng):
+    """The data-processing draw as numpy array arithmetic, the reference."""
+    theta = np.clip(rng.dirichlet([2.0] * 4)[:3], 0.05, 0.9)
+    return theta * 0.9 / np.sum(theta) if np.sum(theta) > 0.94 else theta
+
+
+@pytest.mark.parametrize("seed", [6, 7, 9979])
+def test_data_processing_points_are_the_array_formula(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    points = np.array([acceptance._dpi_point(rng) for _ in range(2000)])
+    ref = np.array([_array_dpi_point(ref_rng) for _ in range(2000)])
+    assert points.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.mean(np.abs(np.sum(ref, axis=1) - 0.9) < 1e-12) > 0.02  # the rescaling branch is taken

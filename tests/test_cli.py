@@ -242,13 +242,14 @@ def test_verify_all_only_filter(capsys):
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--estimator", "shrinkage:1e160,0"], {},
          "finite second moments"),
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--schedule", "0"], {}, "--schedule"),
+        (["pushforward"], {"kernel": {"rows": [[1e308, 1e308], [0.5, 0.5]]}}, "kernel rows must sum to 1"),
     ],
     ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
          "constant-count", "dpi-not-dominated", "constant-nan", "shrinkage-nan", "shrinkage-overflow",
-         "moment-overflow", "schedule-zero"],
+         "moment-overflow", "schedule-zero", "kernel-overflow"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:
@@ -264,7 +265,7 @@ def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsy
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert err.strip() and "Traceback" not in err
+    assert err.strip() and "Traceback" not in err and "RuntimeWarning" not in err
     assert named in err
 
 

@@ -17,7 +17,7 @@ from sigeo.markov import (
     random_kernel,
     sufficiency_check,
 )
-from sigeo.measures import DOMINANCE_TOL, Measure, finite_space, integrate, tv_norm
+from sigeo.measures import DOMINANCE_TOL, MASS_TOL, Measure, finite_space, integrate, tv_norm
 from sigeo.models import (
     Box,
     ParamModel,
@@ -258,6 +258,78 @@ def test_batched_gaps_need_one_kernel_per_row():
 def test_kernel_rejects_non_finite_entries(entry):
     with pytest.raises(UsageError, match="finite"):
         MarkovKernel(CAT3.space, finite_space(2), [[entry, 1.0], [0.5, 0.5], [0.2, 0.8]])
+
+
+def _ordered_verdict(rows):
+    """The kernel value checks one at a time, in order: the message of the
+    first that fails, or None."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        return "kernel entries must be finite"
+    if np.any(rows < 0):
+        return "kernel entries must be nonnegative"
+    with np.errstate(over="ignore"):
+        sums = rows.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > MASS_TOL:
+        return "kernel rows must sum to 1"
+    return None
+
+
+def _kernel_verdict(rows):
+    try:
+        MarkovKernel(CAT3.space, finite_space(len(rows[0])), rows)
+    except UsageError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[np.nan, 1.0], [0.5, 0.5], [0.2, 0.8]], "finite"),
+        ([[np.inf, 1.0], [0.5, 0.5], [0.2, 0.8]], "finite"),
+        ([[-np.inf, 1.0], [0.5, 0.5], [0.2, 0.8]], "finite"),
+        ([[-0.1, 1.1], [0.5, 0.5], [0.2, 0.8]], "nonnegative"),
+        ([[0.5, 0.5 + 2e-9], [0.5, 0.5], [0.2, 0.8]], "sum to 1"),
+        ([[1e308, 1e308], [0.5, 0.5], [0.2, 0.8]], "sum to 1"),  # finite entries, the sum overflows
+        ([[-0.1, np.nan], [0.5, 0.5], [0.2, 0.8]], "finite"),
+        ([[-0.1, 1.2], [0.5, 0.5], [0.2, 0.8]], "nonnegative"),
+        ([[], [], []], "one row per source node"),
+        (np.zeros((0, 2)), "one row per source node"),
+    ],
+    ids=["nan", "inf", "minus-inf", "negative", "mass-2e-9", "overflow", "nan-before-negative",
+         "negative-before-mass", "empty-rows", "no-rows"],
+)
+def test_kernel_checks_name_the_first_fault(rows, message):
+    # pytest turns RuntimeWarning into an error, so an overflow warning fails here
+    with pytest.raises(UsageError, match=message):
+        MarkovKernel(CAT3.space, finite_space(2), rows)
+
+
+@st.composite
+def _kernel_rows(draw):
+    """3 x k rows, each from positive weights normalized to mass 1, then
+    possibly one entry or one row's mass disturbed."""
+    k = draw(st.integers(1, 5))
+    rows = np.array([draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)) for _ in range(3)])
+    rows /= rows.sum(axis=1, keepdims=True)
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, k - 1))
+    fault = draw(st.sampled_from(["none", "entry", "mass"]))
+    if fault == "entry":
+        rows[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -0.0, 0.0, 1e308]))
+    elif fault == "mass":
+        rows[i, j] += draw(st.sampled_from([-2e-9, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9]))
+    return rows
+
+
+@given(_kernel_rows())
+@settings(max_examples=200, deadline=None)
+def test_kernel_accepts_exactly_what_the_ordered_checks_accept(rows):
+    expected = _ordered_verdict(rows)
+    assert _kernel_verdict(rows) == expected
+    if expected is None:
+        kernel = MarkovKernel(CAT3.space, finite_space(rows.shape[1]), rows)
+        assert kernel.rows.tobytes() == rows.tobytes() and not kernel.rows.flags.writeable
 
 
 # -- sufficiency -------------------------------------------------------------------

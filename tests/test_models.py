@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigeo import models
 from sigeo.errors import DomainError, NotDominated, UsageError
@@ -424,6 +426,43 @@ def test_outcome_table_enumerates_up_to_the_limit(monkeypatch):
             outcome_table(m, n)
 
 
+def _array_outcome_table(m, n):
+    """outcome_table as numpy's index unravelling and per-atom sums, the reference."""
+    digits = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
+    return digits, np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 1), (2, 10), (3, 1), (3, 10), (5, 4), (12, 2)])
+def test_outcome_table_is_the_unravelled_index(m, n):
+    for got, ref in zip(outcome_table(m, n), _array_outcome_table(m, n)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_outcome_tables_are_shared_read_only(monkeypatch):
+    digits, counts = outcome_table(3, 4)
+    for table in (digits, counts):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    again = outcome_table(3, 4)
+    assert again[0] is digits and again[1] is counts
+    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
+    with pytest.raises(UsageError, match="too large"):
+        outcome_table(3, 4)
+    with pytest.raises(UsageError, match="n must be >= 1"):
+        outcome_table(3, 0)
+
+
+def test_outcome_memo_keeps_the_latest_table_within_its_budget(monkeypatch):
+    monkeypatch.setattr(models, "OUTCOME_MEMO_BYTES", 2**15)
+    for n in range(1, 9):  # 2^8 outcomes x 10 columns of 8 bytes still fit
+        table = outcome_table(2, n)
+        assert models._outcome_memo == {(2, n): table}
+    big = outcome_table(3, 7)  # larger than the budget: built, handed out, not kept
+    assert big[0].shape == (3**7, 7) and not big[0].flags.writeable
+    assert models._outcome_memo == {}
+
+
 def test_reparameterized_model_chain_rule():
     # u -> theta = 0.5 + 0.4 sin(u)
     rep = reparameterized_model(
@@ -588,3 +627,80 @@ def test_registry_builds_each_model_once():
 def test_registry_rejects_panels_without_a_grid(model_id):
     with pytest.raises(UsageError, match="no quadrature grid"):
         get_model(model_id, panels=40)
+
+
+# -- domain sampling and row checks ---------------------------------------------------
+
+def _array_sample(box, rng):
+    """Box.sample as numpy array arithmetic with the per-row simplex rule,
+    the reference draw."""
+    span = box.hi - box.lo
+    for _ in range(1000):
+        theta = box.lo + span * (models.SAMPLE_MARGIN + (1 - 2 * models.SAMPLE_MARGIN) * rng.random(box.dim))
+        inside = bool(np.all(theta >= box.lo) and np.all(theta <= box.hi))
+        if inside and (box.constraint is None or _simplex_rule(theta)):
+            return theta
+    raise AssertionError("reference draw found no admissible point")
+
+
+def _simplex_rule(theta):
+    return float(np.sum(theta)) <= 1.0 - models.EPS_BOUNDARY
+
+
+@pytest.mark.parametrize("model_id", ZOO_IDS)
+def test_domain_sample_keeps_the_array_formula_and_its_stream(model_id):
+    # dpi-sweep, sufficiency and metric-axioms draw their seeds' later
+    # values from the generator after these draws
+    box = get_model(model_id).domain
+    for seed in (0, 7, 9973):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = np.array([box.sample(rng) for _ in range(200)])
+        ref = np.array([_array_sample(box, ref_rng) for _ in range(200)])
+        assert draws.dtype == ref.dtype and draws.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def _simplex_rows(draw):
+    """(m, rows) for categorical:m: rows in the box near the simplex face,
+    some pinned to a sum of exactly 1 - EPS_BOUNDARY, one ulp above it, or
+    holding a NaN."""
+    m = draw(st.integers(2, 12))
+    k = m - 1
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        row = np.clip(weights / weights.sum() * draw(st.floats(0.9, 1.1)), models.EPS_BOUNDARY,
+                      1 - models.EPS_BOUNDARY)
+        kind = draw(st.sampled_from(["free", "at-threshold", "ulp-above", "nan"]))
+        if kind != "free" and k > 1:
+            row[-1] = (1 - models.EPS_BOUNDARY) - np.sum(row[:-1])
+            for _ in range(4):  # move the last entry until the sum hits the threshold
+                off = float(np.sum(row)) - (1 - models.EPS_BOUNDARY)
+                row[-1] = np.nextafter(row[-1], -np.inf if off > 0 else np.inf) if off else row[-1]
+            if kind == "ulp-above":
+                row[-1] = np.nextafter(row[-1], np.inf)
+            if kind == "nan":
+                row[draw(st.integers(0, k - 1))] = np.nan
+        rows.append(row)
+    return m, np.array(rows)
+
+
+@given(_simplex_rows())
+@settings(max_examples=150, deadline=None)
+def test_simplex_constraint_on_rows_is_the_per_row_rule(case):
+    m, thetas = case
+    box = get_model(f"categorical:{m}").domain
+    expected = np.array([_simplex_rule(theta) for theta in thetas])
+    np.testing.assert_array_equal(box.constraint(thetas), expected)
+    np.testing.assert_array_equal(box.constraint(np.asfortranarray(thetas)), expected)
+    assert [bool(box.constraint(theta)) for theta in thetas] == expected.tolist()
+    inside = [bool(np.all(box.lo <= t) and np.all(t <= box.hi)) and rule for t, rule in zip(thetas, expected)]
+    if all(inside):
+        box.require_rows(thetas)
+    else:
+        with pytest.raises(DomainError) as caught:
+            box.require_rows(thetas)
+        with pytest.raises(DomainError) as first_bad:
+            box.require(thetas[inside.index(False)])
+        assert str(caught.value) == str(first_bad.value)

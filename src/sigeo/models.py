@@ -760,7 +760,7 @@ def outcome_table(m: int, n: int) -> tuple:
         raise UsageError(f"outcome space too large to enumerate: {m}^{n} outcomes exceed {ENUM_LIMIT}")
     table = _outcome_memo.get((m, n))
     if table is None:
-        _outcome_memo.clear()  # before the next table is built
+        _outcome_memo.clear()  # so the memo never adds a second table to the one being built
         digits = np.empty((count, n), dtype=np.intp)
         for j in range(n):  # draw j runs through the atoms in blocks of m^(n-1-j) outcomes
             digits.reshape(m ** j, m, m ** (n - 1 - j), n)[..., j] = np.arange(m)[:, None]

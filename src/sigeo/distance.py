@@ -15,11 +15,16 @@ its image. Two stages:
 * the arc solver: projected L-BFGS from the energy path on the
   sub-sampled arc length of psi, the sum of great-circle arcs between
   psi at a few evenly spaced points of every segment, with its exact
-  gradient from one first-order jet per evaluation. Its first iteration
-  decides whether the energy path stands: when that iteration finds no
-  descent step or gains less than the relative tolerance, the solver
-  stops there. Of the solver's path, the energy path and the straight
-  path, the shortest is returned.
+  gradient from one first-order jet per evaluation, written into work
+  arrays made once per solve. Its first iteration decides whether the
+  energy path stands: when that iteration finds no descent step or gains
+  less than the relative tolerance, the solver stops there. Otherwise it
+  runs preconditioned, with the Gauss-Newton matrix of the chord energy
+  over the same sample points as the initial inverse Hessian's metric
+  (a natural gradient), until it stalls, and then plain from where it
+  stalled; only a stall of the plain iteration counts as converged. Of
+  the solver's path, the energy path and the straight path, the shortest
+  is returned.
 
 For 1-parameter models, and without interior nodes, the straight segment
 is returned without any stage.
@@ -70,6 +75,9 @@ CHORD_SMOOTHING = 1e-8
 ARC_JET_ROWS = 13
 LBFGS_MEMORY = 20
 STALL_ITERATIONS = 10
+# Damping of the arc solver's preconditioner, the Gauss-Newton matrix of
+# the sampled chord energy, as a multiple of its floored diagonal.
+PRECONDITIONER_DAMPING = 1e-3
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 # Returned lengths: a segment's LENGTH_QUAD_POINTS rule is halved while it
@@ -85,7 +93,7 @@ MAX_HALVINGS = 40
 # two largest (1.53e-3 and 1.48e-3) are arc-solver results. With 16
 # interior nodes the largest gap fell to 4.3e-4 (measured with the earlier
 # coordinate descent), so most of it is path discretization. Separating
-# discretization from optimizer error is open work (ROADMAP item 3).
+# discretization from optimizer error is open work (ROADMAP item 2).
 OPTIMIZER_GAP = 1e-3
 
 
@@ -214,28 +222,17 @@ def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     """
     nodes = nodes.copy()
     K, n = nodes.shape[0] - 2, nodes.shape[1]
-    sw = np.sqrt(model.space.weights)
-    idx = np.arange(K)
 
     def embed(x):
-        """psi (K+2, X), its Jacobian (K+2, n, X) and the chord energy."""
-        P, J = model.jet(x)
-        psi = np.sqrt(np.maximum(P, 0.0)) * sw
-        dpsi = J * (sw / (2.0 * np.sqrt(np.maximum(P, DOMINANCE_TOL))))[:, None, :]
+        """psi, its Jacobian and the chord energy."""
+        psi, dpsi = _embed(model, x)
         return psi, dpsi, float(np.sum(np.diff(psi, axis=0) ** 2))
 
     def normal_equations(psi, dpsi):
-        """Gauss-Newton matrix (K x K blocks of n x n), its floored diagonal
-        as the damping scale, and the energy gradient (halved)."""
-        D = dpsi[1:-1]
-        grad = np.einsum("knx,kx->kn", D, 2.0 * psi[1:-1] - psi[:-2] - psi[2:]).ravel()
-        A = np.zeros((K, n, K, n))
-        A[idx, :, idx, :] = 2.0 * np.einsum("knx,kmx->knm", D, D)
-        off = np.einsum("knx,kmx->knm", D[:-1], D[1:])
-        A[idx[:-1], :, idx[1:], :] = -off
-        A[idx[1:], :, idx[:-1], :] = -np.transpose(off, (0, 2, 1))
-        A = A.reshape(K * n, K * n)
-        return A, np.diag(np.maximum(np.diag(A), 1e-12)), grad
+        """Gauss-Newton matrix, its damping scale and the energy gradient
+        (halved)."""
+        grad = np.einsum("knx,kx->kn", dpsi[1:-1], 2.0 * psi[1:-1] - psi[:-2] - psi[2:]).ravel()
+        return (*_gauss_newton(dpsi, 1), grad)
 
     psi, dpsi, energy = embed(nodes)
     A, scale, grad = normal_equations(psi, dpsi)
@@ -243,7 +240,7 @@ def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     for _ in range(MAX_ITER):
         trial = nodes.copy()
         trial[1:-1] += np.linalg.solve(A + damping * scale, -grad).reshape(K, n)
-        if all(model.domain.contains(theta) for theta in trial[1:-1]):
+        if np.all(model.domain.contains_rows(trial[1:-1])):
             t_psi, t_dpsi, t_energy = embed(trial)
             if t_energy < energy:
                 done = energy - t_energy < OPTIMIZER_TOL * t_energy
@@ -259,6 +256,57 @@ def _energy_path(model: ParamModel, nodes) -> np.ndarray:
     return nodes
 
 
+def _embed(model: ParamModel, x) -> tuple:
+    """psi = sqrt(p w) at the rows of ``x`` (T, X) and its Jacobian (T, n, X)."""
+    sw = np.sqrt(model.space.weights)
+    P, J = model.jet(x)
+    psi = np.sqrt(np.maximum(P, 0.0)) * sw
+    return psi, J * (sw / (2.0 * np.sqrt(np.maximum(P, DOMINANCE_TOL))))[:, None, :]
+
+
+def _gauss_newton(dpsi, samples) -> tuple:
+    """Gauss-Newton matrix (halved) of the chord energy sum_j |psi_{j+1} -
+    psi_j|^2 over the rows of a polyline with ``samples`` evenly spaced
+    points per segment (``_arc_rows``; with 1 the rows are the nodes), in
+    the interior nodes, and its floored diagonal as the damping scale.
+
+    ``dpsi`` (rows, n, X) holds psi's Jacobians at the rows. A row at
+    fraction t of segment s moves with node s by 1 - t and with node s + 1
+    by t, so every chord of segment s has one block on node s and one on
+    node s + 1, and the matrix is block-tridiagonal: K x K blocks of
+    n x n, returned as a (K n, K n) array.
+    """
+    rows, n, X = dpsi.shape
+    K = (rows - 1) // samples - 1
+    t = (np.arange(samples + 1) / samples)[:, None, None]  # a chord runs from t[i] to t[i + 1]
+    start = dpsi[:-1].reshape(K + 1, samples, n, X)
+    end = dpsi[1:].reshape(K + 1, samples, n, X)
+
+    def per_node(a, b):
+        """A segment's chord blocks on one node, as (K + 1, n, samples X)."""
+        return np.transpose(a * end - b * start, (0, 2, 1, 3)).reshape(K + 1, n, samples * X)
+
+    left = per_node(1.0 - t[1:], 1.0 - t[:-1])  # on node s
+    right = per_node(t[1:], t[:-1])  # on node s + 1
+    idx = np.arange(K)
+    A = np.zeros((K, n, K, n))
+    A[idx, :, idx, :] = np.einsum("knx,kmx->knm", right[:-1], right[:-1]) + np.einsum("knx,kmx->knm", left[1:], left[1:])
+    off = np.einsum("knx,kmx->knm", left[1:-1], right[1:-1])
+    A[idx[:-1], :, idx[1:], :] = off
+    A[idx[1:], :, idx[:-1], :] = np.transpose(off, (0, 2, 1))
+    A = A.reshape(K * n, K * n)
+    return A, np.diag(np.maximum(np.diag(A), 1e-12))
+
+
+def _preconditioner(model: ParamModel, nodes) -> np.ndarray:
+    """M^-1 for the damped Gauss-Newton matrix M = A + ``PRECONDITIONER_DAMPING``
+    diag of the chord energy over the arc objective's sample points at
+    ``nodes``; M is symmetric positive definite."""
+    _, dpsi = _embed(model, _arc_rows(nodes))
+    A, scale = _gauss_newton(dpsi, ARC_SAMPLES)
+    return np.linalg.inv(A + PRECONDITIONER_DAMPING * scale)
+
+
 def _arc_rows(nodes) -> np.ndarray:
     """``ARC_SAMPLES`` evenly spaced points on each straight segment, from
     its start, then the last node: (S * ARC_SAMPLES + 1, n)."""
@@ -268,7 +316,27 @@ def _arc_rows(nodes) -> np.ndarray:
     return np.vstack([pts.reshape(-1, nodes.shape[1]), nodes[-1:]])
 
 
-def _arc_objective(model: ParamModel, nodes) -> tuple:
+def _arc_buffers(model: ParamModel, nodes) -> dict:
+    """Work arrays of ``_arc_objective`` for polylines shaped like ``nodes``:
+    the rows' Jacobians (rows x n x X), u, du, the chords and the gradient
+    factors (rows x X), and the per-block scratch (``ARC_JET_ROWS`` x X).
+    One set serves every evaluation of a solve, so no evaluation maps and
+    faults in fresh pages for them."""
+    rows = (nodes.shape[0] - 1) * ARC_SAMPLES + 1
+    X = model.space.weights.size
+    return {
+        "sw": np.sqrt(model.space.weights),
+        "jac": np.empty((rows, nodes.shape[1], X)),
+        "u": np.empty((rows, X)),
+        "du": np.empty((rows, X)),
+        "chords": np.empty((rows - 1, X)),
+        "scale": np.empty((rows, X)),
+        "root": np.empty((ARC_JET_ROWS, X)),
+        "block": np.empty((ARC_JET_ROWS, X)),
+    }
+
+
+def _arc_objective(model: ParamModel, nodes, buffers=None) -> tuple:
     """Sub-sampled arc length of psi = sqrt(p w) along the polyline, and its
     gradient in the interior nodes.
 
@@ -277,35 +345,43 @@ def _arc_objective(model: ParamModel, nodes) -> tuple:
     by the great-circle arc 2 arcsin(r / 2) over the chord r, smoothed as
     sqrt(r^2 + ``CHORD_SMOOTHING``) so the sum stays differentiable where
     nodes collapse onto a face on which psi stops moving (the mixture's
-    a = 0). Returns (length, gradient (K, n)).
+    a = 0). ``buffers`` (from ``_arc_buffers``, made anew when None) hold
+    the work arrays; every value is the same with fresh or reused ones.
+    Returns (length, gradient (K, n)); the gradient is a new array.
     """
+    if buffers is None:
+        buffers = _arc_buffers(model, nodes)
+    sw, jac, u, du, chords, scale = (buffers[k] for k in ("sw", "jac", "u", "du", "chords", "scale"))
     rows = _arc_rows(nodes)
     blocks = [slice(i, i + ARC_JET_ROWS) for i in range(0, rows.shape[0], ARC_JET_ROWS)]
-    jets = [model.jet(rows[b]) for b in blocks]
-    sw = np.sqrt(model.space.weights)
-    u = np.empty((rows.shape[0], sw.size))
-    # d psi / d theta = J sqrt(w) / (2 sqrt(p)); per block, the factor
-    # sqrt(w) / (2 sqrt(p) |psi|) that takes a gradient in u to one in theta
-    scales = []
-    for b, (P, _) in zip(blocks, jets):
-        root = np.sqrt(np.maximum(P, 0.0))
-        psi = root * sw
+    # d psi / d theta = J sqrt(w) / (2 sqrt(p)); per row, the factor
+    # sqrt(w) / (2 sqrt(p) |psi|) that takes a gradient in u to one in theta.
+    # Each block's Jacobian is kept in ``jac``, so only one jet is alive.
+    for b in blocks:
+        P, jac[b] = model.jet(rows[b])
+        m = P.shape[0]
+        root = np.sqrt(np.maximum(P, 0.0, out=buffers["root"][:m]), out=buffers["root"][:m])
+        psi = np.multiply(root, sw, out=buffers["block"][:m])
         norm = np.sqrt(np.einsum("rx,rx->r", psi, psi))[:, None]
         np.divide(psi, norm, out=u[b])
-        scales.append(sw / (2.0 * norm * np.maximum(root, np.sqrt(DOMINANCE_TOL))))
-    chords = u[:-1] - u[1:]
+        np.maximum(root, np.sqrt(DOMINANCE_TOL), out=scale[b])
+        np.multiply(2.0 * norm, scale[b], out=scale[b])
+        np.divide(sw, scale[b], out=scale[b])
+    np.subtract(u[:-1], u[1:], out=chords)
     r = np.sqrt(np.einsum("rx,rx->r", chords, chords) + CHORD_SMOOTHING)
     h = np.minimum(0.5 * r, 1.0)
     length = 4.0 * float(np.sum(np.arcsin(h)))
     # d length / d chord, onto the sample points, then through u = psi / |psi|
     chords *= (2.0 / (r * np.sqrt(np.maximum(1.0 - h * h, 1e-300))))[:, None]
-    du = np.zeros_like(u)
     du[:-1] = chords
+    du[-1] = 0.0
     du[1:] -= chords
     drows = []
-    for b, (_, J), scale in zip(blocks, jets, scales):
-        tangent = du[b] - np.einsum("rx,rx->r", du[b], u[b])[:, None] * u[b]
-        drows.append(np.einsum("rnx,rx->rn", J, tangent * scale))
+    for b in blocks:
+        m = jac[b].shape[0]
+        tangent = np.multiply(np.einsum("rx,rx->r", du[b], u[b])[:, None], u[b], out=buffers["block"][:m])
+        np.subtract(du[b], tangent, out=tangent)
+        drows.append(np.einsum("rnx,rx->rn", jac[b], np.multiply(tangent, scale[b], out=tangent)))
     drows = np.concatenate(drows)
     # A sample point at fraction t of segment s moves with node s by 1 - t
     # and with node s + 1 by t.
@@ -323,76 +399,100 @@ def _arc_solve(model: ParamModel, nodes) -> tuple:
     Trial nodes are clipped to the domain's box, and a trial that still
     leaves the domain (categorical's simplex constraint) or fails the
     Armijo test halves the step. Coordinates held at a box wall by the
-    gradient stay out of the search direction. When the first iteration
-    finds no descent step, or its step lowers the objective by less than
-    ``OPTIMIZER_TOL`` relative, ``nodes`` are the result (a warm start, 1
-    iteration, converged). Otherwise the solver stops once
-    ``STALL_ITERATIONS`` iterations have lowered the objective by less than
-    ``OPTIMIZER_TOL`` relative (converged), when no step along the
-    projected steepest descent lowers it (converged: nothing left to gain
-    at this precision), or after ``MAX_ITER`` iterations (not converged).
+    gradient stay out of the search direction. The first iteration is a
+    steepest-descent restart. When it finds no descent step, or its step
+    lowers the objective by less than ``OPTIMIZER_TOL`` relative, ``nodes``
+    are the result (a warm start, 1 iteration, converged).
+
+    Otherwise the solver goes on in two phases, ``MAX_ITER`` iterations in
+    all (then not converged). The preconditioned phase takes gamma M^-1 as
+    L-BFGS's initial inverse Hessian, with M the damped Gauss-Newton matrix
+    of the sampled chord energy at the nodes after the first step
+    (``_preconditioner``) and gamma = s.y / y.M^-1 y from the newest pair,
+    and restarts along -M^-1 g. It stalls when ``STALL_ITERATIONS``
+    iterations lower the objective by less than ``OPTIMIZER_TOL`` relative,
+    or when a restart finds no step; a stall there never ends the solve,
+    since a stale M can hold the solver far from the minimum. The pairs are
+    cleared, and the plain phase (initial inverse Hessian s.y / y.y I,
+    restarts along -g) goes on from the same nodes with a stall window of
+    its own. Only a stall there ends the solve as converged: nothing left
+    to gain at this precision.
+
     Returns (nodes, iterations, converged, warm_start); ``nodes`` is not
     modified.
     """
     lo, hi = model.domain.lo, model.domain.hi
     scale = float(np.max(np.abs(nodes[-1] - nodes[0])))
-    length, grad = _arc_objective(model, nodes)
+    buffers = _arc_buffers(model, nodes)
+    length, grad = _arc_objective(model, nodes, buffers)
     history = [length]
     pairs = []  # L-BFGS (s, y, 1 / y.s), oldest first
+    inverse = None  # M^-1 in the preconditioned phase; None in the first iteration and the plain phase
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         x = nodes[1:-1]
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         g = grad * free
-        direction = -_lbfgs_direction(g, pairs) * free
+        direction = -_lbfgs_direction(g, pairs, inverse) * free
         if not pairs or np.sum(direction * g) >= 0.0:
             # no curvature pairs yet, or they no longer give a descent
-            # direction: restart along the steepest descent
+            # direction: restart along the (preconditioned) steepest descent
             pairs.clear()
-            direction = -_restart_step(model, nodes, grad, g, scale) * g
-        accepted = _armijo_step(model, nodes, length, grad, direction)
+            p = g if inverse is None else (inverse @ g.ravel()).reshape(g.shape) * free
+            direction = -_restart_step(model, nodes, grad, g, p, scale, buffers) * p
+        accepted = _armijo_step(model, nodes, length, grad, direction, buffers)
         if accepted is None:
-            if not pairs:
-                return nodes, iterations, True, iterations == 1
+            stalled = not pairs
             pairs.clear()
-            continue
-        trial, t_length, t_grad = accepted
-        if iterations == 1 and length - t_length < OPTIMIZER_TOL * t_length:
-            return nodes, 1, True, True
-        s = (trial[1:-1] - x).ravel()
-        y = (t_grad - grad).ravel()
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.sqrt((s @ s) * (y @ y))):
-            pairs.append((s, y, 1.0 / sy))
-            del pairs[:-LBFGS_MEMORY]
-        nodes, length, grad = trial, t_length, t_grad
-        history.append(length)
-        if len(history) > STALL_ITERATIONS and history[-1 - STALL_ITERATIONS] - length < OPTIMIZER_TOL * length:
-            return nodes, iterations, True, False
+        else:
+            trial, t_length, t_grad = accepted
+            if iterations == 1 and length - t_length < OPTIMIZER_TOL * t_length:
+                return nodes, 1, True, True
+            s = (trial[1:-1] - x).ravel()
+            y = (t_grad - grad).ravel()
+            sy = float(s @ y)
+            if sy > 1e-12 * float(np.sqrt((s @ s) * (y @ y))):
+                pairs.append((s, y, 1.0 / sy))
+                del pairs[:-LBFGS_MEMORY]
+            nodes, length, grad = trial, t_length, t_grad
+            history.append(length)
+            stalled = len(history) > STALL_ITERATIONS and history[-1 - STALL_ITERATIONS] - length < OPTIMIZER_TOL * length
+        if stalled:
+            if inverse is None:
+                return nodes, iterations, True, iterations == 1
+            # the preconditioned phase stalled: the plain phase goes on
+            pairs.clear()
+            history = [length]
+            inverse = None
+        elif iterations == 1:
+            # past the warm-start decision: into the preconditioned phase
+            inverse = _preconditioner(model, nodes)
     return nodes, iterations, False, False
 
 
-def _restart_step(model: ParamModel, nodes, grad, g, scale) -> float:
-    """Step length along -g for a steepest-descent restart: |g|^2 / g^T H g,
-    with H g the difference quotient of the gradient between the nodes and
-    a probe moved by 1e-6 ``scale`` along -g. ``STEP_INIT`` ``scale`` /
-    max|g| when that curvature is not positive or the probe leaves the
-    domain."""
-    fallback = STEP_INIT * scale / max(float(np.max(np.abs(g))), 1e-300)
-    gg = float(np.sum(g * g))
-    if gg == 0.0:
+def _restart_step(model: ParamModel, nodes, grad, g, p, scale, buffers) -> float:
+    """Step length along -p for a restart: g.p / p^T H p, with H p the
+    difference quotient of the gradient between the nodes and a probe moved
+    by 1e-6 ``scale`` along -p. ``STEP_INIT`` ``scale`` / max|p| when that
+    curvature is not positive or the probe leaves the domain."""
+    fallback = STEP_INIT * scale / max(float(np.max(np.abs(p))), 1e-300)
+    pp = float(np.sum(p * p))
+    if pp == 0.0:
         return fallback
-    eps = 1e-6 * scale / np.sqrt(gg)
+    eps = 1e-6 * scale / np.sqrt(pp)
     probe = nodes.copy()
-    probe[1:-1] -= eps * g
-    if not all(model.domain.contains(theta) for theta in probe[1:-1]):
+    probe[1:-1] -= eps * p
+    if not np.all(model.domain.contains_rows(probe[1:-1])):
         return fallback
-    curvature = float(np.sum(g * (grad - _arc_objective(model, probe)[1]))) / eps
-    return gg / curvature if curvature > 0.0 else fallback
+    curvature = float(np.sum(p * (grad - _arc_objective(model, probe, buffers)[1]))) / eps
+    return float(np.sum(g * p)) / curvature if curvature > 0.0 else fallback
 
 
-def _lbfgs_direction(g, pairs) -> np.ndarray:
-    """Inverse-Hessian estimate times ``g`` by the two-loop recursion."""
+def _lbfgs_direction(g, pairs, inverse) -> np.ndarray:
+    """Inverse-Hessian estimate times ``g`` by the two-loop recursion. The
+    initial estimate is (s.y / y.y) I when ``inverse`` is None, and
+    otherwise gamma ``inverse`` with gamma = s.y / y.``inverse`` y, both
+    from the newest pair."""
     q = g.ravel().copy()
     alphas = []
     for s, y, rho in reversed(pairs):
@@ -401,13 +501,16 @@ def _lbfgs_direction(g, pairs) -> np.ndarray:
         alphas.append(alpha)
     if pairs:
         s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
+        if inverse is None:
+            q *= 1.0 / (rho * float(y @ y))
+        else:
+            q = (1.0 / (rho * float(y @ (inverse @ y)))) * (inverse @ q)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - rho * float(y @ q)) * s
     return q.reshape(g.shape)
 
 
-def _armijo_step(model: ParamModel, nodes, length, grad, direction):
+def _armijo_step(model: ParamModel, nodes, length, grad, direction, buffers):
     """The first of the steps ``direction``, halved up to ``MAX_BACKTRACKS``
     times, whose box-clipped nodes stay in the domain and lower the
     objective by the Armijo rule: (nodes, length, gradient), or None."""
@@ -417,8 +520,8 @@ def _armijo_step(model: ParamModel, nodes, length, grad, direction):
     for _ in range(MAX_BACKTRACKS):
         trial = nodes.copy()
         trial[1:-1] = np.clip(x + step * direction, lo, hi)
-        if all(model.domain.contains(theta) for theta in trial[1:-1]):
-            t_length, t_grad = _arc_objective(model, trial)
+        if np.all(model.domain.contains_rows(trial[1:-1])):
+            t_length, t_grad = _arc_objective(model, trial, buffers)
             if t_length <= length + ARMIJO * float(np.sum(grad * (trial[1:-1] - x))) and t_length < length:
                 return trial, t_length, t_grad
         step *= 0.5
@@ -478,7 +581,7 @@ def _checked_lengths(model: ParamModel, a, b, rules, halvings) -> np.ndarray:
 
 def _degenerate_segments(model: ParamModel, nodes) -> tuple:
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    inside = np.nonzero([model.domain.contains(mid) for mid in mids])[0]
+    inside = np.nonzero(model.domain.contains_rows(mids))[0]
     if inside.size == 0:
         return ()
     eigs = np.linalg.eigvalsh(fisher_matrices(model, mids[inside]))

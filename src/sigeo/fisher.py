@@ -139,7 +139,11 @@ def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:
 def _directional_values(P, J, vs, w):
     dv = np.einsum("tnx,tn->tx", J, vs)
     Pf = np.maximum(P, DOMINANCE_TOL)
-    vals = np.sum(dv * dv / Pf * w[None, :], axis=1)
+    # dv * dv / Pf * w, in place: the same operations in the same order
+    dv *= dv
+    dv /= Pf
+    dv *= w
+    vals = np.sum(dv, axis=1)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite directional Fisher mass")
     return vals

@@ -116,14 +116,19 @@ class Box:
         if not self.contains(theta):
             raise DomainError(f"parameter {np.asarray(theta)} outside domain")
 
+    def contains_rows(self, thetas) -> np.ndarray:
+        """``contains`` for every row of a (T, dim) array, one bool per row."""
+        inside = np.all((self.lo <= thetas) & (thetas <= self.hi), axis=1)  # NaN fails too
+        if self.constraint is not None:
+            inside &= self.constraint(thetas)
+        return inside
+
     def require_rows(self, thetas):
         """``require`` for every row of a (T, dim) array, bounds checked at once."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self.dim:
             raise DomainError(f"parameter rows have {thetas.shape[1]} coordinates where the model takes {self.dim}")
-        inside = np.all((self.lo <= thetas) & (thetas <= self.hi), axis=1)  # NaN fails too
-        if self.constraint is not None:
-            inside &= self.constraint(thetas)
+        inside = self.contains_rows(thetas)
         if not np.all(inside):
             self.require(thetas[np.argmin(inside)])
 

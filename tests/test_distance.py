@@ -190,8 +190,98 @@ def test_rejected_warm_start_falls_back_to_the_arc_solver():
     # is the solver's own result.
     res = fisher_distance(get_model("mixture"), *FALLBACK_PAIR)
     assert not res.warm_start
-    assert res.iterations == 106 and res.converged
-    assert res.length == pytest.approx(0.7650331632302794, rel=1e-12, abs=0.0)
+    assert res.iterations == 51 and res.converged
+    assert res.length == pytest.approx(0.7650323159154074, rel=1e-12, abs=0.0)
+
+
+def _phase_trace(monkeypatch):
+    """Per arc-solver iteration, whether its L-BFGS direction was
+    preconditioned (True) or plain (False)."""
+    direction = distance._lbfgs_direction
+    phases = []
+    monkeypatch.setattr(
+        distance, "_lbfgs_direction", lambda g, pairs, inverse: phases.append(inverse is not None) or direction(g, pairs, inverse)
+    )
+    return phases
+
+
+@pytest.mark.parametrize("preconditioner", ["gauss-newton", "one-coordinate"])
+def test_preconditioned_stall_hands_over_to_the_plain_phase(monkeypatch, preconditioner):
+    # The first iteration is plain; then the preconditioned phase runs until
+    # it stalls, and only the plain phase, with a stall window of its own,
+    # may end the solve as converged. A preconditioner that moves almost
+    # only the first coordinate stalls early, and the plain phase must still
+    # reach the unpatched solve's length.
+    mix = get_model("mixture")
+    reference = fisher_distance(mix, *FALLBACK_PAIR)
+    if preconditioner == "one-coordinate":
+        monkeypatch.setattr(distance, "_preconditioner", lambda m, nodes: np.diag([1.0] + [1e-12] * 15))
+    phases = _phase_trace(monkeypatch)
+    res = fisher_distance(mix, *FALLBACK_PAIR)
+    assert res.converged and not res.warm_start and len(phases) == res.iterations
+    first_plain = phases.index(False, 1)
+    assert phases[0] is False and all(phases[1:first_plain])
+    assert not any(phases[first_plain:])
+    assert res.iterations - first_plain >= distance.STALL_ITERATIONS
+    assert res.length == pytest.approx(reference.length, rel=1e-4)
+
+
+def _arc_objective_reference(model, nodes):
+    """The arc objective as one fresh array per step, the formula before
+    its work arrays were reused."""
+    rows = distance._arc_rows(nodes)
+    R = distance.ARC_JET_ROWS
+    blocks = [slice(i, i + R) for i in range(0, rows.shape[0], R)]
+    jets = [model.jet(rows[b]) for b in blocks]
+    sw = np.sqrt(model.space.weights)
+    u = np.empty((rows.shape[0], sw.size))
+    scales = []
+    for b, (P, _) in zip(blocks, jets):
+        root = np.sqrt(np.maximum(P, 0.0))
+        psi = root * sw
+        norm = np.sqrt(np.einsum("rx,rx->r", psi, psi))[:, None]
+        np.divide(psi, norm, out=u[b])
+        scales.append(sw / (2.0 * norm * np.maximum(root, np.sqrt(distance.DOMINANCE_TOL))))
+    chords = u[:-1] - u[1:]
+    r = np.sqrt(np.einsum("rx,rx->r", chords, chords) + distance.CHORD_SMOOTHING)
+    h = np.minimum(0.5 * r, 1.0)
+    length = 4.0 * float(np.sum(np.arcsin(h)))
+    chords *= (2.0 / (r * np.sqrt(np.maximum(1.0 - h * h, 1e-300))))[:, None]
+    du = np.zeros_like(u)
+    du[:-1] = chords
+    du[1:] -= chords
+    drows = []
+    for b, (_, J), scale in zip(blocks, jets, scales):
+        tangent = du[b] - np.einsum("rx,rx->r", du[b], u[b])[:, None] * u[b]
+        drows.append(np.einsum("rnx,rx->rn", J, tangent * scale))
+    drows = np.concatenate(drows)
+    K, n = nodes.shape[0] - 2, nodes.shape[1]
+    t = np.arange(distance.ARC_SAMPLES) / distance.ARC_SAMPLES
+    per_segment = drows[:-1].reshape(K + 1, distance.ARC_SAMPLES, n)
+    grad = np.einsum("j,sjn->sn", 1.0 - t, per_segment[1:]) + np.einsum("j,sjn->sn", t, per_segment[:-1])
+    return length, grad
+
+
+@pytest.mark.parametrize("model_id, ends", [
+    ("mixture", ([0.3, -1.5], [0.7, 2.0])),
+    ("gauss-loc-scale", ([-1.0, 0.7], [1.2, 1.6])),
+    ("categorical:3", ([0.2, 0.3], [0.6, 0.1])),
+])
+def test_arc_objective_with_reused_buffers_is_the_reference_bitwise(model_id, ends):
+    model = get_model(model_id)
+    first = np.linspace(*ends, 8 + 2)
+    second = first.copy()
+    second[1:-1, 0] += 0.01 * np.sin(np.arange(1, 9))
+    buffers = distance._arc_buffers(model, first)
+    for nodes in (first, second, first):
+        length, grad = _arc_objective(model, nodes, buffers)
+        ref_length, ref_grad = _arc_objective_reference(model, nodes)
+        assert length == ref_length
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert not any(np.shares_memory(grad, buf) for buf in buffers.values())
+    kept = grad.copy()
+    _arc_objective(model, second, buffers)
+    np.testing.assert_array_equal(grad, kept)
 
 
 def test_energy_path_gaining_little_in_one_sweep_still_goes_to_the_arc_solver():
@@ -222,7 +312,7 @@ def test_accepted_warm_start_is_the_energy_or_the_straight_path(monkeypatch, mod
     # straight path is shorter (near-face).
     objective = distance._arc_objective
     calls = []
-    monkeypatch.setattr(distance, "_arc_objective", lambda m, nodes: calls.append(1) or objective(m, nodes))
+    monkeypatch.setattr(distance, "_arc_objective", lambda *args: calls.append(1) or objective(*args))
     model = get_model(model_id)
     res = fisher_distance(model, th1, th2)
     assert res.warm_start and res.iterations == 1 and res.converged
@@ -242,13 +332,15 @@ def test_capped_arc_solver_reports_no_convergence(monkeypatch):
 
 
 def test_fallback_never_imports_scipy_optimize():
+    # The preconditioner is inverted with numpy alone: importing scipy.linalg
+    # costs several MB of resident memory in every process that solves.
     code = (
         "import sys; from sigeo.distance import fisher_distance; from sigeo.models import get_model; "
         f"res = fisher_distance(get_model('mixture'), *{FALLBACK_PAIR!r}); "
-        "assert not res.warm_start; print('scipy.optimize' in sys.modules)"
+        "assert not res.warm_start; print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("model_id, ends", [

@@ -259,3 +259,18 @@ def test_fisher_matrices_name_the_first_row_outside_the_domain():
         fisher_matrices(CAT3, [[0.2, 0.3], [0.2, 0.9], [1.5, 0.1]])
     with pytest.raises(DomainError, match="coordinates"):
         fisher_matrices(CAT3, [[0.2, 0.3, 0.1]])
+
+
+@pytest.mark.parametrize("model_id", ["bernoulli", "categorical:3", "mixture", "gauss-loc-scale", "friedrich"])
+def test_directional_values_are_the_expression_bitwise(model_id):
+    # Squared, divided and weighted in place: the same operations in the
+    # same order as the one-line expression.
+    model = get_model(model_id)
+    rng = np.random.default_rng(4)
+    thetas = np.array([model.domain.sample(rng) for _ in range(20)])
+    vs = rng.standard_normal(thetas.shape)
+    P, J = model.jet(thetas)
+    w = model.space.weights
+    dv = np.einsum("tnx,tn->tx", J, vs)
+    expected = np.sum(dv * dv / np.maximum(P, fisher.DOMINANCE_TOL) * w[None, :], axis=1)
+    np.testing.assert_array_equal(fisher._directional_values(P, J, vs, w), expected)

@@ -704,3 +704,49 @@ def test_simplex_constraint_on_rows_is_the_per_row_rule(case):
         with pytest.raises(DomainError) as first_bad:
             box.require(thetas[inside.index(False)])
         assert str(caught.value) == str(first_bad.value)
+
+
+@st.composite
+def _edge_rows(draw):
+    """(model id, rows) with coordinates on a box edge, one ulp either side
+    of it, NaN or inside, and for categorical rows whose sum is exactly
+    1 - EPS_BOUNDARY, one ulp above it or one ulp below it."""
+    model_id = draw(st.sampled_from(ZOO_IDS))
+    box = get_model(model_id).domain
+    threshold = 1 - models.EPS_BOUNDARY
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = box.lo + (box.hi - box.lo) * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=box.dim,
+                                                                  max_size=box.dim)))
+        for i in range(box.dim):
+            edge = (box.lo[i], box.hi[i])[draw(st.integers(0, 1))]
+            kind = draw(st.sampled_from(["inside", "edge", "ulp-in", "ulp-out", "nan"]))
+            if kind == "edge":
+                row[i] = edge
+            elif kind in ("ulp-in", "ulp-out"):
+                outward = np.inf if (edge == box.hi[i]) == (kind == "ulp-out") else -np.inf
+                row[i] = np.nextafter(edge, outward)
+            elif kind == "nan" and draw(st.integers(0, 3)) == 0:
+                row[i] = np.nan
+        face = draw(st.sampled_from(["none", "exact", "ulp-above", "ulp-below"]))
+        if box.constraint is not None and face != "none":
+            row = np.clip(row, box.lo, box.hi)
+            row[-1] = threshold - float(np.sum(row[:-1]))
+            for _ in range(4):  # move the last entry until the sum hits the threshold
+                off = float(np.sum(row)) - threshold
+                if off:
+                    row[-1] = np.nextafter(row[-1], -np.inf if off > 0 else np.inf)
+            if face != "exact":
+                row[-1] = np.nextafter(row[-1], np.inf if face == "ulp-above" else -np.inf)
+        rows.append(row)
+    return model_id, np.array(rows)
+
+
+@given(_edge_rows())
+@settings(max_examples=200, deadline=None)
+def test_contains_rows_is_contains_per_row(case):
+    model_id, thetas = case
+    box = get_model(model_id).domain
+    inside = box.contains_rows(thetas)
+    assert inside.dtype == bool and inside.shape == (thetas.shape[0],)
+    assert inside.tolist() == [box.contains(theta) for theta in thetas]

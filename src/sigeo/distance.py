@@ -319,7 +319,7 @@ def _arc_rows(nodes) -> np.ndarray:
 def _arc_buffers(model: ParamModel, nodes) -> dict:
     """Work arrays of ``_arc_objective`` for polylines shaped like ``nodes``:
     the rows' Jacobians (rows x n x X), u, du, the chords and the gradient
-    factors (rows x X), and the per-block scratch (``ARC_JET_ROWS`` x X).
+    factors (rows x X), and two per-block work arrays (``ARC_JET_ROWS`` x X).
     One set serves every evaluation of a solve, so no evaluation maps and
     faults in fresh pages for them."""
     rows = (nodes.shape[0] - 1) * ARC_SAMPLES + 1

@@ -101,7 +101,8 @@ def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
     """Lengths of the straight parameter segments between consecutive nodes.
 
     ``nodes`` is one polyline (K, n) or a stack of polylines (..., K, n);
-    every segment goes through one ``directional_form`` call.
+    the quadrature rows of all segments go to one ``directional_form``
+    call, which evaluates the model in jets of at most ``jet_rows`` rows.
     """
     qs, qw = _unit_rule(quad_points)
     a = nodes[..., :-1, :]
@@ -171,7 +172,9 @@ class PathResult:
 def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> PathResult:
     """Upper estimate of the Fisher distance between two parameter points,
     over paths with ``interior_nodes`` free nodes."""
-    theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
+    if isinstance(interior_nodes, bool) or not isinstance(interior_nodes, (int, np.integer)) or interior_nodes < 0:
+        raise UsageError(f"interior_nodes needs an integer >= 0, got {interior_nodes!r}")
+    theta1 =np.atleast_1d(np.asarray(theta1, dtype=float))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     model.domain.require(theta1)
     model.domain.require(theta2)
@@ -547,19 +550,20 @@ def _path_length(model: ParamModel, nodes) -> float:
     ``MAX_HALVINGS`` times): a fixed rule understates segments whose speed
     has a kink (a crossing of the mixture's degenerate line b = 0) or a
     near-singularity (a categorical node close to the simplex face).
-    Segments that agree keep their one-rule value, bit for bit.
+    Segments that agree keep their one-rule value, bit for bit. The S
+    segments and their 2S halves are measured in one stack.
     """
-    rules = _segment_lengths(model, nodes, LENGTH_QUAD_POINTS)
-    return float(np.sum(_checked_lengths(model, nodes[:-1], nodes[1:], rules, MAX_HALVINGS)))
-
-
-def _checked_lengths(model: ParamModel, a, b, rules, halvings) -> np.ndarray:
-    """Lengths of the segments a[i] -> b[i] whose one-rule values are ``rules``."""
+    a, b = nodes[:-1], nodes[1:]
     mid = 0.5 * (a + b)
-    # Two calls of S segments each: no jet holds more rows than the rule's.
-    halves = np.column_stack([
-        _segment_lengths(model, np.stack(ends, axis=1), LENGTH_QUAD_POINTS)[:, 0] for ends in ((a, mid), (mid, b))
-    ])  # (S, 2)
+    ends = np.concatenate([np.stack(pair, axis=1) for pair in ((a, b), (a, mid), (mid, b))])  # (3S, 2, n)
+    rules, first, second = _segment_lengths(model, ends, LENGTH_QUAD_POINTS)[:, 0].reshape(3, -1)
+    return float(np.sum(_checked_lengths(model, a, b, mid, rules, np.column_stack([first, second]), MAX_HALVINGS)))
+
+
+def _checked_lengths(model: ParamModel, a, b, mid, rules, halves, halvings) -> np.ndarray:
+    """Lengths of the segments a[i] -> b[i] with midpoints ``mid``, whose
+    one-rule values are ``rules`` and whose halves' values are ``halves``
+    (S, 2)."""
     out = rules.copy()
     bad = np.abs(np.sum(halves, axis=1) - rules) > LENGTH_TOL
     if not np.any(bad):
@@ -568,12 +572,14 @@ def _checked_lengths(model: ParamModel, a, b, rules, halvings) -> np.ndarray:
         out[bad] = np.sum(halves[bad], axis=1)
         return out
     m = int(np.sum(bad))
+    pa, pb = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
+    pmid = 0.5 * (pa + pb)
+    # The parts' halves, in two calls of 2m segments each.
+    part_halves = np.column_stack([
+        _segment_lengths(model, np.stack(ends, axis=1), LENGTH_QUAD_POINTS)[:, 0] for ends in ((pa, pmid), (pmid, pb))
+    ])
     parts = _checked_lengths(
-        model,
-        np.concatenate([a[bad], mid[bad]]),
-        np.concatenate([mid[bad], b[bad]]),
-        np.concatenate([halves[bad, 0], halves[bad, 1]]),
-        halvings - 1,
+        model, pa, pb, pmid, np.concatenate([halves[bad, 0], halves[bad, 1]]), part_halves, halvings - 1
     )
     out[bad] = parts[:m] + parts[m:]
     return out

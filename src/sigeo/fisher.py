@@ -25,12 +25,13 @@ EIGEN_TOL = 1e-8  # relative to the largest eigenvalue, floored at 1
 JUMP_TOL = 0.1    # relative speed mismatch that counts as a discontinuity
 FD_STEP_T = 1e-4  # curve-velocity finite-difference step
 # Rows x reference nodes per jet call of a reducing evaluation (Fisher
-# matrices, cloud segment lengths, sufficiency gaps): 128 KB for the
-# densities, as much again per parameter for the Jacobian. Set from a
-# sweep of ``fisher_matrices`` on 2000 rows over budgets of 8192 to
-# 200 000 entries: fastest or within noise of it on every model once the
-# allocator has served large blocks (in a fresh process 8192 faults less),
-# and every matrix was bitwise the same at every budget.
+# matrices, directional forms and with them every checked path length and
+# cloud segment length, sufficiency gaps): 128 KB for the densities, as
+# much again per parameter for the Jacobian. Set from a sweep of
+# ``fisher_matrices`` on 2000 rows over budgets of 8192 to 200 000
+# entries: fastest or within noise of it on every model once the allocator
+# has served large blocks (in a fresh process 8192 faults less), and every
+# matrix was bitwise the same at every budget.
 JET_ENTRY_BUDGET = 16_384
 # Entries per block of the memory-bound loops: metric-cloud row blocks,
 # midpoint pair blocks and Markov kernel blocks. It bounds memory only.
@@ -125,15 +126,22 @@ def directional_form(model: ParamModel, thetas, vs) -> np.ndarray:
     """Batched quadratic form v^T G(theta) v for rows of thetas and vs.
 
     The workhorse for curve lengths and monotonicity sweeps: evaluates the
-    directional Fisher integrand (J v)^2 / p in one vectorized pass instead
-    of assembling full matrices.
+    directional Fisher integrand (J v)^2 / p instead of assembling full
+    matrices, in jets of at most ``jet_rows`` rows as ``fisher_matrices``
+    does. Every value is a row's own product and sum, so it is bitwise the
+    same at every block size.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
     if vs.shape != thetas.shape:
         raise UsageError("one direction row per parameter row required")
-    P, J = model.jet(thetas)  # (T, X), (T, n, X)
-    return _directional_values(P, J, vs, model.space.weights)
+    w = model.space.weights
+    vals = np.empty(thetas.shape[0])
+    chunk = jet_rows(model)
+    for start in range(0, thetas.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        vals[rows] = _directional_values(*model.jet(thetas[rows]), vs[rows], w)
+    return vals
 
 
 def _directional_values(P, J, vs, w):

@@ -18,9 +18,10 @@ A cloud of M points holds its one M x M matrix plus blocks sized by
 ``fisher.JET_NODE_BUDGET``: midpoint pairs go in budget-sized blocks, each
 deduplicated by one lexsort, and the matrix checks and the mesh scan it in
 row blocks of at most that many entries. Model evaluations come in
-cache-sized jets of ``fisher.JET_ENTRY_BUDGET`` entries: the segments of
-cumulative and segment clouds, and the Fisher matrices at midpoints and
-quadrature nodes.
+cache-sized jets of ``fisher.JET_ENTRY_BUDGET`` entries: ``directional_form``
+blocks the segments of cumulative and segment clouds itself, so a
+cumulative cloud measures its sorted polyline in one call, and
+``fisher_matrices`` the Fisher matrices at midpoints and quadrature nodes.
 """
 
 from __future__ import annotations
@@ -357,21 +358,17 @@ def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricClo
 
 
 def _segment_chunk(model) -> int:
-    """Segments per jet call of the cumulative and segment clouds."""
+    """Pairs per block of the segment cloud: one jet's worth of rows."""
     return max(1, jet_rows(model) // CLOUD_QUAD_POINTS)
 
 
 def _cloud_cumulative(model, pts) -> MetricCloud:
-    M = pts.shape[0]
     order = np.argsort(pts[:, 0])
-    sorted_pts = pts[order]
-    chunk = _segment_chunk(model)
-    lengths = [
-        _segment_lengths(model, sorted_pts[start:start + chunk + 1], CLOUD_QUAD_POINTS)
-        for start in range(0, M - 1, chunk)
-    ]
-    s = np.empty(M)
-    s[order] = np.cumsum(np.concatenate([[0.0], *lengths]))
+    # The lengths before s: with s allocated first, the heap placed later
+    # M x M matrices so that the cover workload's peak RSS rose by 8 MB.
+    lengths = _segment_lengths(model, pts[order], CLOUD_QUAD_POINTS)
+    s = np.empty(pts.shape[0])
+    s[order] = np.cumsum(np.concatenate([[0.0], lengths]))
     d = s[:, None] - s[None, :]
     return MetricCloud(pts, np.abs(d, out=d))
 

@@ -18,6 +18,7 @@ from sigeo.distance import (
     fisher_distance,
     metric_axiom_check,
 )
+from sigeo.errors import UsageError
 from sigeo.measures import QUAD_TOL
 from sigeo.models import (
     EPS_BOUNDARY,
@@ -383,6 +384,27 @@ def test_segment_lengths_do_not_depend_on_the_stack():
         np.testing.assert_array_equal(full, single)
 
 
+def test_curve_length_across_b_zero_is_pinned():
+    # Each segment crosses the mixture's b = 0, so the halving check halves
+    # two levels deep; the pin is the length measured before the rule and
+    # its halves shared one stack.
+    mix = get_model("mixture")
+    nodes = np.array([[0.5, -0.37], [0.6, 0.81], [0.2, -0.55], [0.8, 1.3]])
+    calls = []
+
+    def counting(model, stack, quad_points):
+        calls.append(stack.shape)
+        return _segment_lengths(model, stack, quad_points)
+
+    length = 2.395465234869829
+    assert _segment_lengths(mix, nodes, 8).sum() != length
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_segment_lengths", counting)
+        assert curve_length(mix, CurveInModel(mix, nodes)) == length
+    # the rule and its halves in one stack, then two calls per deeper level
+    assert calls == [(9, 2, 2), (4, 2, 2), (4, 2, 2), (2, 2, 2), (2, 2, 2)]
+
+
 @st.composite
 def _near_face_point(draw):
     """A categorical:3 parameter within 1e-3 of the face sum(theta) = 1 - eps."""
@@ -415,6 +437,22 @@ def test_distance_flags_degenerate_segments():
     mix = gaussian_mixture()
     res = fisher_distance(mix, [0.3, -0.1], [0.3, 0.1], interior_nodes=0)
     assert res.degenerate_segments == (0,)
+
+
+@pytest.mark.parametrize("nodes", [-1, 1.5, True, "8"])
+def test_interior_nodes_must_be_a_count(nodes):
+    with pytest.raises(UsageError, match=r"interior_nodes needs an integer >= 0"):
+        fisher_distance(CAT3, [0.2, 0.3], [0.5, 0.1], interior_nodes=nodes)
+
+
+def test_no_interior_nodes_is_the_straight_segment():
+    mix = gaussian_mixture()
+    a, b = np.array([0.3, -1.0]), np.array([0.6, 1.2])
+    res = fisher_distance(mix, a, b, interior_nodes=0)
+    np.testing.assert_array_equal(res.nodes, [a, b])
+    assert (res.iterations, res.converged) == (0, True)
+    assert res.length == curve_length(mix, CurveInModel(mix, np.array([a, b])))
+    assert fisher_distance(mix, a, b, interior_nodes=np.int64(0)).length == res.length
 
 
 # -- tv bound -----------------------------------------------------------------------

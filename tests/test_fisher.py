@@ -254,6 +254,38 @@ def test_fisher_matrices_chunk_at_the_node_budget():
     assert max(rows) * model.space.size <= fisher.JET_ENTRY_BUDGET
 
 
+@pytest.mark.parametrize("model_id", REGISTRY_IDS)
+def test_directional_form_is_the_same_in_every_block_size(model_id, monkeypatch):
+    model = get_model(model_id)
+    rng = np.random.default_rng(0)
+    thetas = np.array([model.domain.sample(rng) for _ in range(64)])
+    vs = rng.standard_normal(thetas.shape)
+    one_jet = fisher._directional_values(*model.jet(thetas), vs, model.space.weights)
+    np.testing.assert_array_equal(directional_form(model, thetas, vs), one_jet)
+    # jets of 5 rows: the 64 rows cross twelve block boundaries
+    monkeypatch.setattr(fisher, "JET_ENTRY_BUDGET", 5 * model.space.size)
+    assert jet_rows(model) == 5
+    np.testing.assert_array_equal(directional_form(model, thetas, vs), one_jet)
+
+
+def test_directional_form_jets_hold_at_most_jet_rows():
+    model = get_model("gauss-location-2d")  # 4096 nodes: 4 rows per jet
+    rows = []
+
+    def jet(thetas):
+        rows.append(len(thetas))
+        return model.jet(thetas)
+
+    counting = ParamModel(model.name, model.domain, model.space, model.density_batch, jet_fn=jet)
+    thetas = np.linspace([-0.5, -0.5], [0.5, 0.5], 14)
+    vals = directional_form(counting, thetas, np.ones_like(thetas))
+    assert rows == [4, 4, 4, 2]
+    assert vals.shape == (14,)
+    rows.clear()
+    assert directional_form(counting, np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+    assert rows == []
+
+
 def test_fisher_matrices_name_the_first_row_outside_the_domain():
     with pytest.raises(DomainError, match=r"\[0.2 0.9\]"):
         fisher_matrices(CAT3, [[0.2, 0.3], [0.2, 0.9], [1.5, 0.1]])

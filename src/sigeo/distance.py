@@ -174,7 +174,7 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
     over paths with ``interior_nodes`` free nodes."""
     if isinstance(interior_nodes, bool) or not isinstance(interior_nodes, (int, np.integer)) or interior_nodes < 0:
         raise UsageError(f"interior_nodes needs an integer >= 0, got {interior_nodes!r}")
-    theta1 =np.atleast_1d(np.asarray(theta1, dtype=float))
+    theta1 = np.atleast_1d(np.asarray(theta1, dtype=float))
     theta2 = np.atleast_1d(np.asarray(theta2, dtype=float))
     model.domain.require(theta1)
     model.domain.require(theta2)

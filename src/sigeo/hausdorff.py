@@ -364,8 +364,8 @@ def _segment_chunk(model) -> int:
 
 def _cloud_cumulative(model, pts) -> MetricCloud:
     order = np.argsort(pts[:, 0])
-    # The lengths before s: with s allocated first, the heap placed later
-    # M x M matrices so that the cover workload's peak RSS rose by 8 MB.
+    # Measured before s is allocated: in the other order the heap placed
+    # later M x M matrices so that the cover workload's peak RSS rose by 8 MB.
     lengths = _segment_lengths(model, pts[order], CLOUD_QUAD_POINTS)
     s = np.empty(pts.shape[0])
     s[order] = np.cumsum(np.concatenate([[0.0], lengths]))

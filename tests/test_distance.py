@@ -386,8 +386,7 @@ def test_segment_lengths_do_not_depend_on_the_stack():
 
 def test_curve_length_across_b_zero_is_pinned():
     # Each segment crosses the mixture's b = 0, so the halving check halves
-    # two levels deep; the pin is the length measured before the rule and
-    # its halves shared one stack.
+    # two levels deep; the checked length is pinned bitwise.
     mix = get_model("mixture")
     nodes = np.array([[0.5, -0.37], [0.6, 0.81], [0.2, -0.55], [0.8, 1.3]])
     calls = []

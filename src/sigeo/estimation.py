@@ -152,11 +152,11 @@ class Sampling:
             raise UsageError(f"Monte Carlo draws must be 0 (exact) or at least 2, got {self.draws}")
 
 
-def _outcome_weights(model: ParamModel, theta, sampling: Sampling) -> np.ndarray:
-    """Outcome probabilities, or the frequencies of ``sampling.draws`` seeded draws."""
-    if model.space.kind != "finite":
-        raise UsageError("estimation expectations need a finite model")
-    probs = model.density(theta) * model.space.weights
+def _outcome_weights(model: ParamModel, theta, sampling: Sampling, density=None) -> np.ndarray:
+    """Outcome probabilities, or the frequencies of ``sampling.draws`` seeded
+    draws, from ``density``, the model's density at theta if already known."""
+    _require_finite(model)
+    probs = (model.density(theta) if density is None else density) * model.space.weights
     if np.any(probs < -1e-12):
         raise SamplingError("negative outcome probability")
     probs = np.maximum(probs, 0.0)
@@ -165,6 +165,19 @@ def _outcome_weights(model: ParamModel, theta, sampling: Sampling) -> np.ndarray
     rng = np.random.default_rng(sampling.seed)
     idx = rng.choice(model.space.size, size=sampling.draws, p=probs / probs.sum())
     return np.bincount(idx, minlength=model.space.size) / sampling.draws
+
+
+def _require_finite(model: ParamModel):
+    if model.space.kind != "finite":
+        raise UsageError("estimation expectations need a finite model")
+
+
+def _weighted_jet(model: ParamModel, theta, sampling: Sampling) -> tuple:
+    """Density (X,), Jacobian (n, X) and the outcome weights at theta, all
+    from one model evaluation."""
+    _require_finite(model)
+    p, J = model.jet_at(theta)
+    return p, J, _outcome_weights(model, theta, sampling, p)
 
 
 def _phi_values(phi: PhiMap, sigma: Estimator, model: ParamModel) -> np.ndarray:
@@ -253,6 +266,11 @@ def inverse_fisher_form(model, theta, phi, sigma) -> QuadraticForm:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     vals = _phi_values(phi, sigma, model)
     p, J = model.jet_at(theta)  # (X,), (n, X)
+    return _inverse_fisher_from_jet(model, theta, vals, p, J)
+
+
+def _inverse_fisher_from_jet(model, theta, vals, p, J) -> QuadraticForm:
+    """``inverse_fisher_form`` from the outcome values and the jet at theta."""
     dphi = vals.T @ (J * model.space.weights).T  # (d, n)
     G = fisher_matrix_from_jet(theta, p, J, model.space.weights)
     eigs, U = np.linalg.eigh(G.matrix)
@@ -292,11 +310,12 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
     Finite but huge estimates can overflow either form; that raises
     UsageError, since no gap is defined for them."""
     vals = _phi_values(phi, sigma, model)
-    w = _outcome_weights(model, theta, sampling)
+    p, J, w = _weighted_jet(model, theta, sampling)
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mean = w @ vals
     with np.errstate(over="ignore", invalid="ignore"):
         V = _second_moment(vals, w, mean)
-        F = inverse_fisher_form(model, theta, phi, sigma)
+        F = _inverse_fisher_from_jet(model, theta, vals, p, J)
     if not (np.all(np.isfinite(V.matrix)) and np.all(np.isfinite(F.matrix))):
         raise UsageError(
             f"estimator {sigma.name} overflows the variance or inverse-Fisher form; "

@@ -5,7 +5,8 @@ Point clouds carry a matrix of pairwise Fisher-distance estimates. Greedy
 covers (lexicographic pick order, balls of radius delta/2) bound every
 cover set's diameter by delta; premeasures use each set's *actual*
 diameter, which is what makes 1-d estimates track curve length instead of
-double-counting the greedy radius.
+double-counting the greedy radius. Diameters are measured only where a
+premeasure reads them.
 
 Distance matrices come from cumulative segment lengths for 1-parameter
 models, and from straight-segment or midpoint evaluations for higher
@@ -26,6 +27,7 @@ cumulative cloud measures its sorted polyline in one call, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,26 +139,38 @@ def _lex_order(points) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
+def _cover_sets(cloud: MetricCloud, order, delta) -> list:
+    """Member indices of each set of the greedy delta-cover, picking
+    representatives in ``order``: every point within delta/2 of a
+    representative and not yet covered."""
+    if delta <= 0:
+        raise UsageError("cover scale must be positive")
+    uncovered = np.ones(cloud.size, dtype=bool)
+    sets = []
+    r = 0.5 * float(delta)
+    for idx in order:
+        if not uncovered[idx]:
+            continue
+        inside = cloud.dist[idx] <= r
+        inside &= uncovered
+        members = np.flatnonzero(inside)
+        uncovered[members] = False
+        sets.append(members)
+    return sets
+
+
+def _set_diameter(cloud: MetricCloud, members) -> float:
+    return float(np.max(cloud.dist[np.ix_(members, members)])) if members.size > 1 else 0.0
+
+
 def greedy_cover(cloud: MetricCloud, delta) -> list:
     """Greedy delta-cover: sets of points within delta/2 of a representative.
 
     Representatives are picked in lexicographic parameter order, so the
     cover is deterministic. Returns a list of (member_indices, diameter).
     """
-    if delta <= 0:
-        raise UsageError("cover scale must be positive")
-    order = _lex_order(cloud.points)
-    covered = np.zeros(cloud.size, dtype=bool)
-    sets = []
-    r = 0.5 * float(delta)
-    for idx in order:
-        if covered[idx]:
-            continue
-        members = np.nonzero(~covered & (cloud.dist[idx] <= r))[0]
-        covered[members] = True
-        diam = float(np.max(cloud.dist[np.ix_(members, members)])) if members.size > 1 else 0.0
-        sets.append((members, diam))
-    return sets
+    sets = _cover_sets(cloud, _lex_order(cloud.points), delta)
+    return [(members, _set_diameter(cloud, members)) for members in sets]
 
 
 def covering_profile(cloud: MetricCloud, deltas, k=None):
@@ -167,17 +181,20 @@ def covering_profile(cloud: MetricCloud, deltas, k=None):
     nets at that scale and all finer ones; this restores the monotonicity
     the raw greedy heuristic can occasionally violate by one set.
     Premeasures stay per-level diagnostics (sum of per-set diameters to
-    the k-th power), without cross-scale minimization.
+    the k-th power), without cross-scale minimization. The points are
+    sorted once for all scales, and set diameters are measured only when
+    ``k`` asks for premeasures.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     ak = alpha_k(k) if k is not None else None
+    order = _lex_order(cloud.points)
     raw_counts = []
     pres = [] if ak is not None else None
     for d in deltas:
-        sets = greedy_cover(cloud, d)
+        sets = _cover_sets(cloud, order, d)
         raw_counts.append(len(sets))
         if ak is not None:
-            pres.append(ak * float(np.sum([(0.5 * diam) ** k for _, diam in sets])))
+            pres.append(ak * float(np.sum([(0.5 * _set_diameter(cloud, m)) ** k for m in sets])))
     counts = np.minimum.accumulate(np.asarray(raw_counts)[::-1])[::-1]
     return deltas, counts, np.asarray(pres) if pres is not None else None
 
@@ -277,16 +294,14 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     efficiency stops drifting with scale, which a full pairwise matrix
     cannot afford. When G is constant over the region (verified here by
     sampling; 1% relative tolerance) distances are exactly Mahalanobis, so
-    the same greedy cover runs sparsely through a spatial index on
-    G^(1/2)-mapped points. The points are sorted lexicographically once, so
-    the net visits only its representatives, each the first point not yet
-    covered. The slope window [diam/17, diam/6] balances boundary against
-    occupancy bias.
+    the same greedy cover runs on G^(1/2)-mapped points bucketed into a
+    uniform cell grid (``_flat_net_size``). The points are sorted
+    lexicographically once, so the net visits only its representatives,
+    each the first point not yet covered, and takes as a ball every point
+    whose summed squared coordinate differences are at most r * r. The
+    slope window [diam/17, diam/6] balances boundary against occupancy
+    bias.
     """
-    # Imported here, not at module level: the import takes about 0.2 s, which
-    # every other user of this module would pay.
-    from scipy.spatial import cKDTree
-
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
     n = lo.size
@@ -302,26 +317,100 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
 
     rng = np.random.default_rng(seed)
     pts = (lo + (hi - lo) * rng.random((FLAT_POINTS, n))) @ root.T
-    pts = pts[_lex_order(pts)]
-    tree = cKDTree(pts)
+    # Sampled first coordinates are almost surely distinct, and then they
+    # alone fix the lexicographic order, which a quicksort finds faster.
+    order = np.argsort(pts[:, 0])
+    first = pts[order, 0]
+    if np.any(first[1:] == first[:-1]):
+        order = _lex_order(pts)
+    pts = pts[order]
     diam = float(np.linalg.norm((hi - lo) @ root.T))
     deltas = diam / 6.0 / np.sqrt(2.0) ** np.arange(FLAT_LEVELS)
-
-    counts = []
-    for delta in deltas:
-        covered = np.zeros(len(pts), dtype=bool)
-        count = 0
-        idx = 0
-        while not covered[idx]:
-            covered[tree.query_ball_point(pts[idx], 0.5 * delta)] = True
-            count += 1
-            # the first uncovered point after idx (argmin of an all-covered
-            # tail is its start, which ends the loop)
-            idx += int(np.argmin(covered[idx:]))
-        counts.append(count)
+    counts = [_flat_net_size(pts, 0.5 * delta) for delta in deltas]
     x = np.log(1.0 / deltas)
     y = np.log(counts)
     return float(np.polyfit(x, y, 1)[0])
+
+
+def _flat_net_size(pts, r) -> int:
+    """Number of balls in the greedy net of radius r over lexicographically
+    sorted points (N, n): each ball is centred on the first point not yet
+    covered and takes every point whose squared coordinate differences,
+    summed as scipy's cKDTree sums them, are at most r * r.
+
+    The points are bucketed in a uniform grid of cells wider than r
+    (``_cell_width``), so a ball member lies in one of the 3^n cells around
+    its centre's. Sorted by cell id, each row of three of those cells along
+    the last axis is one contiguous slice.
+    """
+    n = pts.shape[1]
+    cols = [np.ascontiguousarray(col) for col in pts.T]
+    low = [float(np.min(col)) for col in cols]
+    span = [float(np.max(col)) - lo for col, lo in zip(cols, low)]
+    width = _cell_width(r, span)
+    shape = [int(s / width) + 3 for s in span]
+    strides = np.cumprod([1, *shape[:0:-1]])[::-1]
+    ids = np.zeros(len(pts), dtype=np.int64)
+    for col, lo, stride in zip(cols, low, strides.tolist()):
+        ids += (np.floor((col - lo) / width).astype(np.int64) + 1) * stride
+    # The stable sort keeps lexicographic order within a cell; ids of at
+    # most 16 bits sort by radix.
+    perm = np.argsort(ids.astype(np.min_scalar_type(math.prod(shape))), kind="stable")
+    sorted_ids = ids[perm]
+    cols = [col[perm] for col in cols]
+    # the first cell of each neighbouring row, relative to the centre's cell
+    rows = np.stack(np.meshgrid(*[[-1, 0, 1]] * (n - 1), [-1], indexing="ij"), axis=-1)
+    first = rows.reshape(-1, n) @ strides
+    rr = r * r
+    covered = np.zeros(len(pts), dtype=bool)
+    count = 0
+    idx = 0
+    while not covered[idx]:
+        q = pts[idx].tolist()
+        lo_ids = ids[idx] + first
+        bounds = np.searchsorted(sorted_ids, np.concatenate([lo_ids, lo_ids + 3])).tolist()
+        for start, stop in zip(bounds[:len(first)], bounds[len(first):]):
+            d2 = _squared_sum([(col[start:stop] - qi) ** 2 for col, qi in zip(cols, q)])
+            covered[perm[start:stop][d2 <= rr]] = True
+        count += 1
+        # the first uncovered point after idx (argmin of an all-covered
+        # tail is its start, which ends the loop)
+        idx += int(np.argmin(covered[idx:]))
+    return count
+
+
+def _cell_width(r, span) -> float:
+    """Side of the grid cells for balls of radius r over points spanning
+    ``span`` along each axis.
+
+    A millionth wider than r, plus 1e-150 since smaller squares underflow:
+    a point within r of a centre by the rounded test differs from it by at
+    most r (1 + 3 ulp) along each axis, so the two cell coordinates differ
+    by at most one while their rounding stays below the millionth. That
+    holds for grids of at most 2^31 cells, counting a margin cell at each
+    end of every axis; the width doubles until the grid is that small.
+    """
+    width = r * (1.0 + 1e-6) + 1e-150
+    while math.prod(int(s / width) + 3 for s in span) > 2**31:
+        width *= 2.0
+    return width
+
+
+def _squared_sum(squares):
+    """Sum of per-axis squared differences in scipy's cKDTree order: four
+    running sums over blocks of four axes, added in turn, then the axes
+    left over, one at a time."""
+    blocks = len(squares) - len(squares) % 4
+    if blocks:
+        acc = list(squares[:4])
+        for i in range(4, blocks, 4):
+            acc = [a + b for a, b in zip(acc, squares[i:i + 4])]
+        total = ((acc[0] + acc[1]) + acc[2]) + acc[3]
+    else:
+        total, blocks = squares[0], 1
+    for sq in squares[blocks:]:
+        total = total + sq
+    return total
 
 
 # ---------------------------------------------------------------------------

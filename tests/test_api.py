@@ -96,8 +96,12 @@ TEST_ONLY = {
     "distance.curve_length": "length of a given polyline; tests check fisher_distance against it",
     "estimation.bias": "the paper's bias of an estimator; tests check the closed forms",
     "estimation.phi_mean": "the paper's phi-mean, reached through bias; tests check it against Monte Carlo",
+    "estimation.inverse_fisher_form": "the inverse-Fisher side of the Cramer-Rao gap, which cramer_rao_gap forms "
+                                      "from the jet its weights come from; tests check its closed forms",
     "estimation.variance_form": "the variance side of the Cramer-Rao gap; tests check its closed forms",
     "fisher.fisher_inner": "the paper's Fisher inner product of tangent vectors",
+    "hausdorff.greedy_cover": "one greedy cover with its set diameters; covering_profile runs the same loop, "
+                              "sorting once for all its scales; tests check covers against it",
     "markov.binning_kernel": "the paper's deterministic coarse-graining kernel",
     "markov.compose": "composition of kernels; tests check that pushforwards compose",
     "markov.pushforward_tangent": "the paper's pushforward of one tangent vector; the per-draw reference of the "

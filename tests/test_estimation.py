@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sigeo import estimation
-from sigeo.errors import OutsideRangeError, UsageError
+from sigeo.errors import DomainError, OutsideRangeError, SamplingError, UsageError
 from sigeo.fisher import fisher_matrix
 from sigeo.estimation import (
     Estimator,
@@ -105,6 +105,42 @@ def test_cramer_rao_gap_evaluates_the_jet_once(monkeypatch):
         calls.clear()
         cramer_rao_gap(prod, theta, identity_chart(base), mean_estimator(base, n))
         assert calls.count(prod.name) == 1, prod.name
+
+
+def test_cramer_rao_gap_takes_its_weights_from_the_jet(monkeypatch):
+    calls = []
+    density_batch = ParamModel.density_batch
+
+    def counted(self, thetas):
+        calls.append(self.name)  # the product's jet calls its base's density
+        return density_batch(self, thetas)
+
+    monkeypatch.setattr(ParamModel, "density_batch", counted)
+    for base, n, theta in ((BERN, 4, [0.3]), (CAT3, 2, [0.2, 0.5])):
+        prod = product_model(base, n)
+        for sampling in (Sampling(), Sampling(200, seed=4)):
+            calls.clear()
+            cramer_rao_gap(prod, theta, identity_chart(base), mean_estimator(base, n), sampling)
+            assert prod.name not in calls
+
+
+def test_cramer_rao_gap_checks_the_table_then_the_domain_then_the_probabilities():
+    def dens(thetas):
+        return np.column_stack([1.1 + 0.0 * thetas[:, 0], -0.1 + 0.0 * thetas[:, 0]])
+
+    def jac(thetas):
+        return np.zeros((len(thetas), 1, 2))
+
+    model = ParamModel("negative", Box([0.0], [1.0]), finite_space(2), dens, jac)
+    phi, sigma = identity_chart(model), Estimator("two", [[0.0], [1.0]])
+    wrong_table = Estimator("three", [[0.0], [1.0], [2.0]])
+    for sampling in (Sampling(), Sampling(50, seed=1)):
+        with pytest.raises(SamplingError, match="negative outcome probability"):
+            cramer_rao_gap(model, [0.5], phi, sigma, sampling)
+        with pytest.raises(DomainError):
+            cramer_rao_gap(model, [1.5], phi, sigma, sampling)
+        with pytest.raises(UsageError, match="estimator table"):
+            cramer_rao_gap(model, [1.5], phi, wrong_table, sampling)
 
 
 def test_constant_estimator_mean_and_bias():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,7 +21,9 @@ from sigeo.hausdorff import (
     FLAT_LEVELS,
     FLAT_POINTS,
     MetricCloud,
+    _cell_width,
     _distinct_rows,
+    _flat_net_size,
     _grid,
     _pair_blocks,
     _region_rule,
@@ -37,11 +41,12 @@ from sigeo.hausdorff import (
     jeffrey_vs_hausdorff_check,
     region_cloud,
 )
-from sigeo import fisher
+from sigeo import fisher, hausdorff
 from sigeo.distance import _segment_lengths
 from sigeo.fisher import JET_NODE_BUDGET, fisher_matrix
 from sigeo.markov import binning_kernel, permutation_kernel
 from sigeo.models import (
+    Box,
     ParamModel,
     bernoulli_family,
     categorical_family,
@@ -49,6 +54,7 @@ from sigeo.models import (
     gaussian_location_family,
     gaussian_location_scale_family,
     gaussian_mixture,
+    reparameterized_model,
 )
 
 BERN = bernoulli_family()
@@ -461,6 +467,67 @@ def test_dimension_needs_scales():
         hausdorff_dimension_estimate(cloud)
 
 
+def _reference_greedy_cover(cloud, delta):
+    """greedy_cover as written when covering_profile called it at every
+    scale: the lexsort per call, and every set's diameter."""
+    order = np.lexsort(cloud.points.T[::-1])
+    covered = np.zeros(cloud.size, dtype=bool)
+    sets = []
+    r = 0.5 * float(delta)
+    for idx in order:
+        if covered[idx]:
+            continue
+        members = np.nonzero(~covered & (cloud.dist[idx] <= r))[0]
+        covered[members] = True
+        diam = float(np.max(cloud.dist[np.ix_(members, members)])) if members.size > 1 else 0.0
+        sets.append((members, diam))
+    return sets
+
+
+def _reference_covering_profile(cloud, deltas, k=None):
+    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    ak = alpha_k(k) if k is not None else None
+    raw_counts = []
+    pres = [] if ak is not None else None
+    for d in deltas:
+        sets = _reference_greedy_cover(cloud, d)
+        raw_counts.append(len(sets))
+        if ak is not None:
+            pres.append(ak * float(np.sum([(0.5 * diam) ** k for _, diam in sets])))
+    counts = np.minimum.accumulate(np.asarray(raw_counts)[::-1])[::-1]
+    return deltas, counts, np.asarray(pres) if pres is not None else None
+
+
+@pytest.mark.parametrize("kind", ["cumulative-1d", "midpoint-2d"])
+def test_covers_are_the_reference_covers_bitwise(kind, monkeypatch):
+    if kind == "cumulative-1d":
+        cloud = bern_cloud()
+    else:
+        box = _grid(np.array([0.2, -0.4]), np.array([0.7, 0.4]), 18)
+        cloud = cloud_from_params(gaussian_mixture(), box, mode="midpoint")
+    deltas = cloud.diameter() / np.sqrt(2.0) ** np.arange(1, 12)
+    for delta in deltas[::3]:
+        for (members, diam), (ref_members, ref_diam) in zip(
+            greedy_cover(cloud, delta), _reference_greedy_cover(cloud, delta), strict=True
+        ):
+            np.testing.assert_array_equal(members, ref_members)
+            assert diam == ref_diam
+    for k in (None, 0.5, 1.0, 2.0):
+        got, want = covering_profile(cloud, deltas, k=k), _reference_covering_profile(cloud, deltas, k=k)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    reports = [hausdorff_measure_estimate(cloud, 1.0, deltas[:3], enforce_density=False)]
+    dims = [hausdorff_dimension_estimate(cloud)]
+    monkeypatch.setattr(hausdorff, "covering_profile", _reference_covering_profile)
+    reports.append(hausdorff_measure_estimate(cloud, 1.0, deltas[:3], enforce_density=False))
+    dims.append(hausdorff_dimension_estimate(cloud))
+    got, want = reports
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.premeasures.tobytes() == want.premeasures.tobytes()
+    assert (got.estimate, got.stable) == (want.estimate, want.stable)
+    assert dims[0] == dims[1]
+
+
 def test_flat_region_dimension_2d():
     loc2 = gaussian_location2d_family()
     dim = flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, 1.0]), seed=1)
@@ -502,6 +569,141 @@ def test_flat_region_net_matches_the_per_point_loop_bitwise(seed, lo):
     lo = np.array(lo)
     dim = flat_region_dimension_estimate(loc2, (lo, lo + 2.0), seed=seed)
     assert dim == _flat_dimension_by_per_point_loop(loc2, lo, lo + 2.0, seed)
+
+
+def _tree_net_sizes(pts, radii):
+    """Greedy net sizes over lexicographically sorted points as the flat
+    net counted them with scipy's k-d tree: one ball query per
+    representative."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts)
+    sizes = []
+    for r in radii:
+        covered = np.zeros(len(pts), dtype=bool)
+        count = idx = 0
+        while not covered[idx]:
+            covered[tree.query_ball_point(pts[idx], r)] = True
+            count += 1
+            idx += int(np.argmin(covered[idx:]))
+        sizes.append(count)
+    return sizes
+
+
+def _flat_cloud(model, lo, hi, seed):
+    """The lexicographically sorted G^(1/2)-mapped points and the scales of
+    flat_region_dimension_estimate."""
+    G0 = fisher_matrix(model, 0.5 * (lo + hi)).matrix
+    eigs, U = np.linalg.eigh(G0)
+    root = U @ np.diag(np.sqrt(eigs)) @ U.T
+    pts = (lo + (hi - lo) * np.random.default_rng(seed).random((FLAT_POINTS, lo.size))) @ root.T
+    diam = float(np.linalg.norm((hi - lo) @ root.T))
+    return pts[np.lexsort(pts.T[::-1])], diam / 6.0 / np.sqrt(2.0) ** np.arange(FLAT_LEVELS)
+
+
+def _sheared_location2d():
+    """gauss-location-2d through a fixed linear map A: constant G = A^T A,
+    so G^(1/2) is not I."""
+    A = np.array([[0.6, 0.3], [-0.2, 0.5]])
+    return reparameterized_model(
+        gaussian_location2d_family(),
+        lambda us: us @ A.T,
+        lambda us: np.broadcast_to(A.T, (len(us), 2, 2)),
+        Box([-1.0, -1.0], [1.0, 1.0]),
+    )
+
+
+@pytest.mark.parametrize("build, lo, hi, seed", [
+    (_sheared_location2d, [-1.0, -1.0], [1.0, 1.0], 3),
+    (gaussian_location_family, [-1.0], [1.0], 5),
+    # a flat first axis: every mapped first coordinate ties, so the
+    # lexicographic order needs the second
+    (gaussian_location2d_family, [0.3, -1.0], [0.3, 1.0], 2),
+], ids=["sheared-2d", "location-1d", "tied-first-axis"])
+def test_flat_net_sizes_are_the_tree_net_sizes_at_every_scale(build, lo, hi, seed):
+    model, lo, hi = build(), np.array(lo), np.array(hi)
+    pts, deltas = _flat_cloud(model, lo, hi, seed)
+    sizes = _tree_net_sizes(pts, 0.5 * deltas)
+    assert [_flat_net_size(pts, 0.5 * d) for d in deltas] == sizes
+    slope = float(np.polyfit(np.log(1.0 / deltas), np.log(sizes), 1)[0])
+    assert flat_region_dimension_estimate(model, (lo, hi), seed=seed) == slope
+
+
+def _crafted_lattice(r, n):
+    """Axis values spaced exactly r and exactly one cell width apart, from
+    0, so points sit on cell boundaries and ball edges alike."""
+    width = _cell_width(r, [16 * r] * n)
+    axis = np.unique(np.concatenate([np.arange(9) * r, np.arange(9) * width, np.arange(9) * width + r]))
+    pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [0.25, 0.1])  # exact in binary, and not
+def test_flat_net_keeps_ball_edges_and_cell_boundaries(n, r):
+    pts = _crafted_lattice(r, n)
+    radii = [r, r * (1 - 2**-40), 2 * r, _cell_width(r, [16 * r] * n)]
+    assert [_flat_net_size(pts, rad) for rad in radii] == _tree_net_sizes(pts, radii)
+
+
+def test_flat_net_keeps_the_point_at_distance_r():
+    # on the 1-d lattice 0, r, ..., 8r a ball of radius r keeps the point at
+    # distance exactly r: five balls, where a strict test would need nine
+    line = (np.arange(9) * 0.25)[:, None]
+    assert _flat_net_size(line, 0.25) == 5
+    assert _flat_net_size(line, np.nextafter(0.25, 0.0)) == 9
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_flat_net_matches_the_tree_in_more_dimensions(n):
+    rng = np.random.default_rng(n)
+    pts = rng.random((300, n))
+    pts = pts[np.lexsort(pts.T[::-1])]
+    radii = [0.9, 0.6]
+    assert [_flat_net_size(pts, r) for r in radii] == _tree_net_sizes(pts, radii)
+
+
+def test_flat_net_sums_squares_in_the_tree_order():
+    # From 8 axes on, the k-d tree sums squares in four running sums, which
+    # round differently from a left-to-right sum. For pairs whose
+    # left-to-right sum is the larger, take r * r equal to the tree's sum:
+    # the net, like the tree, then puts both points in one ball.
+    rng = np.random.default_rng(0)
+    straddled = 0
+    for _ in range(10000):
+        pair = rng.random((2, 8))
+        sq = (pair[1] - pair[0]) ** 2
+        rr = ((sq[0] + sq[4]) + (sq[1] + sq[5])) + (sq[2] + sq[6]) + (sq[3] + sq[7])
+        r = next((c for c in (math.sqrt(rr), np.nextafter(math.sqrt(rr), 0.0)) if c * c == rr), None)
+        if r is None or np.cumsum(sq)[-1] <= rr:
+            continue
+        pts = pair[np.lexsort(pair.T[::-1])]
+        assert _flat_net_size(pts, r) == _tree_net_sizes(pts, [r])[0] == 1
+        straddled += 1
+        if straddled == 10:
+            break
+    assert straddled == 10
+
+
+def test_flat_net_coarsens_a_grid_of_too_many_cells():
+    rng = np.random.default_rng(7)
+    clusters = rng.random((6, 2)) * 1e6
+    pts = (clusters[:, None, :] + 1e-3 * rng.random((6, 40, 2))).reshape(-1, 2)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    span = np.ptp(pts, axis=0).tolist()
+    assert _cell_width(2e-4, span) > 1e3 * 2e-4
+    assert _flat_net_size(pts, 2e-4) == _tree_net_sizes(pts, [2e-4])[0]
+
+
+def test_flat_region_estimate_imports_no_scipy_spatial():
+    code = (
+        "import sys; import sigeo; from sigeo.hausdorff import flat_region_dimension_estimate; "
+        "from sigeo.models import gaussian_location2d_family; "
+        "flat_region_dimension_estimate(gaussian_location2d_family(), ([-1.0, -1.0], [1.0, 1.0])); "
+        "print('scipy.spatial' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- Jeffrey density and measure --------------------------------------------------------

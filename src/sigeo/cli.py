@@ -139,6 +139,8 @@ def _parse_region(text, dim):
             raise ConfigError(f"bad region component {part!r}") from exc
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ConfigError(f"region bounds must be finite, got {part!r}")
+        if a > b:
+            raise ConfigError(f"region component {part!r} needs lo <= hi")
         lo.append(a)
         hi.append(b)
     return np.array(lo), np.array(hi)
@@ -285,6 +287,8 @@ def _cmd_sufficiency(args):
 def _cmd_hausdorff(args):
     model = models.get_model(args.model)
     lo, hi = _parse_region(args.region, model.param_dim)
+    if np.any(lo == hi):
+        raise ConfigError(f"region {args.region!r} is empty; hausdorff needs lo < hi in every component")
     k = args.k if args.k is not None else float(model.param_dim)
     cloud = hausdorff.region_cloud(model, lo, hi, args.points)
     deltas = hausdorff.halving_schedule(cloud, args.schedule, 4.0)

@@ -2,14 +2,15 @@
 inverse Fisher forms, and the variance-vs-inverse-Fisher gap.
 
 Value spaces are finite dimensional (V = R^d with the coordinate dual
-basis). Every expectation is a weighted sum over the enumerated outcomes
-(at most ``models.ENUM_LIMIT`` of them): the weights are the exact outcome
-probabilities, or, when ``Sampling.draws`` is positive, the frequencies of
-that many seeded Monte Carlo draws, with standard errors reported for the
-mean. The derivative of the phi-mean always comes exactly from the model's
-Jacobian. For n-sample experiments the n-fold product model is used
-explicitly, so the metric entering the gap is the product model's own
-Fisher matrix rather than a hidden factor of n.
+basis). Every expectation is a weighted sum over the enumerated outcomes:
+the weights are the exact outcome probabilities, or, when
+``Sampling.draws`` is positive, the frequencies of that many seeded Monte
+Carlo draws, with standard errors reported for the mean. The derivative of
+the phi-mean always comes exactly from the model's Jacobian. For n-sample
+experiments the n-fold product model is used explicitly, so the metric
+entering the gap is the product model's own Fisher matrix rather than a
+hidden factor of n. Its outcomes are the types of ``models.type_table``,
+on which every estimator here takes one value per type.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import OutsideRangeError, SamplingError, UsageError
 from .fisher import EIGEN_TOL, fisher_matrix_from_jet
-from .models import ParamModel, outcome_table
+from .models import ParamModel, type_table
 
 CR_TOL = 1e-7
 # Monte Carlo Cramer-Rao verdicts allow this many standard errors of the
@@ -77,7 +78,7 @@ def mean_estimator(base: ParamModel, n: int) -> Estimator:
     """
     if base.space.kind != "finite":
         raise UsageError("mean estimator needs a finite base model")
-    _, counts = outcome_table(base.space.size, n)
+    counts, _ = type_table(base.space.size, n)
     # The Bernoulli chart tracks atom 1 (density (1-p, p)); categorical
     # charts track atoms 0..k-1.
     tracked = counts[:, 1:2] if base.name.startswith("bernoulli") else counts[:, :base.param_dim]
@@ -95,8 +96,8 @@ def constant_estimator(base: ParamModel, n: int, theta0) -> Estimator:
         raise UsageError(
             f"constant estimator needs {base.param_dim} values, one per parameter of {base.name}; got {theta0.size}"
         )
-    count = base.space.size ** n
-    return Estimator("constant", np.tile(theta0, (count, 1)))
+    counts, _ = type_table(base.space.size, n)
+    return Estimator("constant", np.tile(theta0, (len(counts), 1)))
 
 
 def plugin_inverse_estimator(base: ParamModel, n: int) -> Estimator:
@@ -107,7 +108,7 @@ def plugin_inverse_estimator(base: ParamModel, n: int) -> Estimator:
     """
     if base.space.size != 2 or base.param_dim != 1:
         raise UsageError("plugin-inverse estimator is defined for Bernoulli bases")
-    _, counts = outcome_table(2, n)
+    counts, _ = type_table(2, n)
     smoothed = (counts[:, 1] + 1.0) / (n + 2.0)
     return Estimator("plugin-inverse", (1.0 / smoothed)[:, None])
 
@@ -305,7 +306,8 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
     """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL`` plus a
     noise allowance: 0 when exact, else ``CR_NOISE_SE`` standard errors
     sqrt((E q^2 - (E q)^2) / (draws - 1)) of the sampled variance along the
-    gap's smallest-eigenvalue eigenvector u, q = (u.(x - mean))^2.
+    gap's smallest-eigenvalue eigenvector u, q = (u.(x - E x))^2, under the
+    exact law, so it does not shrink with the sampled variance.
 
     Finite but huge estimates can overflow either form; that raises
     UsageError, since no gap is defined for them."""
@@ -325,8 +327,9 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
     mn = gap.min_eigenvalue()
     allowance = 0.0
     if sampling.draws:
-        q = ((vals - mean) @ np.linalg.eigh(gap.matrix)[1][:, 0]) ** 2
-        spread = max(float(w @ q**2 - (w @ q) ** 2), 0.0)
+        exact = np.maximum(p * model.space.weights, 0.0)
+        q = ((vals - exact @ vals) @ np.linalg.eigh(gap.matrix)[1][:, 0]) ** 2
+        spread = max(float(exact @ q**2 - (exact @ q) ** 2), 0.0)
         allowance = CR_NOISE_SE * (spread / (sampling.draws - 1)) ** 0.5
     return CramerRaoResult(gap, mn, mn >= -CR_TOL - allowance, V, F, allowance)
 

@@ -7,7 +7,9 @@ vectorized over batches of parameter points: ``density_batch`` maps
 returns both, with no per-row loop in any model. Every family but
 Bernoulli and categorical supplies a fused jet (the Gaussian ones evaluate
 each exponential once per call), and derived models (products,
-reparameterizations, pushforwards) forward one jet of their base.
+reparameterizations, pushforwards) forward one jet of their base. An
+n-fold product lives on the types of its draws (``type_table``), the
+occurrence counts, which are a sufficient statistic.
 ``get_model`` builds and caches the registry's models. Model objects are immutable and evaluation
 is pure and reentrant.
 
@@ -26,12 +28,13 @@ The singular members of the zoo:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expi, sici
+from scipy.special import expi, gammaln, sici, xlogy
 
 from .errors import DomainError, NotDominated, UsageError
 from .measures import (
@@ -53,11 +56,8 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # Margin keeping baseline families away from boundary singularities.
 EPS_BOUNDARY = 1e-6
 
-# Largest outcome space the product models and estimators enumerate.
+# Most types (occurrence counts of n draws) a product model enumerates.
 ENUM_LIMIT = 2 ** 20
-# Largest outcome table kept for reuse; the 3^10-outcome table of the
-# cramer-rao criterion takes 6.1 MB.
-OUTCOME_MEMO_BYTES = 8 * 2 ** 20
 
 # Parameter boxes: Gaussian location |theta_i| <= LOCATION_HALF_WIDTH in 1-d
 # and LOCATION2D_HALF_WIDTH in 2-d; location-scale |mu| <= MU_MAX and
@@ -747,68 +747,56 @@ def tangent_log_reps(P, J, vs, w) -> np.ndarray:
     raise UsageError(f"tangent mass defect {defect[t]:.3e} exceeds tolerance")
 
 
-def outcome_table(m: int, n: int) -> tuple:
-    """Outcomes of n draws from m atoms, in product-model order.
-
-    Returns the atom index of every draw, (m^n, n), and the occurrence
-    count of every atom, (m^n, m), both read-only. The latest table of at
-    most ``OUTCOME_MEMO_BYTES`` is kept, so callers asking for one (m, n)
-    in turn share one table.
+def type_table(m: int, n: int) -> tuple:
+    """The K = C(n+m-1, m-1) types of n draws from m atoms: the occurrence
+    counts (K, m), from (n, 0, ..., 0) down to (0, ..., 0, n) in
+    lexicographic order, the order in which the types first occur among the
+    m^n lexicographic draw sequences, and each type's log multinomial
+    coefficient (K,). K is checked against ``ENUM_LIMIT`` before anything
+    is allocated.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    # m >= 2 atoms pass ENUM_LIMIT within ENUM_LIMIT.bit_length() draws, so
-    # the power is capped there instead of growing with n. The guard comes
-    # before the memo, so a lowered limit also refuses a kept table.
-    count = m ** min(n, ENUM_LIMIT.bit_length())
+    # K = C(n+m-1, d) for d = min(n, m-1); a d above L = ENUM_LIMIT.bit_length()
+    # gives K > 2^L and C(n+m-1, L) > 2^L too, so d is capped at L.
+    count = math.comb(n + m - 1, min(n, m - 1, ENUM_LIMIT.bit_length()))
     if count > ENUM_LIMIT:
-        raise UsageError(f"outcome space too large to enumerate: {m}^{n} outcomes exceed {ENUM_LIMIT}")
-    table = _outcome_memo.get((m, n))
-    if table is None:
-        _outcome_memo.clear()  # so the memo never adds a second table to the one being built
-        digits = np.empty((count, n), dtype=np.intp)
-        for j in range(n):  # draw j runs through the atoms in blocks of m^(n-1-j) outcomes
-            digits.reshape(m ** j, m, m ** (n - 1 - j), n)[..., j] = np.arange(m)[:, None]
-        # outcome r's count of atom a is bin r*m + a
-        slots = np.arange(0, count * m, m)[:, None] + digits
-        counts = np.bincount(slots.ravel(), minlength=count * m).reshape(count, m)
-        digits.setflags(write=False)
-        counts.setflags(write=False)
-        table = digits, counts
-        if digits.nbytes + counts.nbytes <= OUTCOME_MEMO_BYTES:
-            _outcome_memo[(m, n)] = table
-    return table
-
-
-_outcome_memo: dict = {}  # (m, n) -> outcome_table's latest result
+        raise UsageError(f"outcome space too large to enumerate: {m} atoms over {n} draws exceed {ENUM_LIMIT} types")
+    # stars and bars: the m-1 bar positions among n+m-1 slots, the counts the
+    # gaps between bars; n > K only for m = 1, whose one type needs no slots
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(min(n, count) + m - 1), m - 1)),
+                       dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
+    counts = np.diff(np.column_stack([np.full(count, -1), bars[::-1], np.full(count, n + m - 1)]), axis=1) - 1
+    return counts, gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
 
 
 def product_model(base: ParamModel, n: int) -> ParamModel:
-    """The n-fold i.i.d. product of a finite-backend model.
+    """The n-fold i.i.d. product of a finite-backend model on its types.
 
-    Outcomes are tuples, enumerated on a finite space with m^n atoms; the
-    density is the product over coordinates and the Jacobian follows the
-    product rule, the base scores summed by occurrence count. The Fisher
-    matrix of the product is n times the base's.
+    The occurrence counts are sufficient, so the product lives on the
+    finite space of ``type_table``'s types with its Fisher matrix, n times
+    the base's, unchanged. A type's density is its multinomial probability
+    and the Jacobian follows the product rule, the base scores summed by
+    occurrence count.
     """
     if base.space.kind != "finite":
         raise UsageError("product models require a finite backend")
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    digits, counts = outcome_table(base.space.size, n)
-    occurrences = counts.T.astype(float)  # (m, count)
+    counts, log_coef = type_table(base.space.size, n)
+    occurrences = counts.T.astype(float)  # (m, K)
 
-    def dens(thetas):
-        p = base.density_batch(thetas)  # (T, m)
-        return np.prod(p[:, digits], axis=2)  # (T, count)
+    def probs(p):  # (T, m) -> (T, K)
+        return np.exp(log_coef + np.sum(xlogy(counts, p[:, None, :]), axis=2))
 
     def jet(thetas):
         p, J = base.jet(thetas)  # (T, m), (T, k, m)
-        prod = np.prod(p[:, digits], axis=2)  # (T, count)
+        prod = probs(p)
         score = J / np.maximum(p[:, None, :], 1e-300)  # (T, k, m)
         return prod, (score @ occurrences) * prod[:, None, :]
 
-    return ParamModel(f"{base.name}^{n}", base.domain, finite_space(len(digits)), dens, jet_fn=jet)
+    def dens(thetas):
+        return probs(base.density_batch(thetas))
+
+    return ParamModel(f"{base.name}^{n}", base.domain, finite_space(len(counts)), dens, jet_fn=jet)
 
 
 def reparameterized_model(model: ParamModel, phi, phi_jacobian, u_domain: Box, name=None) -> ParamModel:

@@ -191,6 +191,10 @@ def test_cramer_rao_command(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["holds"] is True
     assert payload["noise_allowance"] > 0.0
+    # 41 types of 2^40 draw sequences
+    code, out, _ = run_cli(["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--n", "40", "--no-timestamp"],
+                           capsys)
+    assert code == 0 and abs(json.loads(out)["min_eigenvalue"]) < 1e-8
 
 
 def test_verify_all_only_filter(capsys):
@@ -207,6 +211,7 @@ def test_verify_all_only_filter(capsys):
     [
         (["hausdorff", "--model", "bernoulli", "--region", "0.3:0.3"], {}, "region"),
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--points", "3"], {}, "points"),
+        (["hausdorff", "--model", "bernoulli", "--region", "0.7:0.3"], {}, "0.7:0.3"),
         (["fisher-matrix", "--model", "categorical:x", "--theta", "0.3,0.3"], {}, "categorical:x"),
         (["fisher-matrix", "--model", "bernoulli", "--theta", "abc"], {}, "theta"),
         (["pushforward"], {"kernel": [[1.0, 0.0], [1.0, 0.0]]}, "rows"),
@@ -244,7 +249,7 @@ def test_verify_all_only_filter(capsys):
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--schedule", "0"], {}, "--schedule"),
         (["pushforward"], {"kernel": {"rows": [[1e308, 1e308], [0.5, 0.5]]}}, "kernel rows must sum to 1"),
     ],
-    ids=["empty-region", "sparse-points", "categorical-atoms", "theta", "kernel-not-object",
+    ids=["empty-region", "sparse-points", "reversed-region", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
@@ -317,6 +322,27 @@ def test_dpi_sweep_holds_one_kernel_block_at_a_time(capsys, monkeypatch):
     assert code == 0
     assert sizes == [1859, 2489, 3082]
     assert peak <= 1.5 * 4096 * max(sizes) * 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cramer-rao", "--model", "categorical:3", "--theta", "0.2,0.3", "--n", "10"],
+     ["hausdorff", "--model", "bernoulli", "--region", "0.3:0.3"]],
+    ids=["cramer-rao-categorical", "hausdorff-empty-region"],
+)
+def test_cheap_requests_stay_small(argv, capsys):
+    # Two of the many cheap requests one long-lived process serves: after a
+    # warm-up, each must peak under 1 MB of traced allocations, so neither an
+    # outcome enumeration nor a cloud built for a refused region comes back.
+    code = main(argv + ["--no-timestamp"])
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--no-timestamp"]) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 10**6
 
 
 def test_unwritable_table_leaves_stdout_empty(tmp_path, capsys):

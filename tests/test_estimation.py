@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ def test_vmse_decomposition_random_configs():
     for _ in range(10):
         n = int(rng.integers(1, 5))
         prod = product_model(BERN, n)
-        table = rng.normal(size=(BERN.space.size**n, 1))
+        table = rng.normal(size=(prod.space.size, 1))
         sigma = Estimator("random", table)
         p = float(rng.uniform(0.1, 0.9))
         assert vmse_residual(prod, [p], PHI_B, sigma) <= 1e-9
@@ -336,7 +338,7 @@ def test_mean_gap_vanishes_on_the_criterion_suite():
 )
 def test_monte_carlo_verdict_allows_sampling_noise(base, n, theta):
     # The mean is efficient, so a sampled gap scatters around 0; without the
-    # allowance about half of these seeds (86 of 100 on categorical) fail.
+    # allowance about half of these seeds (87 of 100 on categorical) fail.
     prod, sigma, phi = product_model(base, n), mean_estimator(base, n), identity_chart(base)
     failed = [s for s in range(100) if not cramer_rao_gap(prod, theta, phi, sigma, Sampling(2000, s)).holds]
     assert failed == []
@@ -346,18 +348,20 @@ def test_monte_carlo_verdict_allows_sampling_noise(base, n, theta):
 
 
 def test_noise_allowance_reproduces_per_draw_formula():
-    # reference: 4 standard errors of the drawn values' variance along the
-    # gap's smallest-eigenvalue direction
+    # reference: 4 standard errors, under the exact law of the 3^3 draw
+    # sequences, of the variance along the gap's smallest-eigenvalue direction
     n, theta, seed, count = 3, [0.25, 0.35], 21, 5000
     prod = product_model(CAT3, n)
     sigma = mean_estimator(CAT3, n)
-    probs = prod.density(theta)
-    idx = np.random.default_rng(seed).choice(prod.space.size, size=count, p=probs / probs.sum())
-    drawn = sigma.values[idx]
+    base = CAT3.density(theta)
+    seqs = list(itertools.product(range(3), repeat=n))
+    probs = np.array([np.prod(base[list(seq)]) for seq in seqs])
+    values = np.array([[seq.count(0) / n, seq.count(1) / n] for seq in seqs])
     res = cramer_rao_gap(prod, theta, PHI_C, sigma, Sampling(count, seed))
     u = np.linalg.eigh(res.gap.matrix)[1][:, 0]
-    q = ((drawn - drawn.mean(axis=0)) @ u) ** 2
-    assert res.noise_allowance == pytest.approx(4 * q.std(ddof=1) / np.sqrt(count), rel=1e-9)
+    q = ((values - probs @ values) @ u) ** 2
+    spread = probs @ q**2 - (probs @ q) ** 2
+    assert res.noise_allowance == pytest.approx(4 * np.sqrt(spread / (count - 1)), rel=1e-9)
 
 
 def test_gap_psd_for_shrinkage():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sigeo import models
 from sigeo.errors import DomainError, NotDominated, UsageError
+from sigeo.fisher import fisher_matrix
 from sigeo.measures import Measure, integrate, tv_norm
 from sigeo.models import (
     Box,
@@ -25,11 +26,11 @@ from sigeo.models import (
     normalized_friedrich_model,
     oscillatory_time_integral,
     oscillatory_time_integral_adaptive,
-    outcome_table,
     product_model,
     reparameterized_model,
     singular_reparam_points,
     tangent_at,
+    type_table,
     weak_oscillatory_measure,
     weak_oscillatory_velocity,
 )
@@ -382,16 +383,29 @@ def test_tangent_not_dominated():
 
 def test_product_model_density_and_jacobian():
     prod = product_model(BERN, 3)
-    assert prod.space.size == 8
+    assert prod.space.size == 4
     p = 0.3
     dens = prod.density([p])
     assert dens.sum() == pytest.approx(1.0, abs=1e-12)
-    # independent check at outcome (1, 0, 1) -> atom index 5
-    assert dens[5] == pytest.approx(p * (1 - p) * p, rel=1e-12)
+    # independent check at the type of one 0 and two 1s -> 3 outcomes, index 2
+    assert dens[2] == pytest.approx(3 * p * (1 - p) * p, rel=1e-12)
     J = prod.jet_at([p])[1][0]
     h = 1e-6
     fd = (prod.density([p + h]) - prod.density([p - h])) / (2 * h)
     assert np.max(np.abs(J - fd)) < 1e-7
+
+
+def _types_of_the_enumeration(m, n):
+    """The m^n draw sequences in lexicographic order, their occurrence
+    counts, and the type index of each sequence in first-occurrence order:
+    the reference the type tables and product models are checked against."""
+    digits = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
+    counts = np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
+    types, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return digits, types[order], rank[inverse.ravel()]
 
 
 @pytest.mark.parametrize("base_id,n", [("bernoulli", 5), ("categorical:3", 4), ("categorical:4", 3)])
@@ -399,68 +413,73 @@ def test_product_jacobian_sums_scores_by_occurrence_count(base_id, n):
     base = get_model(base_id)
     prod = product_model(base, n)
     thetas = _draw(base, 6, seed=3)
-    # reference: the per-draw gather-and-sum of the base scores
-    digits = np.stack(np.unravel_index(np.arange(prod.space.size), (base.space.size,) * n), axis=1)
+    # reference: the per-draw gather-and-sum of the base scores over the m^n
+    # draw sequences, summed over the sequences of each type
+    digits, types, type_of = _types_of_the_enumeration(base.space.size, n)
+    assert prod.space.size == len(types)
     p = base.density_batch(thetas)
     ratio = base.jacobian_batch(thetas) / p[:, None, :]
-    ref = np.sum(ratio[:, :, digits], axis=3) * np.prod(p[:, digits], axis=2)[:, None, :]
-    J = prod.jacobian_batch(thetas)
-    assert np.max(np.abs(J - ref)) <= 1e-15 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(prod.jet(thetas)[0], prod.density_batch(thetas))
+    seq = np.prod(p[:, digits], axis=2)
+    ref_p = np.zeros((len(thetas), len(types)))
+    np.add.at(ref_p.T, type_of, seq.T)
+    ref_J = np.zeros((len(thetas), base.param_dim, len(types)))
+    np.add.at(np.moveaxis(ref_J, 2, 0), type_of, np.moveaxis(np.sum(ratio[:, :, digits], axis=3) * seq[:, None, :], 2, 0))
+    P, J = prod.jet(thetas)
+    assert np.max(np.abs(P - ref_p)) <= 1e-15 * np.max(np.abs(ref_p))
+    assert np.max(np.abs(J - ref_J)) <= 1e-15 * np.max(np.abs(ref_J))
+    np.testing.assert_array_equal(P, prod.density_batch(thetas))
+
+
+def test_product_fisher_matrix_is_n_times_the_base():
+    # categorical:3^100 has 5151 types (3^100 draw sequences). Its Fisher
+    # integral over the types, summed without the density floor, is exact;
+    # fisher_matrix caps the types below DOMINANCE_TOL and falls 1.1e-9 short.
+    theta = [0.3, 0.4]
+    prod = product_model(CAT3, 100)
+    G_base = fisher_matrix(CAT3, theta).matrix
+    P, J = prod.jet_at(theta)
+    G = (J * prod.space.weights) @ (J / P).T
+    assert np.max(np.abs(G - 100 * G_base)) <= 1e-12 * np.max(np.abs(100 * G_base))
+    assert np.max(np.abs(fisher_matrix(prod, theta).matrix - 100 * G_base)) <= 1e-8 * np.max(np.abs(100 * G_base))
+    # a type holds C(n, k) sequences' mass, so little falls under the floor
+    th = 0.01
+    G10 = fisher_matrix(product_model(BERN, 10), [th])
+    assert abs(G10.matrix[0, 0] - 10 / (th * (1 - th))) <= 1e-11 * 10 / (th * (1 - th))
+    assert G10.capped_mass <= 1e-10
 
 
 def test_product_model_size_guard():
-    with pytest.raises(UsageError):
-        product_model(BERN, 25)
-
-
-def test_outcome_table_enumerates_up_to_the_limit(monkeypatch):
-    # 3^(10^9) would take minutes to form as a Python integer
+    # bernoulli^(2^20) has 2^20 + 1 types, one more than ENUM_LIMIT
     with pytest.raises(UsageError, match="too large"):
-        outcome_table(3, 10**9)
-    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
-    digits, counts = outcome_table(2, 6)
-    assert digits.shape == (64, 6) and counts.shape == (64, 2)
-    for m, n in ((2, 7), (3, 4), (65, 1)):
+        product_model(BERN, 2**20)
+    with pytest.raises(UsageError, match="n must be >= 1"):
+        product_model(BERN, 0)
+
+
+def test_type_table_enumerates_up_to_the_limit(monkeypatch):
+    # C(10^9 + 2, 2) and C(10^9 + 10^6 - 1, 10^6 - 1) are refused without
+    # forming the huge binomial
+    for m, n in ((3, 10**9), (10**6, 10**9)):
         with pytest.raises(UsageError, match="too large"):
-            outcome_table(m, n)
-
-
-def _array_outcome_table(m, n):
-    """outcome_table as numpy's index unravelling and per-atom sums, the reference."""
-    digits = np.stack(np.unravel_index(np.arange(m**n), (m,) * n), axis=1)
-    return digits, np.stack([np.sum(digits == a, axis=1) for a in range(m)], axis=1)
+            type_table(m, n)
+    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
+    for m, n, count in ((2, 63, 64), (64, 1, 64), (3, 9, 55), (1, 10**9, 1)):
+        counts, log_coef = type_table(m, n)
+        assert counts.shape == (count, m) and log_coef.shape == (count,)
+    for m, n in ((2, 64), (3, 10), (65, 1), (9, 9)):
+        with pytest.raises(UsageError, match="too large"):
+            type_table(m, n)
+    with pytest.raises(UsageError, match="n must be >= 1"):
+        type_table(3, 0)
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (2, 1), (2, 10), (3, 1), (3, 10), (5, 4), (12, 2)])
-def test_outcome_table_is_the_unravelled_index(m, n):
-    for got, ref in zip(outcome_table(m, n), _array_outcome_table(m, n)):
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        np.testing.assert_array_equal(got, ref)
-
-
-def test_outcome_tables_are_shared_read_only(monkeypatch):
-    digits, counts = outcome_table(3, 4)
-    for table in (digits, counts):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
-    again = outcome_table(3, 4)
-    assert again[0] is digits and again[1] is counts
-    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
-    with pytest.raises(UsageError, match="too large"):
-        outcome_table(3, 4)
-    with pytest.raises(UsageError, match="n must be >= 1"):
-        outcome_table(3, 0)
-
-
-def test_outcome_memo_keeps_the_latest_table_within_its_budget(monkeypatch):
-    monkeypatch.setattr(models, "OUTCOME_MEMO_BYTES", 2**15)
-    for n in range(1, 9):  # 2^8 outcomes x 10 columns of 8 bytes still fit
-        table = outcome_table(2, n)
-        assert models._outcome_memo == {(2, n): table}
-    big = outcome_table(3, 7)  # larger than the budget: built, handed out, not kept
-    assert big[0].shape == (3**7, 7) and not big[0].flags.writeable
-    assert models._outcome_memo == {}
+def test_type_table_is_the_unravelled_index_by_type(m, n):
+    _, types, type_of = _types_of_the_enumeration(m, n)
+    counts, log_coef = type_table(m, n)
+    assert counts.shape == types.shape and len(counts) == math.comb(n + m - 1, m - 1)
+    np.testing.assert_array_equal(counts, types)
+    np.testing.assert_allclose(np.exp(log_coef), np.bincount(type_of), rtol=1e-13, atol=0)
 
 
 def test_reparameterized_model_chain_rule():

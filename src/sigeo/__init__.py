@@ -95,12 +95,7 @@ from .estimation import (
     PhiMap,
     QuadraticForm,
     Sampling,
-    bias,
     cramer_rao_gap,
     identity_chart,
-    inverse_fisher_form,
     mean_estimator,
-    phi_mean,
-    variance_form,
-    vmse_residual,
 )

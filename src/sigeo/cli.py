@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except SigeoError as exc:
+    except (SigeoError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:

@@ -1,16 +1,17 @@
-"""Estimators on finite-backend models: means, biases, quadratic forms,
-inverse Fisher forms, and the variance-vs-inverse-Fisher gap.
+"""Estimators on finite-backend models and their Cramer-Rao readout: the
+phi-mean, bias, variance, inverse Fisher form, MSE residual and the
+variance-vs-inverse-Fisher gap, all from ``cramer_rao_gap``.
 
 Value spaces are finite dimensional (V = R^d with the coordinate dual
 basis). Every expectation is a weighted sum over the enumerated outcomes:
 the weights are the exact outcome probabilities, or, when
 ``Sampling.draws`` is positive, the frequencies of that many seeded Monte
-Carlo draws, with standard errors reported for the mean. The derivative of
-the phi-mean always comes exactly from the model's Jacobian. For n-sample
-experiments the n-fold product model is used explicitly, so the metric
-entering the gap is the product model's own Fisher matrix rather than a
-hidden factor of n. Its outcomes are the types of ``models.type_table``,
-on which every estimator here takes one value per type.
+Carlo draws. The derivative of the phi-mean always comes exactly from the
+model's Jacobian. For n-sample experiments the n-fold product model is
+used explicitly, so the metric entering the gap is the product model's own
+Fisher matrix rather than a hidden factor of n. Its outcomes are the types
+of ``models.type_table``, on which every estimator here takes one value per
+type.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def identity_chart(model: ParamModel) -> PhiMap:
 
 @dataclass(frozen=True)
 class Estimator:
-    """A raw estimator on a finite model: one parameter estimate per atom.
+    """A raw estimator on a finite model: one parameter estimate per outcome
+    (for product models, per type).
 
     Estimates nominally land in the model's parameter domain, though maps
     that strain that contract (inverse-style plug-ins) are representable.
@@ -126,8 +128,9 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
                 raise UsageError(f"estimator id {estimator_id!r} needs finite parameters and estimates")
             if key.startswith("constant:"):
                 return constant_estimator(base, n, params)
-            lam, off = params
-            return shrinkage_estimator(base, n, lam, off)
+            if len(params) != 2:
+                raise UsageError(f"estimator id {estimator_id!r} needs 2 values, lam and offset; got {len(params)}")
+            return shrinkage_estimator(base, n, *params)
     except UsageError:
         raise
     except ValueError as exc:
@@ -138,7 +141,7 @@ def get_estimator(base: ParamModel, n: int, estimator_id: str) -> Estimator:
 
 
 # ---------------------------------------------------------------------------
-# Expectations
+# The Cramer-Rao readout
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -153,11 +156,10 @@ class Sampling:
             raise UsageError(f"Monte Carlo draws must be 0 (exact) or at least 2, got {self.draws}")
 
 
-def _outcome_weights(model: ParamModel, theta, sampling: Sampling, density=None) -> np.ndarray:
-    """Outcome probabilities, or the frequencies of ``sampling.draws`` seeded
-    draws, from ``density``, the model's density at theta if already known."""
-    _require_finite(model)
-    probs = (model.density(theta) if density is None else density) * model.space.weights
+def _outcome_weights(model: ParamModel, density, sampling: Sampling) -> np.ndarray:
+    """Outcome probabilities from ``density``, the model's density at theta,
+    or the frequencies of ``sampling.draws`` seeded draws from them."""
+    probs = density * model.space.weights
     if np.any(probs < -1e-12):
         raise SamplingError("negative outcome probability")
     probs = np.maximum(probs, 0.0)
@@ -166,48 +168,6 @@ def _outcome_weights(model: ParamModel, theta, sampling: Sampling, density=None)
     rng = np.random.default_rng(sampling.seed)
     idx = rng.choice(model.space.size, size=sampling.draws, p=probs / probs.sum())
     return np.bincount(idx, minlength=model.space.size) / sampling.draws
-
-
-def _require_finite(model: ParamModel):
-    if model.space.kind != "finite":
-        raise UsageError("estimation expectations need a finite model")
-
-
-def _weighted_jet(model: ParamModel, theta, sampling: Sampling) -> tuple:
-    """Density (X,), Jacobian (n, X) and the outcome weights at theta, all
-    from one model evaluation."""
-    _require_finite(model)
-    p, J = model.jet_at(theta)
-    return p, J, _outcome_weights(model, theta, sampling, p)
-
-
-def _phi_values(phi: PhiMap, sigma: Estimator, model: ParamModel) -> np.ndarray:
-    if sigma.outcome_count != model.space.size:
-        raise UsageError("estimator table does not match the outcome space")
-    return phi.apply(sigma.values)
-
-
-@dataclass(frozen=True)
-class MeanResult:
-    value: np.ndarray
-    stderr: np.ndarray
-
-
-def phi_mean(
-    model: ParamModel, theta, phi: PhiMap, sigma: Estimator, sampling: Sampling = Sampling()
-) -> MeanResult:
-    """E_theta[phi(sigma(x))] per dual-basis coordinate."""
-    vals = _phi_values(phi, sigma, model)
-    w = _outcome_weights(model, theta, sampling)
-    mean = w @ vals
-    if not sampling.draws:
-        return MeanResult(mean, np.zeros(phi.value_dim))
-    return MeanResult(mean, np.sqrt(w @ (vals - mean) ** 2 / (sampling.draws - 1)))
-
-
-def bias(model, theta, phi, sigma, sampling=Sampling()) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return phi_mean(model, theta, phi, sigma, sampling).value - phi.apply(theta[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -231,32 +191,9 @@ def _second_moment(vals, w, center) -> QuadraticForm:
     return QuadraticForm((centered * w[:, None]).T @ centered)
 
 
-def variance_form(model, theta, phi, sigma, sampling=Sampling()) -> QuadraticForm:
-    """Covariance of phi(sigma) under the model at theta."""
-    vals = _phi_values(phi, sigma, model)
-    w = _outcome_weights(model, theta, sampling)
-    return _second_moment(vals, w, w @ vals)
-
-
-def vmse_residual(model, theta, phi, sigma, sampling=Sampling()) -> float:
-    """Max-norm residual of MSE = variance + bias (x) bias."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = _phi_values(phi, sigma, model)
-    w = _outcome_weights(model, theta, sampling)
-    mean = w @ vals
-    target = phi.apply(theta[None, :])[0]
-    M = _second_moment(vals, w, target).matrix
-    V = _second_moment(vals, w, mean).matrix
-    b = mean - target
-    return float(np.max(np.abs(M - V - np.outer(b, b))))
-
-
-# ---------------------------------------------------------------------------
-# Inverse Fisher form and the gap
-# ---------------------------------------------------------------------------
-
-def inverse_fisher_form(model, theta, phi, sigma) -> QuadraticForm:
-    """dphi_mean G^+ dphi_mean^T on the rank-supported subspace of G.
+def _inverse_fisher_from_jet(model, theta, vals, p, J) -> QuadraticForm:
+    """dphi_mean G^+ dphi_mean^T on the rank-supported subspace of G, from
+    the outcome values and the jet (p, J) at theta.
 
     The phi-mean gradient is exact: the outcome values contracted with the
     model's Jacobian. The pseudo-inverse realizes the metric inverse on the
@@ -264,21 +201,14 @@ def inverse_fisher_form(model, theta, phi, sigma) -> QuadraticForm:
     the numerical range of G have no finite inverse form, which raises
     OutsideRangeError.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = _phi_values(phi, sigma, model)
-    p, J = model.jet_at(theta)  # (X,), (n, X)
-    return _inverse_fisher_from_jet(model, theta, vals, p, J)
-
-
-def _inverse_fisher_from_jet(model, theta, vals, p, J) -> QuadraticForm:
-    """``inverse_fisher_form`` from the outcome values and the jet at theta."""
     dphi = vals.T @ (J * model.space.weights).T  # (d, n)
     G = fisher_matrix_from_jet(theta, p, J, model.space.weights)
     eigs, U = np.linalg.eigh(G.matrix)
     scale = max(float(np.max(eigs, initial=0.0)), 1.0)
     keep = eigs > EIGEN_TOL * scale
     Uk = U[:, keep]
-    resid = dphi - (dphi @ Uk) @ Uk.T
+    proj = dphi @ Uk  # (d, r); r = 0 leaves the zero form
+    resid = dphi - proj @ Uk.T
     norms = np.linalg.norm(dphi, axis=1)
     bad = np.linalg.norm(resid, axis=1) > RANGE_TOL * np.maximum(norms, RANGE_TOL)
     if np.any(bad & (norms > RANGE_TOL)):
@@ -286,38 +216,57 @@ def _inverse_fisher_from_jet(model, theta, vals, p, J) -> QuadraticForm:
             "phi-mean gradient leaves the range of the Fisher matrix; "
             "the inverse form is undefined in the degenerate direction"
         )
-    if not np.any(keep):
-        return QuadraticForm(np.zeros((phi.value_dim, phi.value_dim)))
-    proj = dphi @ Uk  # (d, r)
     return QuadraticForm(proj @ np.diag(1.0 / eigs[keep]) @ proj.T)
 
 
 @dataclass(frozen=True)
 class CramerRaoResult:
+    """The gap and its verdict, with the phi-mean, bias = mean - phi(theta)
+    and the max-norm residual of MSE = variance + bias (x) bias, all under
+    the weights of ``variance``."""
+
     gap: QuadraticForm
     min_eigenvalue: float
     holds: bool
     variance: QuadraticForm
     inverse_fisher: QuadraticForm
     noise_allowance: float
+    mean: np.ndarray
+    bias: np.ndarray
+    mse_residual: float
 
 
 def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoResult:
-    """variance_form minus inverse_fisher_form; PSD up to ``CR_TOL`` plus a
-    noise allowance: 0 when exact, else ``CR_NOISE_SE`` standard errors
-    sqrt((E q^2 - (E q)^2) / (draws - 1)) of the sampled variance along the
-    gap's smallest-eigenvalue eigenvector u, q = (u.(x - E x))^2, under the
-    exact law, so it does not shrink with the sampled variance.
+    """Variance of phi(sigma) minus the inverse Fisher form of the phi-mean's
+    derivative, with the phi-mean, bias and MSE residual, all from one model
+    jet at theta: the outcome weights are its exact probabilities, or the
+    frequencies of ``sampling.draws`` seeded draws from them, and the
+    derivative always comes exactly from its Jacobian.
+
+    The gap is PSD up to ``CR_TOL`` plus a noise allowance: 0 when exact,
+    else ``CR_NOISE_SE`` standard errors sqrt((E q^2 - (E q)^2) / (draws - 1))
+    of the sampled variance along the gap's smallest-eigenvalue eigenvector
+    u, q = (u.(x - E x))^2, under the exact law, so it does not shrink with
+    the sampled variance.
 
     Finite but huge estimates can overflow either form; that raises
     UsageError, since no gap is defined for them."""
-    vals = _phi_values(phi, sigma, model)
-    p, J, w = _weighted_jet(model, theta, sampling)
+    if sigma.outcome_count != model.space.size:
+        raise UsageError("estimator table does not match the outcome space")
+    if model.space.kind != "finite":
+        raise UsageError("estimation expectations need a finite model")
+    vals = phi.apply(sigma.values)
+    p, J = model.jet_at(theta)  # (X,), (n, X)
+    w = _outcome_weights(model, p, sampling)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     mean = w @ vals
     with np.errstate(over="ignore", invalid="ignore"):
         V = _second_moment(vals, w, mean)
         F = _inverse_fisher_from_jet(model, theta, vals, p, J)
+        target = phi.apply(theta[None, :])[0]
+        b = mean - target
+        M = _second_moment(vals, w, target)
+        mse_residual = float(np.max(np.abs(M.matrix - V.matrix - np.outer(b, b))))
     if not (np.all(np.isfinite(V.matrix)) and np.all(np.isfinite(F.matrix))):
         raise UsageError(
             f"estimator {sigma.name} overflows the variance or inverse-Fisher form; "
@@ -331,5 +280,4 @@ def cramer_rao_gap(model, theta, phi, sigma, sampling=Sampling()) -> CramerRaoRe
         q = ((vals - exact @ vals) @ np.linalg.eigh(gap.matrix)[1][:, 0]) ** 2
         spread = max(float(exact @ q**2 - (exact @ q) ** 2), 0.0)
         allowance = CR_NOISE_SE * (spread / (sampling.draws - 1)) ** 0.5
-    return CramerRaoResult(gap, mn, mn >= -CR_TOL - allowance, V, F, allowance)
-
+    return CramerRaoResult(gap, mn, mn >= -CR_TOL - allowance, V, F, allowance, mean, b, mse_residual)

@@ -36,13 +36,9 @@ SETTABLE = {
     "acceptance.run_all(seed)",
     "cli.main(argv)",
     "distance.fisher_distance(interior_nodes)",
-    "estimation.bias(sampling)",
     "estimation.cramer_rao_gap(sampling)",
-    "estimation.phi_mean(sampling)",
     "estimation.shrinkage_estimator(lam)",
     "estimation.shrinkage_estimator(offset)",
-    "estimation.variance_form(sampling)",
-    "estimation.vmse_residual(sampling)",
     "hausdorff.cloud_from_params(mode)",
     "hausdorff.covering_profile(k)",
     "hausdorff.flat_region_dimension_estimate(seed)",
@@ -89,16 +85,11 @@ def test_settable_surface_is_the_named_set():
         if p.default is not inspect.Parameter.empty
     }
     assert found == SETTABLE
-    assert len(SETTABLE) == 41
+    assert len(SETTABLE) == 37
 
 
 TEST_ONLY = {
     "distance.curve_length": "length of a given polyline; tests check fisher_distance against it",
-    "estimation.bias": "the paper's bias of an estimator; tests check the closed forms",
-    "estimation.phi_mean": "the paper's phi-mean, reached through bias; tests check it against Monte Carlo",
-    "estimation.inverse_fisher_form": "the inverse-Fisher side of the Cramer-Rao gap, which cramer_rao_gap forms "
-                                      "from the jet its weights come from; tests check its closed forms",
-    "estimation.variance_form": "the variance side of the Cramer-Rao gap; tests check its closed forms",
     "fisher.fisher_inner": "the paper's Fisher inner product of tangent vectors",
     "hausdorff.greedy_cover": "one greedy cover with its set diameters; covering_profile runs the same loop, "
                               "sorting once for all its scales; tests check covers against it",

@@ -3,24 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from sigeo import estimation
+from sigeo import acceptance, estimation
 from sigeo.errors import DomainError, OutsideRangeError, SamplingError, UsageError
-from sigeo.fisher import fisher_matrix
+from sigeo.fisher import EIGEN_TOL, fisher_matrix, fisher_matrix_from_jet
 from sigeo.estimation import (
     Estimator,
     QuadraticForm,
     Sampling,
-    bias,
     constant_estimator,
     cramer_rao_gap,
     get_estimator,
     identity_chart,
-    inverse_fisher_form,
     mean_estimator,
-    phi_mean,
     shrinkage_estimator,
-    variance_form,
-    vmse_residual,
 )
 from sigeo.models import Box, ParamModel, bernoulli_family, categorical_family, product_model
 from sigeo.measures import finite_space
@@ -38,36 +33,35 @@ def test_mean_estimator_unbiased_exact():
         prod = product_model(BERN, n)
         sigma = mean_estimator(BERN, n)
         for p in (0.2, 0.5, 0.8):
-            res = phi_mean(prod, [p], PHI_B, sigma)
-            assert res.value[0] == pytest.approx(p, abs=1e-12)
-            assert bias(prod, [p], PHI_B, sigma) == pytest.approx([0.0], abs=1e-12)
+            res = cramer_rao_gap(prod, [p], PHI_B, sigma)
+            assert res.mean[0] == pytest.approx(p, abs=1e-12)
+            assert res.bias == pytest.approx([0.0], abs=1e-12)
 
 
 def test_monte_carlo_agrees_with_enumeration():
-    n = 5
+    # within 3 standard errors sqrt(V / draws) of the exact mean
+    n, draws = 5, 40_000
     prod = product_model(BERN, n)
     sigma = mean_estimator(BERN, n)
-    exact = phi_mean(prod, [0.35], PHI_B, sigma).value[0]
-    mc = phi_mean(prod, [0.35], PHI_B, sigma, Sampling(40_000, seed=12))
-    assert abs(mc.value[0] - exact) <= 3 * mc.stderr[0]
-    assert mc.stderr[0] > 0
+    exact = cramer_rao_gap(prod, [0.35], PHI_B, sigma)
+    mc = cramer_rao_gap(prod, [0.35], PHI_B, sigma, Sampling(draws, seed=12))
+    assert abs(mc.mean[0] - exact.mean[0]) <= 3 * np.sqrt(exact.variance.matrix[0, 0] / draws)
+    assert mc.variance.matrix[0, 0] > 0
 
 
 def test_monte_carlo_weights_reproduce_per_draw_formulas():
-    # reference: the sample mean, standard error and second moment of the
-    # drawn outcome values themselves, from the same seeded draws
+    # reference: the sample mean and second moment of the drawn outcome
+    # values themselves, from the same seeded draws
     n, theta, seed, count = 3, [0.25, 0.35], 21, 5000
     prod = product_model(CAT3, n)
     sigma = shrinkage_estimator(CAT3, n)
     probs = prod.density(theta)
     idx = np.random.default_rng(seed).choice(prod.space.size, size=count, p=probs / probs.sum())
     drawn = sigma.values[idx]
-    mc = phi_mean(prod, theta, PHI_C, sigma, Sampling(count, seed))
-    np.testing.assert_allclose(mc.value, drawn.mean(axis=0), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(mc.stderr, drawn.std(axis=0, ddof=1) / np.sqrt(count), rtol=0, atol=1e-12)
+    mc = cramer_rao_gap(prod, theta, PHI_C, sigma, Sampling(count, seed))
+    np.testing.assert_allclose(mc.mean, drawn.mean(axis=0), rtol=0, atol=1e-12)
     centered = drawn - drawn.mean(axis=0)
-    V = variance_form(prod, theta, PHI_C, sigma, Sampling(count, seed))
-    np.testing.assert_allclose(V.matrix, centered.T @ centered / count, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mc.variance.matrix, centered.T @ centered / count, rtol=0, atol=1e-12)
 
 
 def test_sampling_rejects_one_draw():
@@ -78,6 +72,7 @@ def test_sampling_rejects_one_draw():
 
 
 def test_monte_carlo_draws_once_per_form(monkeypatch):
+    # the one readout: mean, variance and MSE residual share one set of draws
     calls = []
     weights = estimation._outcome_weights
 
@@ -87,10 +82,8 @@ def test_monte_carlo_draws_once_per_form(monkeypatch):
 
     monkeypatch.setattr(estimation, "_outcome_weights", counted)
     prod, sigma, mc = product_model(BERN, 4), mean_estimator(BERN, 4), Sampling(500, seed=3)
-    for form in (phi_mean, variance_form, vmse_residual, cramer_rao_gap):
-        calls.clear()
-        form(prod, [0.3], PHI_B, sigma, mc)
-        assert len(calls) == 1, form.__name__
+    cramer_rao_gap(prod, [0.3], PHI_B, sigma, mc)
+    assert len(calls) == 1
 
 
 def test_cramer_rao_gap_evaluates_the_jet_once(monkeypatch):
@@ -147,8 +140,9 @@ def test_cramer_rao_gap_checks_the_table_then_the_domain_then_the_probabilities(
 
 def test_constant_estimator_mean_and_bias():
     sigma = constant_estimator(BERN, 1, [0.7])
-    assert phi_mean(BERN_PROD1, [0.3], PHI_B, sigma).value == pytest.approx([0.7])
-    assert bias(BERN_PROD1, [0.3], PHI_B, sigma) == pytest.approx([0.4])
+    res = cramer_rao_gap(BERN_PROD1, [0.3], PHI_B, sigma)
+    assert res.mean == pytest.approx([0.7])
+    assert res.bias == pytest.approx([0.4])
 
 
 BERN_PROD1 = product_model(BERN, 1)
@@ -160,7 +154,7 @@ def test_shrinkage_bias_closed_form():
     prod = product_model(BERN, n)
     sigma = shrinkage_estimator(BERN, n, 0.9, 0.05)
     for p in (0.1, 0.45, 0.8):
-        assert bias(prod, [p], PHI_B, sigma)[0] == pytest.approx(0.05 - 0.1 * p, abs=1e-12)
+        assert cramer_rao_gap(prod, [p], PHI_B, sigma).bias[0] == pytest.approx(0.05 - 0.1 * p, abs=1e-12)
 
 
 # -- quadratic forms ---------------------------------------------------------------
@@ -174,17 +168,17 @@ def _mse_form(model, theta, phi, sigma):
 def test_variance_bernoulli_single_sample():
     sigma = mean_estimator(BERN, 1)
     for p in (0.25, 0.5, 0.6):
-        V = variance_form(BERN_PROD1, [p], PHI_B, sigma)
+        V = cramer_rao_gap(BERN_PROD1, [p], PHI_B, sigma).variance
         assert V.matrix[0, 0] == pytest.approx(p * (1 - p), rel=1e-12)
 
 
 def test_constant_estimator_variance_zero_mse_rank_one():
     sigma = constant_estimator(BERN, 1, [0.7])
-    V = variance_form(BERN_PROD1, [0.3], PHI_B, sigma)
+    res = cramer_rao_gap(BERN_PROD1, [0.3], PHI_B, sigma)
     M = _mse_form(BERN_PROD1, [0.3], PHI_B, sigma)
-    assert np.max(np.abs(V.matrix)) == 0.0
-    b = bias(BERN_PROD1, [0.3], PHI_B, sigma)
-    assert M.matrix == pytest.approx(np.outer(b, b))
+    assert np.max(np.abs(res.variance.matrix)) == 0.0
+    assert M.matrix == pytest.approx(np.outer(res.bias, res.bias))
+    assert res.mse_residual <= 1e-15
 
 
 def test_vmse_decomposition_random_configs():
@@ -195,14 +189,14 @@ def test_vmse_decomposition_random_configs():
         table = rng.normal(size=(prod.space.size, 1))
         sigma = Estimator("random", table)
         p = float(rng.uniform(0.1, 0.9))
-        assert vmse_residual(prod, [p], PHI_B, sigma) <= 1e-9
+        assert cramer_rao_gap(prod, [p], PHI_B, sigma).mse_residual <= 1e-9
 
 
 def test_forms_are_psd():
     n = 3
     prod = product_model(CAT3, n)
     sigma = mean_estimator(CAT3, n)
-    V = variance_form(prod, [0.3, 0.4], PHI_C, sigma)
+    V = cramer_rao_gap(prod, [0.3, 0.4], PHI_C, sigma).variance
     M = _mse_form(prod, [0.3, 0.4], PHI_C, sigma)
     assert V.min_eigenvalue() >= -1e-10
     assert M.min_eigenvalue() >= -1e-10
@@ -213,7 +207,7 @@ def test_forms_are_psd():
 def test_inverse_fisher_equals_variance_for_mean():
     sigma = mean_estimator(BERN, 1)
     for p in (0.3, 0.5, 0.7):
-        F = inverse_fisher_form(BERN_PROD1, [p], PHI_B, sigma)
+        F = cramer_rao_gap(BERN_PROD1, [p], PHI_B, sigma).inverse_fisher
         assert F.matrix[0, 0] == pytest.approx(p * (1 - p), abs=1e-10)
 
 
@@ -221,7 +215,7 @@ def test_inverse_fisher_uses_product_scaling():
     n = 5
     prod = product_model(BERN, n)
     sigma = mean_estimator(BERN, n)
-    F = inverse_fisher_form(prod, [0.4], PHI_B, sigma)
+    F = cramer_rao_gap(prod, [0.4], PHI_B, sigma).inverse_fisher
     assert F.matrix[0, 0] == pytest.approx(0.4 * 0.6 / n, abs=1e-10)
 
 
@@ -239,12 +233,12 @@ def test_inverse_fisher_gradient_matches_central_difference(base, n, theta, esti
     h = 1e-5
     steps = h * np.eye(len(theta))
     dphi = np.stack(
-        [(phi_mean(prod, theta + e, phi, sigma).value - phi_mean(prod, theta - e, phi, sigma).value) / (2 * h)
-         for e in steps],
+        [(cramer_rao_gap(prod, theta + e, phi, sigma).mean - cramer_rao_gap(prod, theta - e, phi, sigma).mean)
+         / (2 * h) for e in steps],
         axis=1,
     )
     G = fisher_matrix(prod, theta).matrix
-    F = inverse_fisher_form(prod, theta, phi, sigma)
+    F = cramer_rao_gap(prod, theta, phi, sigma).inverse_fisher
     np.testing.assert_allclose(F.matrix, dphi @ np.linalg.inv(G) @ dphi.T, rtol=0, atol=1e-9)
 
 
@@ -255,14 +249,29 @@ def test_monte_carlo_keeps_the_inverse_fisher_form_exact(draws):
     sigma = mean_estimator(BERN, 3)
     res = cramer_rao_gap(prod, [0.4], PHI_B, sigma, Sampling(draws, seed=5))
     assert res.inverse_fisher.matrix[0, 0] == pytest.approx(0.08, abs=1e-14)
-    exact = inverse_fisher_form(prod, [0.4], PHI_B, sigma).matrix
+    exact = cramer_rao_gap(prod, [0.4], PHI_B, sigma).inverse_fisher.matrix
     np.testing.assert_array_equal(res.inverse_fisher.matrix, exact)
 
 
 def test_zero_jacobian_gives_zero_form():
     sigma = constant_estimator(BERN, 1, [0.6])
-    F = inverse_fisher_form(BERN_PROD1, [0.4], PHI_B, sigma)
+    F = cramer_rao_gap(BERN_PROD1, [0.4], PHI_B, sigma).inverse_fisher
     assert np.max(np.abs(F.matrix)) == 0.0
+
+
+def test_zero_fisher_matrix_gives_zero_form():
+    # a flat model: every Fisher eigenvalue falls below the rank cutoff, and
+    # the phi-mean gradient is zero, so the inverse form is the zero form
+    def dens(thetas):
+        return np.full((len(thetas), 2), 0.5)
+
+    def jac(thetas):
+        return np.zeros((len(thetas), 1, 2))
+
+    model = ParamModel("flat", Box([0.0], [1.0]), finite_space(2), dens, jac)
+    res = cramer_rao_gap(model, [0.5], identity_chart(model), Estimator("two", [[0.0], [1.0]]))
+    np.testing.assert_array_equal(res.inverse_fisher.matrix, [[0.0]])
+    assert res.variance.matrix[0, 0] == pytest.approx(0.25) and res.holds
 
 
 def test_outside_range_error_on_near_degenerate_metric():
@@ -290,7 +299,7 @@ def test_outside_range_error_on_near_degenerate_metric():
     sigma = Estimator("amplifier", np.array([[1.0 / eps], [1.0 / eps], [0.0]]))
     phi = identity_chart(bernoulli_family())
     with pytest.raises(OutsideRangeError):
-        inverse_fisher_form(model, [0.25, 0.0], phi, sigma)
+        cramer_rao_gap(model, [0.25, 0.0], phi, sigma)
 
 
 # -- the gap ---------------------------------------------------------------------------
@@ -371,6 +380,73 @@ def test_gap_psd_for_shrinkage():
     res = cramer_rao_gap(prod, [0.35], PHI_B, sigma)
     assert res.holds
     assert res.min_eigenvalue >= -1e-7
+
+
+
+# -- the one readout against the standalone forms ------------------------------------
+
+def _standalone_forms(model, theta, phi, sigma, sampling):
+    """Reference: the phi-mean, variance, MSE residual and inverse Fisher
+    form as separate functions, each weighting the outcomes by its own
+    density evaluation, as the library computed them before
+    ``cramer_rao_gap`` returned them from one jet."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    vals = phi.apply(sigma.values)
+    probs = np.maximum(model.density(theta) * model.space.weights, 0.0)
+    w = probs
+    if sampling.draws:
+        rng = np.random.default_rng(sampling.seed)
+        idx = rng.choice(model.space.size, size=sampling.draws, p=probs / probs.sum())
+        w = np.bincount(idx, minlength=model.space.size) / sampling.draws
+    mean = w @ vals
+    target = phi.apply(theta[None, :])[0]
+
+    def second_moment(center):
+        centered = vals - center[None, :]
+        return QuadraticForm((centered * w[:, None]).T @ centered).matrix
+
+    V, M = second_moment(mean), second_moment(target)
+    b = mean - target
+    p, J = model.jet_at(theta)
+    dphi = vals.T @ (J * model.space.weights).T
+    eigs, U = np.linalg.eigh(fisher_matrix_from_jet(theta, p, J, model.space.weights).matrix)
+    keep = eigs > EIGEN_TOL * max(float(np.max(eigs, initial=0.0)), 1.0)
+    proj = dphi @ U[:, keep]
+    F = QuadraticForm(proj @ np.diag(1.0 / eigs[keep]) @ proj.T).matrix
+    return mean, b, V, float(np.max(np.abs(M - V - np.outer(b, b)))), F
+
+
+@pytest.mark.parametrize("sampling", [Sampling(), Sampling(2000, seed=3)], ids=["exact", "monte-carlo"])
+@pytest.mark.parametrize("estimator", ["mean", "shrinkage:0.9,0.05"])
+def test_readout_is_the_standalone_forms_bitwise(estimator, sampling):
+    for n in (1, 5, 10):
+        for base, thetas in ((BERN, ([0.3], [0.5], [0.7])), (CAT3, ([0.3, 0.4], [0.2, 0.3]))):
+            prod, phi = product_model(base, n), identity_chart(base)
+            sigma = get_estimator(base, n, estimator)
+            for theta in thetas:
+                res = cramer_rao_gap(prod, theta, phi, sigma, sampling)
+                mean, b, V, resid, F = _standalone_forms(prod, theta, phi, sigma, sampling)
+                where = (prod.name, theta)
+                np.testing.assert_array_equal(res.mean, mean, err_msg=str(where))
+                np.testing.assert_array_equal(res.bias, b, err_msg=str(where))
+                np.testing.assert_array_equal(res.variance.matrix, V, err_msg=str(where))
+                np.testing.assert_array_equal(res.inverse_fisher.matrix, F, err_msg=str(where))
+                assert res.mse_residual == resid, where
+
+
+def test_cramer_rao_criterion_evaluates_each_product_once_per_gap(monkeypatch):
+    # 3 sample sizes x (3 Bernoulli points x 2 estimators + 2 categorical
+    # points): one product jet per gap, and none for the MSE residual
+    calls = []
+    jet = ParamModel.jet
+
+    def counted(self, thetas):
+        calls.append(self.name)
+        return jet(self, thetas)
+
+    monkeypatch.setattr(ParamModel, "jet", counted)
+    assert acceptance.check_cramer_rao().passed
+    assert sum("^" in name for name in calls) == 24
 
 
 # -- estimator registry --------------------------------------------------------------------

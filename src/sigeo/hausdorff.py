@@ -27,7 +27,6 @@ cumulative cloud measures its sorted polyline in one call, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,13 +293,13 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     efficiency stops drifting with scale, which a full pairwise matrix
     cannot afford. When G is constant over the region (verified here by
     sampling; 1% relative tolerance) distances are exactly Mahalanobis, so
-    the same greedy cover runs on G^(1/2)-mapped points bucketed into a
-    uniform cell grid (``_flat_net_size``). The points are sorted
-    lexicographically once, so the net visits only its representatives,
-    each the first point not yet covered, and takes as a ball every point
-    whose summed squared coordinate differences are at most r * r. The
-    slope window [diam/17, diam/6] balances boundary against occupancy
-    bias.
+    the same greedy cover runs on G^(1/2)-mapped points (``_flat_net_size``).
+    The points are sorted lexicographically once, so the net visits only
+    its representatives, each the first point not yet covered, and takes
+    as a ball every point of the sorted slice within reach along the first
+    axis whose summed squared coordinate differences are at most r * r.
+    The slope window [diam/24, diam/6] (``FLAT_LEVELS`` scales a factor
+    sqrt(2) apart) balances boundary against occupancy bias.
     """
     lo = np.atleast_1d(np.asarray(region[0], float))
     hi = np.atleast_1d(np.asarray(region[1], float))
@@ -338,62 +337,28 @@ def _flat_net_size(pts, r) -> int:
     covered and takes every point whose squared coordinate differences,
     summed as scipy's cKDTree sums them, are at most r * r.
 
-    The points are bucketed in a uniform grid of cells wider than r
-    (``_cell_width``), so a ball member lies in one of the 3^n cells around
-    its centre's. Sorted by cell id, each row of three of those cells along
-    the last axis is one contiguous slice.
+    Every point before the centre is covered already, and a point passing
+    the rounded test lies at most r (1 + 3 ulp) above the centre along the
+    first axis, so the ball's new members lie between the centre and the
+    last point at most r (1 + 1e-6) + 1e-150 above it (1e-150 since smaller
+    squares underflow); rounding never puts that bound below a member.
     """
-    n = pts.shape[1]
     cols = [np.ascontiguousarray(col) for col in pts.T]
-    low = [float(np.min(col)) for col in cols]
-    span = [float(np.max(col)) - lo for col, lo in zip(cols, low)]
-    width = _cell_width(r, span)
-    shape = [int(s / width) + 3 for s in span]
-    strides = np.cumprod([1, *shape[:0:-1]])[::-1]
-    ids = np.zeros(len(pts), dtype=np.int64)
-    for col, lo, stride in zip(cols, low, strides.tolist()):
-        ids += (np.floor((col - lo) / width).astype(np.int64) + 1) * stride
-    # The stable sort keeps lexicographic order within a cell; ids of at
-    # most 16 bits sort by radix.
-    perm = np.argsort(ids.astype(np.min_scalar_type(math.prod(shape))), kind="stable")
-    sorted_ids = ids[perm]
-    cols = [col[perm] for col in cols]
-    # the first cell of each neighbouring row, relative to the centre's cell
-    rows = np.stack(np.meshgrid(*[[-1, 0, 1]] * (n - 1), [-1], indexing="ij"), axis=-1)
-    first = rows.reshape(-1, n) @ strides
+    reach = r * (1.0 + 1e-6) + 1e-150
     rr = r * r
     covered = np.zeros(len(pts), dtype=bool)
     count = 0
     idx = 0
     while not covered[idx]:
         q = pts[idx].tolist()
-        lo_ids = ids[idx] + first
-        bounds = np.searchsorted(sorted_ids, np.concatenate([lo_ids, lo_ids + 3])).tolist()
-        for start, stop in zip(bounds[:len(first)], bounds[len(first):]):
-            d2 = _squared_sum([(col[start:stop] - qi) ** 2 for col, qi in zip(cols, q)])
-            covered[perm[start:stop][d2 <= rr]] = True
+        stop = int(np.searchsorted(cols[0], q[0] + reach, side="right"))
+        d2 = _squared_sum([(col[idx:stop] - qi) ** 2 for col, qi in zip(cols, q)])
+        covered[idx:stop] |= d2 <= rr
         count += 1
         # the first uncovered point after idx (argmin of an all-covered
         # tail is its start, which ends the loop)
         idx += int(np.argmin(covered[idx:]))
     return count
-
-
-def _cell_width(r, span) -> float:
-    """Side of the grid cells for balls of radius r over points spanning
-    ``span`` along each axis.
-
-    A millionth wider than r, plus 1e-150 since smaller squares underflow:
-    a point within r of a centre by the rounded test differs from it by at
-    most r (1 + 3 ulp) along each axis, so the two cell coordinates differ
-    by at most one while their rounding stays below the millionth. That
-    holds for grids of at most 2^31 cells, counting a margin cell at each
-    end of every axis; the width doubles until the grid is that small.
-    """
-    width = r * (1.0 + 1e-6) + 1e-150
-    while math.prod(int(s / width) + 3 for s in span) > 2**31:
-        width *= 2.0
-    return width
 
 
 def _squared_sum(squares):

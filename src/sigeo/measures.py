@@ -50,7 +50,6 @@ class SampleSpace:
     kind: str
     points: np.ndarray
     weights: np.ndarray
-    bounds: tuple = ()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -87,29 +86,29 @@ def finite_space(m: int) -> SampleSpace:
     """Finite space with ``m`` atoms and counting reference measure."""
     if m < 1:
         raise UsageError("finite space needs at least 1 atom")
-    return SampleSpace(_FINITE, np.arange(m, dtype=float), np.ones(m), (0.0, float(m - 1)))
+    return SampleSpace(_FINITE, np.arange(m, dtype=float), np.ones(m))
 
 
 def grid1d_space(lo, hi, panels, npts=8) -> SampleSpace:
     """1-d interval backend with composite Gauss-Legendre weights."""
     nodes, weights = panel_nodes_weights(uniform_edges(lo, hi, panels), npts)
-    return SampleSpace(_GRID1D, nodes, weights, (float(lo), float(hi)))
+    return SampleSpace(_GRID1D, nodes, weights)
 
 
 def grid1d_from_edges(edges, npts) -> SampleSpace:
     """1-d backend over custom panel edges (for clustered grids)."""
     nodes, weights = panel_nodes_weights(edges, npts)
-    return SampleSpace(_GRID1D, nodes, weights, (float(edges[0]), float(edges[-1])))
+    return SampleSpace(_GRID1D, nodes, weights)
 
 
-def grid2d_space(xlo, xhi, ylo, yhi, panels=16, npts=4) -> SampleSpace:
-    """Rectangle backend with tensor-product Gauss-Legendre weights."""
-    nx, wx = panel_nodes_weights(uniform_edges(xlo, xhi, panels), npts)
-    ny, wy = panel_nodes_weights(uniform_edges(ylo, yhi, panels), npts)
+def grid2d_space(xlo, xhi, ylo, yhi, panels) -> SampleSpace:
+    """Rectangle backend with tensor-product 4-point Gauss-Legendre weights."""
+    nx, wx = panel_nodes_weights(uniform_edges(xlo, xhi, panels), 4)
+    ny, wy = panel_nodes_weights(uniform_edges(ylo, yhi, panels), 4)
     gx, gy = np.meshgrid(nx, ny, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
     weights = (wx[:, None] * wy[None, :]).ravel()
-    return SampleSpace(_GRID2D, points, weights, (float(xlo), float(xhi), float(ylo), float(yhi)))
+    return SampleSpace(_GRID2D, points, weights)
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,10 @@ class Box:
     lo: np.ndarray
     hi: np.ndarray
     constraint: object = None  # optional callable, theta rows (..., dim) -> bool per row
-    # (lo, hi) per coordinate as Python floats: ``contains`` runs on every
-    # optimizer move, where two numpy reductions cost several times more.
+    # (lo, hi) per coordinate as Python floats: ``contains`` runs through
+    # ``require`` on every single-point ``density`` or ``jet_at``, and in
+    # ``CurveInModel``, ``_straight_path`` and ``sample``, where two numpy
+    # reductions cost several times more.
     _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,6 +291,8 @@ def categorical_family(m: int) -> ParamModel:
     """
     if m < 2:
         raise UsageError("categorical family needs at least 2 atoms")
+    if m > ENUM_LIMIT:
+        raise UsageError(f"outcome space too large to enumerate: categorical family on {m} atoms exceeds {ENUM_LIMIT}")
     space = finite_space(m)
 
     def constraint(thetas):

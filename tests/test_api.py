@@ -44,8 +44,6 @@ SETTABLE = {
     "hausdorff.flat_region_dimension_estimate(seed)",
     "hausdorff.hausdorff_measure_estimate(enforce_density)",
     "measures.grid1d_space(npts)",
-    "measures.grid2d_space(npts)",
-    "measures.grid2d_space(panels)",
     "models.gaussian_location2d_family(panels)",
     "models.gaussian_location_family(panels)",
     "models.gaussian_location_scale_family(panels)",
@@ -85,7 +83,7 @@ def test_settable_surface_is_the_named_set():
         if p.default is not inspect.Parameter.empty
     }
     assert found == SETTABLE
-    assert len(SETTABLE) == 37
+    assert len(SETTABLE) == 35
 
 
 TEST_ONLY = {

@@ -248,20 +248,22 @@ def test_verify_all_only_filter(capsys):
          "finite second moments"),
         (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--schedule", "0"], {}, "--schedule"),
         (["pushforward"], {"kernel": {"rows": [[1e308, 1e308], [0.5, 0.5]]}}, "kernel rows must sum to 1"),
-        # 8 PB: no allocator grants it, whatever its overcommit policy
-        (["fisher-matrix", "--model", "categorical:1000000000000000", "--theta", "0.5"], {}, "allocate"),
+        # 7 PiB: no allocator grants it, whatever its overcommit policy
+        (["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--points", "1000000000000000"], {},
+         "allocate"),
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--estimator", "shrinkage:0.9"], {},
          "needs 2 values"),
         (["cramer-rao", "--model", "bernoulli", "--theta", "0.4", "--estimator", "shrinkage:1,2,3"], {},
          "got 3"),
+        (["fisher-matrix", "--model", "categorical:10000000", "--theta", "0.5"], {}, "too large to enumerate"),
     ],
     ids=["empty-region", "sparse-points", "reversed-region", "categorical-atoms", "theta", "kernel-not-object",
          "kernel-ragged", "kernel-1d", "config-draws", "missing-flag", "env-seed", "region-inf",
          "region-nan", "grid-zero", "shrinkage-params", "constant-params", "theta-dimension",
          "draws-zero", "seed-negative", "k-nan", "draws-one", "grid-ungridded", "outcomes-huge",
          "constant-count", "dpi-not-dominated", "constant-nan", "shrinkage-nan", "shrinkage-overflow",
-         "moment-overflow", "schedule-zero", "kernel-overflow", "categorical-unallocatable",
-         "shrinkage-one-value", "shrinkage-three-values"],
+         "moment-overflow", "schedule-zero", "kernel-overflow", "points-unallocatable",
+         "shrinkage-one-value", "shrinkage-three-values", "categorical-oversize"],
 )
 def test_bad_input_exits_1_without_traceback(argv, extra, named, tmp_path, capsys, monkeypatch):
     if "kernel" in extra:
@@ -336,14 +338,17 @@ def test_dpi_sweep_holds_one_kernel_block_at_a_time(capsys, monkeypatch):
     [["cramer-rao", "--model", "categorical:3", "--theta", "0.2,0.3", "--n", "10"],
      ["hausdorff", "--model", "bernoulli", "--region", "0.3:0.3"],
      ["verify-all", "--only", "cramer-rao"],
-     ["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--n", "10", "--draws", "2000", "--seed", "4"]],
-    ids=["cramer-rao-categorical", "hausdorff-empty-region", "verify-cramer-rao", "cramer-rao-monte-carlo"],
+     ["cramer-rao", "--model", "bernoulli", "--theta", "0.3", "--n", "10", "--draws", "2000", "--seed", "4"],
+     ["fisher-matrix", "--model", "categorical:10000000", "--theta", "0.5"]],
+    ids=["cramer-rao-categorical", "hausdorff-empty-region", "verify-cramer-rao", "cramer-rao-monte-carlo",
+         "categorical-oversize"],
 )
 def test_cheap_requests_stay_small(argv, capsys):
     # Cheap requests of the kind one long-lived process serves many of: after
     # a warm-up, each must peak under 1 MB of traced allocations, so neither
-    # an outcome enumeration, a cloud built for a refused region nor a second
-    # copy of the Cramer-Rao expectations comes back.
+    # an outcome enumeration, a cloud built for a refused region, a space
+    # built for a refused atom count nor a second copy of the Cramer-Rao
+    # expectations comes back.
     code = main(argv + ["--no-timestamp"])
     tracemalloc.start()
     try:

@@ -21,7 +21,6 @@ from sigeo.hausdorff import (
     FLAT_LEVELS,
     FLAT_POINTS,
     MetricCloud,
-    _cell_width,
     _distinct_rows,
     _flat_net_size,
     _grid,
@@ -629,11 +628,17 @@ def test_flat_net_sizes_are_the_tree_net_sizes_at_every_scale(build, lo, hi, see
     assert flat_region_dimension_estimate(model, (lo, hi), seed=seed) == slope
 
 
+def _reach(r):
+    """How far past a ball's centre, along the first axis, the flat net's
+    sweep looks for members."""
+    return r * (1.0 + 1e-6) + 1e-150
+
+
 def _crafted_lattice(r, n):
-    """Axis values spaced exactly r and exactly one cell width apart, from
-    0, so points sit on cell boundaries and ball edges alike."""
-    width = _cell_width(r, [16 * r] * n)
-    axis = np.unique(np.concatenate([np.arange(9) * r, np.arange(9) * width, np.arange(9) * width + r]))
+    """Axis values spaced exactly r and exactly the sweep's reach apart,
+    from 0, so points sit on slice ends and ball edges alike."""
+    reach = _reach(r)
+    axis = np.unique(np.concatenate([np.arange(9) * r, np.arange(9) * reach, np.arange(9) * reach + r]))
     pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
     return pts[np.lexsort(pts.T[::-1])]
 
@@ -642,8 +647,21 @@ def _crafted_lattice(r, n):
 @pytest.mark.parametrize("r", [0.25, 0.1])  # exact in binary, and not
 def test_flat_net_keeps_ball_edges_and_cell_boundaries(n, r):
     pts = _crafted_lattice(r, n)
-    radii = [r, r * (1 - 2**-40), 2 * r, _cell_width(r, [16 * r] * n)]
+    radii = [r, r * (1 - 2**-40), 2 * r, _reach(r)]
     assert [_flat_net_size(pts, rad) for rad in radii] == _tree_net_sizes(pts, radii)
+
+
+def test_flat_net_reaches_past_r_along_the_first_axis():
+    # A centre half an ulp of r above 0 and a point one ulp above r differ
+    # by r once rounded to even, though their first coordinates lie more
+    # than r apart and the centre plus r rounds back to r. Squares below
+    # about 1e-162 underflow to 0, so there points further apart than r
+    # share a ball too.
+    r = 0.1
+    above = np.nextafter(r, 1.0)
+    cases = [(np.array([[(above - r) / 2], [above]]), r), (np.array([[0.0], [1e-165]]), 1e-170)]
+    for pts, rad in cases:
+        assert _flat_net_size(pts, rad) == _tree_net_sizes(pts, [rad])[0] == 1
 
 
 def test_flat_net_keeps_the_point_at_distance_r():
@@ -685,14 +703,24 @@ def test_flat_net_sums_squares_in_the_tree_order():
     assert straddled == 10
 
 
-def test_flat_net_coarsens_a_grid_of_too_many_cells():
+def test_flat_net_far_from_the_origin():
+    # Coordinates up to 1e6, where the sweep's margin of a millionth of r
+    # over r spans only a few ulps.
     rng = np.random.default_rng(7)
     clusters = rng.random((6, 2)) * 1e6
     pts = (clusters[:, None, :] + 1e-3 * rng.random((6, 40, 2))).reshape(-1, 2)
     pts = pts[np.lexsort(pts.T[::-1])]
-    span = np.ptp(pts, axis=0).tolist()
-    assert _cell_width(2e-4, span) > 1e3 * 2e-4
+    assert 1e-6 * 2e-4 < 4 * np.spacing(np.max(pts[:, 0]))
     assert _flat_net_size(pts, 2e-4) == _tree_net_sizes(pts, [2e-4])[0]
+
+
+def test_flat_net_on_a_strip_thinner_than_the_balls():
+    # The first axis spans less than r, so every slice runs to the end.
+    rng = np.random.default_rng(11)
+    pts = rng.random((3000, 2)) * [0.02, 1.0]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    radii = [0.1, 0.05, 0.025]
+    assert [_flat_net_size(pts, r) for r in radii] == _tree_net_sizes(pts, radii)
 
 
 def test_flat_region_estimate_imports_no_scipy_spatial():

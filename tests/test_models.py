@@ -456,6 +456,15 @@ def test_product_model_size_guard():
         product_model(BERN, 0)
 
 
+def test_categorical_size_guard(monkeypatch):
+    monkeypatch.setattr(models, "ENUM_LIMIT", 2**6)
+    assert categorical_family(64).space.size == 64
+    # refused before finite_space or Box allocate anything
+    monkeypatch.setattr(models, "finite_space", None)
+    with pytest.raises(UsageError, match="too large"):
+        categorical_family(65)
+
+
 def test_type_table_enumerates_up_to_the_limit(monkeypatch):
     # C(10^9 + 2, 2) and C(10^9 + 10^6 - 1, 10^6 - 1) are refused without
     # forming the huge binomial

@@ -299,10 +299,13 @@ def flat_region_dimension_estimate(model: ParamModel, region, seed=0):
     as a ball every point of the sorted slice within reach along the first
     axis whose summed squared coordinate differences are at most r * r.
     The slope window [diam/24, diam/6] (``FLAT_LEVELS`` scales a factor
-    sqrt(2) apart) balances boundary against occupancy bias.
+    sqrt(2) apart) balances boundary against occupancy bias. A region of
+    zero diameter has dimension 0 by convention, as in
+    ``hausdorff_dimension_estimate``.
     """
-    lo = np.atleast_1d(np.asarray(region[0], float))
-    hi = np.atleast_1d(np.asarray(region[1], float))
+    lo, hi = _region(region)
+    if np.all(lo == hi):
+        return 0.0
     n = lo.size
     mats = fisher_matrices(model, np.vstack([_grid(lo, hi, 2), 0.5 * (lo + hi)]))
     G0 = mats[-1]
@@ -518,10 +521,16 @@ def jeffrey_density(model: ParamModel, theta) -> float:
     return float(np.sqrt(max(det, 0.0)))
 
 
-def _region_rule(region):
+def _region(region) -> tuple:
+    """The (lo, hi) vectors of a parameter box, refused unless lo <= hi."""
     lo, hi = np.atleast_1d(np.asarray(region[0], float)), np.atleast_1d(np.asarray(region[1], float))
-    if lo.shape != hi.shape or np.any(lo > hi):
+    if lo.shape != hi.shape or not np.all(lo <= hi):  # NaN fails too
         raise UsageError("region must satisfy lo <= hi componentwise")
+    return lo, hi
+
+
+def _region_rule(region):
+    lo, hi = _region(region)
     rules = [panel_nodes_weights(uniform_edges(l, h, JEFFREY_PANELS), 4) if h > l else (np.array([l]), np.array([0.0])) for l, h in zip(lo, hi)]
     if lo.size == 1:
         return rules[0][0][:, None], rules[0][1]
@@ -556,8 +565,7 @@ def jeffrey_vs_hausdorff_check(model: ParamModel, region):
     does not leak gap mass.
     """
     n = model.param_dim
-    lo = np.atleast_1d(np.asarray(region[0], float))
-    hi = np.atleast_1d(np.asarray(region[1], float))
+    lo, hi = _region(region)
     samples = _grid(lo, hi, RANK_SAMPLES)
     ranks = metric_ranks(np.linalg.eigvalsh(fisher_matrices(model, samples)))
     if np.any(ranks < n):

@@ -134,14 +134,11 @@ def pushforward_model(kernel: MarkovKernel, model: ParamModel) -> ParamModel:
         raise UsageError("model lives on a different space than the kernel source")
     wrows = model.space.weights[:, None] * kernel.rows
 
-    def dens(thetas):
-        return model.density_batch(thetas) @ wrows
-
     def jet(thetas):
         P, J = model.jet(thetas)
         return P @ wrows, J @ wrows
 
-    return ParamModel(f"{model.name}>>pushed", model.domain, kernel.target, dens, jet_fn=jet)
+    return ParamModel(f"{model.name}>>pushed", model.domain, kernel.target, jet_fn=jet)
 
 
 def monotonicity_gap(kernel, model: ParamModel, thetas, vs) -> np.ndarray:

@@ -2,16 +2,17 @@
 
 Every model exposes a density map p(theta, x) on a fixed sample-space
 backend together with its analytic parameter Jacobian. Evaluation is
-vectorized over batches of parameter points: ``density_batch`` maps
-(T, n) -> (T, X), ``jacobian_batch`` maps (T, n) -> (T, n, X), and ``jet``
-returns both, with no per-row loop in any model. Every family but
-Bernoulli and categorical supplies a fused jet (the Gaussian ones evaluate
-each exponential once per call), and derived models (products,
-reparameterizations, pushforwards) forward one jet of their base. An
-n-fold product lives on the types of its draws (``type_table``), the
-occurrence counts, which are a sufficient statistic.
-``get_model`` builds and caches the registry's models. Model objects are immutable and evaluation
-is pure and reentrant.
+vectorized over batches of parameter points: ``jet`` maps (T, n) to the
+densities (T, X) and the Jacobians (T, n, X) together, with no per-row
+loop in any model; ``density_batch`` and ``jacobian_batch`` return one of
+the two. Every family but Bernoulli and categorical, and every derived
+model (products, reparameterizations, pushforwards, which forward one jet
+of their base), gives only a fused jet, so its density has one expression
+(the Gaussian ones evaluate each exponential once per call). An n-fold
+product lives on the types of its draws (``type_table``), the occurrence
+counts, which are a sufficient statistic. ``get_model`` builds and caches
+the registry's models. Model objects are immutable and evaluation is pure
+and reentrant.
 
 The singular members of the zoo:
 
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import expi, gammaln, sici, xlogy
@@ -81,11 +82,6 @@ class Box:
     lo: np.ndarray
     hi: np.ndarray
     constraint: object = None  # optional callable, theta rows (..., dim) -> bool per row
-    # (lo, hi) per coordinate as Python floats: ``contains`` runs through
-    # ``require`` on every single-point ``density`` or ``jet_at``, and in
-    # ``CurveInModel``, ``_straight_path`` and ``sample``, where two numpy
-    # reductions cost several times more.
-    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -96,7 +92,18 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise UsageError("domain box needs lo < hi componentwise")
-        object.__setattr__(self, "_bounds", tuple(zip(lo.tolist(), hi.tolist())))
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        """(lo, hi) per coordinate as Python floats, built on first use.
+
+        ``contains`` runs through ``require`` on every single-point
+        ``density`` or ``jet_at``, and in ``CurveInModel``,
+        ``_straight_path`` and ``sample``, where two numpy reductions cost
+        several times more. ``require`` refuses a point of the wrong size
+        before the tuple exists.
+        """
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     @property
     def dim(self) -> int:
@@ -157,24 +164,26 @@ class Box:
 class ParamModel:
     """A parameterized statistical model on a fixed sample-space backend.
 
-    Exactly one of ``jacobian_fn`` and ``jet_fn`` (a fused thetas ->
-    (density, Jacobian) agreeing bitwise with ``density_fn``) is given.
-    Only ``bernoulli`` and ``categorical:m`` give ``jacobian_fn``: the
-    perfbench tracer counts their ``density_batch`` and ``jacobian_batch``
-    calls, until tracing moves into sigeo (ROADMAP item 1) and the separate
-    Jacobian route goes.
+    A model is given in one of two forms: ``jet_fn`` alone, a fused thetas
+    -> (density, Jacobian) from which ``density_batch``, ``density`` and
+    ``measure`` read the first output; or ``density_fn`` with
+    ``jacobian_fn``. Only ``bernoulli`` and ``categorical:m`` take the
+    second form: the perfbench tracer counts their ``density_batch`` and
+    ``jacobian_batch`` calls, until the benchmark reads sigeo's own trace
+    (ROADMAP item 2) and the separate route goes.
     """
 
     name: str
     domain: Box
     space: SampleSpace
-    density_fn: object
+    density_fn: object = None
     jacobian_fn: object = None
     jet_fn: object = None
 
     def __post_init__(self):
-        if (self.jacobian_fn is None) == (self.jet_fn is None):
-            raise UsageError(f"model {self.name!r} needs exactly one of jacobian_fn and jet_fn")
+        given = (self.density_fn is not None, self.jacobian_fn is not None, self.jet_fn is not None)
+        if given not in ((False, False, True), (True, True, False)):
+            raise UsageError(f"model {self.name!r} needs either jet_fn alone or density_fn with jacobian_fn")
 
     @property
     def param_dim(self) -> int:
@@ -184,7 +193,9 @@ class ParamModel:
 
     def density_batch(self, thetas) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        return np.asarray(self.density_fn(thetas), dtype=float)
+        if self.density_fn is not None:
+            return np.asarray(self.density_fn(thetas), dtype=float)
+        return np.asarray(self.jet_fn(thetas)[0], dtype=float)
 
     def density(self, theta) -> np.ndarray:
         self.domain.require(theta)
@@ -322,14 +333,11 @@ def gaussian_location_family(panels=80) -> ParamModel:
     space = grid1d_space(-w - 8.0, w + 8.0, panels=panels)
     x = space.points
 
-    def dens(thetas):
-        return np.exp(-0.5 * (x[None, :] - thetas[:, 0:1]) ** 2) / SQRT2PI
-
     def jet(thetas):
-        d = dens(thetas)
+        d = np.exp(-0.5 * (x[None, :] - thetas[:, 0:1]) ** 2) / SQRT2PI
         return d, ((x[None, :] - thetas[:, 0:1]) * d)[:, None, :]
 
-    return ParamModel("gauss-location", Box([-w], [w]), space, dens, jet_fn=jet)
+    return ParamModel("gauss-location", Box([-w], [w]), space, jet_fn=jet)
 
 
 def gaussian_location2d_family(panels=16) -> ParamModel:
@@ -339,22 +347,16 @@ def gaussian_location2d_family(panels=16) -> ParamModel:
     space = grid2d_space(-r, r, -r, r, panels=panels)
     px, py = np.ascontiguousarray(space.points.T)  # (X,) each
 
-    def offsets(thetas):
+    def jet(thetas):
         # Contiguous (T, X) coordinate planes, so the Jacobian comes out
         # C-contiguous and the Gram products take the BLAS path.
         dx = px[None, :] - thetas[:, 0:1]
         dy = py[None, :] - thetas[:, 1:2]
-        return dx, dy, np.exp(-0.5 * (dx * dx + dy * dy)) / (2 * math.pi)
-
-    def dens(thetas):
-        return offsets(thetas)[2]
-
-    def jet(thetas):
-        dx, dy, d = offsets(thetas)
+        d = np.exp(-0.5 * (dx * dx + dy * dy)) / (2 * math.pi)
         return d, np.stack([dx * d, dy * d], axis=1)
 
     box = Box([-w, -w], [w, w])
-    return ParamModel("gauss-location-2d", box, space, dens, jet_fn=jet)
+    return ParamModel("gauss-location-2d", box, space, jet_fn=jet)
 
 
 def gaussian_location_scale_family(panels=144) -> ParamModel:
@@ -363,23 +365,17 @@ def gaussian_location_scale_family(panels=144) -> ParamModel:
     space = grid1d_space(-r, r, panels=panels)
     x = space.points
 
-    def standardized(thetas):
+    def jet(thetas):
         sig = thetas[:, 1:2]
         z = (x[None, :] - thetas[:, 0:1]) / sig
-        return sig, z, np.exp(-0.5 * z * z) / (SQRT2PI * sig)
-
-    def dens(thetas):
-        return standardized(thetas)[2]
-
-    def jet(thetas):
-        sig, z, d = standardized(thetas)
+        d = np.exp(-0.5 * z * z) / (SQRT2PI * sig)
         J = np.empty((thetas.shape[0], 2, x.size))
         J[:, 0, :] = d * z / sig
         J[:, 1, :] = d * (z * z - 1.0) / sig
         return d, J
 
     box = Box([-MU_MAX, SIGMA_LO], [MU_MAX, SIGMA_HI])
-    return ParamModel("gauss-loc-scale", box, space, dens, jet_fn=jet)
+    return ParamModel("gauss-loc-scale", box, space, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +401,18 @@ def gaussian_mixture(panels=112) -> ParamModel:
     x = space.points
     n0 = np.exp(-0.5 * x[None, :] ** 2)  # the fixed component, built once
 
-    def components(thetas):
+    def jet(thetas):
         a = thetas[:, 0:1]
         diff = x[None, :] - thetas[:, 1:2]
         nb = np.exp(-0.5 * diff ** 2)
-        return a, diff, nb, ((1.0 - a) * n0 + a * nb) / SQRT2PI
-
-    def dens(thetas):
-        return components(thetas)[3]
-
-    def jet(thetas):
-        a, diff, nb, p = components(thetas)
+        p = ((1.0 - a) * n0 + a * nb) / SQRT2PI
         J = np.empty((thetas.shape[0], 2, x.size))
         J[:, 0, :] = (nb - n0) / SQRT2PI
         J[:, 1, :] = a * diff * nb / SQRT2PI
         return p, J
 
     box = Box([0.0, -B_MAX], [1.0, B_MAX])
-    return ParamModel("mixture", box, space, dens, jet_fn=jet)
+    return ParamModel("mixture", box, space, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +578,13 @@ def weak_oscillatory_model(panels=120) -> ParamModel:
     space = grid1d_space(-math.pi, math.pi, panels=panels)
     x = space.points
 
-    def dens(thetas):
-        return 1.0 / (2 * math.pi) + oscillatory_time_integral(thetas[:, 0:1], x) / (2 * OSC_AMPLITUDE)
-
     def jet(thetas):
         t = thetas[:, 0:1]
+        p = 1.0 / (2 * math.pi) + oscillatory_time_integral(t, x) / (2 * OSC_AMPLITUDE)
         ratio = np.divide(x, t, out=np.zeros((t.shape[0], x.size)), where=t != 0.0)  # sin(0) = 0 at t = 0
-        return dens(thetas), (np.sin(ratio) / (2 * OSC_AMPLITUDE))[:, None, :]
+        return p, (np.sin(ratio) / (2 * OSC_AMPLITUDE))[:, None, :]
 
-    return ParamModel("weak-curve", Box([-0.999], [0.999]), space, dens, jet_fn=jet)
+    return ParamModel("weak-curve", Box([-0.999], [0.999]), space, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +662,6 @@ def normalized_friedrich_model() -> ParamModel:
     x = space.points
     C = bump_square_integral()
 
-    def dens(thetas):
-        t = thetas[:, 0:1]
-        return friedrich_raw_density(t, x) / (1.0 + t * t * C)
-
     def jet(thetas):
         t = thetas[:, 0:1]
         norm = 1.0 + t * t * C
@@ -685,7 +669,7 @@ def normalized_friedrich_model() -> ParamModel:
         J = friedrich_raw_velocity(t, x) / norm - p * (2.0 * t * C) / (norm * norm)
         return p / norm, J[:, None, :]
 
-    return ParamModel("friedrich", Box([-0.999], [0.999]), space, dens, jet_fn=jet)
+    return ParamModel("friedrich", Box([-0.999], [0.999]), space, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +772,13 @@ def product_model(base: ParamModel, n: int) -> ParamModel:
     counts, log_coef = type_table(base.space.size, n)
     occurrences = counts.T.astype(float)  # (m, K)
 
-    def probs(p):  # (T, m) -> (T, K)
-        return np.exp(log_coef + np.sum(xlogy(counts, p[:, None, :]), axis=2))
-
     def jet(thetas):
         p, J = base.jet(thetas)  # (T, m), (T, k, m)
-        prod = probs(p)
+        prod = np.exp(log_coef + np.sum(xlogy(counts, p[:, None, :]), axis=2))  # (T, K)
         score = J / np.maximum(p[:, None, :], 1e-300)  # (T, k, m)
         return prod, (score @ occurrences) * prod[:, None, :]
 
-    def dens(thetas):
-        return probs(base.density_batch(thetas))
-
-    return ParamModel(f"{base.name}^{n}", base.domain, finite_space(len(counts)), dens, jet_fn=jet)
+    return ParamModel(f"{base.name}^{n}", base.domain, finite_space(len(counts)), jet_fn=jet)
 
 
 def reparameterized_model(model: ParamModel, phi, phi_jacobian, u_domain: Box, name=None) -> ParamModel:
@@ -811,15 +789,12 @@ def reparameterized_model(model: ParamModel, phi, phi_jacobian, u_domain: Box, n
     parameter Jacobian.
     """
 
-    def dens(us):
-        return model.density_batch(np.asarray(phi(us), dtype=float))
-
     def jet(us):
         P, J_theta = model.jet(np.asarray(phi(us), dtype=float))  # (T, X), (T, n, X)
         dphi = np.asarray(phi_jacobian(us), dtype=float)  # (T, k, n)
         return P, np.einsum("tkn,tnx->tkx", dphi, J_theta)
 
-    return ParamModel(name or f"{model.name}~reparam", u_domain, model.space, dens, jet_fn=jet)
+    return ParamModel(name or f"{model.name}~reparam", u_domain, model.space, jet_fn=jet)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_fisher_matrices_chunk_at_the_node_budget():
         rows.append(len(thetas))
         return model.jet(thetas)
 
-    counting = ParamModel(model.name, model.domain, model.space, model.density_batch, jet_fn=jet)
+    counting = ParamModel(model.name, model.domain, model.space, jet_fn=jet)
     fisher_matrices(counting, np.zeros((102, 2)))
     assert rows == [4] * 25 + [2]
     assert max(rows) * model.space.size <= fisher.JET_ENTRY_BUDGET
@@ -276,7 +276,7 @@ def test_directional_form_jets_hold_at_most_jet_rows():
         rows.append(len(thetas))
         return model.jet(thetas)
 
-    counting = ParamModel(model.name, model.domain, model.space, model.density_batch, jet_fn=jet)
+    counting = ParamModel(model.name, model.domain, model.space, jet_fn=jet)
     thetas = np.linspace([-0.5, -0.5], [0.5, 0.5], 14)
     vals = directional_form(counting, thetas, np.ones_like(thetas))
     assert rows == [4, 4, 4, 2]

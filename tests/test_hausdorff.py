@@ -171,7 +171,7 @@ def test_midpoint_cloud_assembles_g_once_per_distinct_midpoint():
         rows.append(len(thetas))
         return loc2.jet(thetas)
 
-    counting = ParamModel(loc2.name, loc2.domain, loc2.space, loc2.density_batch, jet_fn=jet)
+    counting = ParamModel(loc2.name, loc2.domain, loc2.space, jet_fn=jet)
     pts = _grid(np.array([-1.0, -1.0]), np.array([0.6, 0.6]), 12)  # a cover workload cloud
     cloud = cloud_from_params(counting, pts, mode="midpoint")
     ii, _, mids = _pairs(pts)
@@ -531,6 +531,27 @@ def test_flat_region_dimension_2d():
     loc2 = gaussian_location2d_family()
     dim = flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, 1.0]), seed=1)
     assert abs(dim - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("region", [([1.0, 1.0], [-1.0, -1.0]), ([math.nan, -1.0], [1.0, 1.0])])
+def test_region_readers_refuse_a_reversed_region(region):
+    loc2 = gaussian_location2d_family()
+    for read in (jeffrey_measure, flat_region_dimension_estimate, jeffrey_vs_hausdorff_check):
+        with pytest.raises(UsageError, match="region must satisfy lo <= hi componentwise"):
+            read(loc2, region)
+
+
+def test_flat_region_of_a_point_has_dimension_zero(capfd):
+    # zero diameter: no cover scale exists, so nothing is sampled or fitted
+    assert flat_region_dimension_estimate(gaussian_location_family(), ([0.5], [0.5])) == 0.0
+    assert flat_region_dimension_estimate(gaussian_location2d_family(), ([0.2, -0.3], [0.2, -0.3])) == 0.0
+    assert capfd.readouterr() == ("", "")
+
+
+def test_flat_region_of_a_segment_keeps_its_value():
+    # one zero-width axis: the net still covers a segment of positive length
+    loc2 = gaussian_location2d_family()
+    assert flat_region_dimension_estimate(loc2, ([-1.0, -1.0], [1.0, -1.0])) == 0.9999999999999993
 
 
 def _flat_dimension_by_per_point_loop(model, lo, hi, seed):

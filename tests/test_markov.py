@@ -401,15 +401,11 @@ def test_pushforward_model_matches_measure_pushforward():
 def _counting(model, calls):
     """``model`` with every evaluation of it recorded in ``calls``."""
 
-    def dens(thetas):
-        calls.append("density")
-        return model.density_batch(thetas)
-
     def jet(thetas):
         calls.append("jet")
         return model.jet(thetas)
 
-    return ParamModel(model.name, model.domain, model.space, dens, jet_fn=jet)
+    return ParamModel(model.name, model.domain, model.space, jet_fn=jet)
 
 
 @pytest.mark.parametrize("derived", ["pushforward", "reparameterized"])

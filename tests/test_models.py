@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from sigeo import models
 from sigeo.errors import DomainError, NotDominated, UsageError
-from sigeo.fisher import fisher_matrix
+from sigeo.fisher import directional_form, fisher_matrix
+from sigeo.markov import binning_kernel, pushforward_model
 from sigeo.measures import Measure, integrate, tv_norm
 from sigeo.models import (
     Box,
@@ -349,10 +351,16 @@ def test_param_model_needs_exactly_one_jacobian_route():
         return dens(thetas), jac(thetas)
 
     box, space = Box([0.1], [0.9]), BERN.space
-    for routes in ({}, {"jacobian_fn": jac, "jet_fn": jet}):
-        with pytest.raises(UsageError, match="exactly one"):
-            ParamModel("coin", box, space, dens, **routes)
-    np.testing.assert_array_equal(ParamModel("coin", box, space, dens, jet_fn=jet).jet_at([0.4])[1], [[-1.0, 1.0]])
+    for routes in ({}, {"density_fn": dens}, {"jacobian_fn": jac}, {"density_fn": dens, "jet_fn": jet},
+                   {"jacobian_fn": jac, "jet_fn": jet}, {"density_fn": dens, "jacobian_fn": jac, "jet_fn": jet}):
+        with pytest.raises(UsageError, match="either jet_fn alone or density_fn with jacobian_fn"):
+            ParamModel("coin", box, space, **routes)
+    coin = ParamModel("coin", box, space, jet_fn=jet)
+    np.testing.assert_array_equal(coin.jet_at([0.4])[1], [[-1.0, 1.0]])
+    np.testing.assert_array_equal(coin.density([0.4]), jet(np.array([[0.4]]))[0][0])
+    np.testing.assert_array_equal(coin.measure([0.4]).density, [0.6, 0.4])
+    separate = ParamModel("coin", box, space, dens, jac)
+    np.testing.assert_array_equal(separate.jet_at([0.4])[1], [[-1.0, 1.0]])
 
 
 def test_tangent_not_dominated():
@@ -558,8 +566,46 @@ def test_jet_equals_separate_density_and_jacobian(model_id, rows):
 def test_only_the_finite_families_keep_a_separate_jacobian():
     assert set(models._BUILDERS) <= set(ZOO_IDS)
     for model_id in ZOO_IDS:
-        separate = get_model(model_id).jacobian_fn is not None
-        assert separate == (model_id == "bernoulli" or model_id.startswith("categorical:")), model_id
+        model = get_model(model_id)
+        separate = model_id == "bernoulli" or model_id.startswith("categorical:")
+        assert (model.density_fn is not None) == (model.jacobian_fn is not None) == separate, model_id
+        if separate:  # models derived from them forward one jet of the base
+            labels = [0] * (model.space.size - 1) + [1]
+            eye = np.eye(model.param_dim)
+            derived = (
+                product_model(model, 3),
+                pushforward_model(binning_kernel(model.space, labels), model),
+                reparameterized_model(model, lambda us: us, lambda us: np.tile(eye, (len(us), 1, 1)), model.domain),
+            )
+            for d in derived:
+                assert d.density_fn is None and d.jacobian_fn is None and d.jet_fn is not None, d.name
+
+
+def test_directional_form_reads_each_separate_route_once(monkeypatch):
+    # the perfbench tracer counts rows through these two methods
+    rows = {"density_batch": [], "jacobian_batch": []}
+    for name in rows:
+        original = getattr(ParamModel, name)
+
+        def counted(self, thetas, name=name, original=original):
+            rows[name].append(len(np.atleast_2d(thetas)))
+            return original(self, thetas)
+
+        monkeypatch.setattr(ParamModel, name, counted)
+    directional_form(get_model("categorical:3"), np.full((5, 2), 0.2), np.ones((5, 2)))
+    assert rows == {"density_batch": [5], "jacobian_batch": [5]}
+
+
+def test_a_wrong_sized_point_is_refused_before_the_bounds_are_built():
+    tracemalloc.start()
+    try:
+        model = categorical_family(10**6)
+        with pytest.raises(DomainError, match="1 coordinates"):
+            fisher_matrix(model, [0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _summed_offset_jet(x, thetas):

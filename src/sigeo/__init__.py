@@ -76,6 +76,7 @@ from .markov import (
     sufficiency_check,
 )
 from .hausdorff import (
+    ArcCloud,
     CoverReport,
     MetricCloud,
     alpha_k,

@@ -1,32 +1,36 @@
 """Covering-based Hausdorff measure and dimension in the Fisher distance,
 and the Jeffrey density sqrt(det G).
 
-Point clouds carry a matrix of pairwise Fisher-distance estimates. Greedy
+Point clouds give pairwise Fisher-distance estimates. Greedy
 covers (lexicographic pick order, balls of radius delta/2) bound every
 cover set's diameter by delta; premeasures use each set's *actual*
 diameter, which is what makes 1-d estimates track curve length instead of
 double-counting the greedy radius. Diameters are measured only where a
 premeasure reads them.
 
-Distance matrices come from cumulative segment lengths for 1-parameter
-models, and from straight-segment or midpoint evaluations for higher
-dimensions, which suit dense clouds where the metric barely turns. A
+A 1-parameter model's cloud is an ``ArcCloud``: its points and their
+cumulative Fisher arc length s along the sorted parameter axis, so the
+distance between two points is |s_i - s_j| and the cloud lies on a line.
+It holds O(M) numbers, and a greedy cover is one sweep along s. Higher
+dimensions get a ``MetricCloud`` of straight-segment or midpoint
+distances, which suit dense clouds where the metric barely turns. A
 midpoint cloud assembles G once per distinct midpoint; the Jeffrey
 quadrature assembles G at all its nodes in one batched call. Cloud
 sizes, quadrature rules and tolerances are module constants.
 
-A cloud of M points holds its one M x M matrix plus blocks sized by
-``fisher.JET_NODE_BUDGET``: midpoint pairs go in budget-sized blocks, each
-deduplicated by one lexsort, and the matrix checks and the mesh scan it in
-row blocks of at most that many entries. Model evaluations come in
+A ``MetricCloud`` of M points holds its one M x M matrix plus blocks sized
+by ``fisher.JET_NODE_BUDGET``: midpoint pairs go in budget-sized blocks,
+each deduplicated by one lexsort, and the matrix checks and the mesh scan
+it in row blocks of at most that many entries. Model evaluations come in
 cache-sized jets of ``fisher.JET_ENTRY_BUDGET`` entries: ``directional_form``
-blocks the segments of cumulative and segment clouds itself, so a
-cumulative cloud measures its sorted polyline in one call, and
-``fisher_matrices`` the Fisher matrices at midpoints and quadrature nodes.
+blocks the segments of arc and segment clouds itself, so an arc cloud
+measures its sorted polyline in one call, and ``fisher_matrices`` the
+Fisher matrices at midpoints and quadrature nodes.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,46 +137,122 @@ class MetricCloud:
         """Largest nearest-neighbor distance (0 for a single point)."""
         return self._mesh
 
+    def _balls(self, order, r) -> list:
+        """Member indices of the greedy balls of radius r, picking centres
+        in ``order``: every point within r of a centre and not yet covered."""
+        uncovered = np.ones(self.size, dtype=bool)
+        sets = []
+        for idx in order:
+            if not uncovered[idx]:
+                continue
+            inside = self.dist[idx] <= r
+            inside &= uncovered
+            members = np.flatnonzero(inside)
+            uncovered[members] = False
+            sets.append(members)
+        return sets
+
+    def _set_diameter(self, members) -> float:
+        return float(np.max(self.dist[np.ix_(members, members)])) if members.size > 1 else 0.0
+
+
+@dataclass(frozen=True)
+class ArcCloud:
+    """Points of a 1-parameter model and their arc coordinates s: the
+    distance between points i and j is |s_i - s_j|.
+
+    s must be finite and nondecreasing along the lexicographic order of
+    the points, the pick order of greedy covers. Floating-point
+    subtraction is monotone, so along that order the nearest neighbours
+    are adjacent, a greedy ball is one contiguous run and a set's diameter
+    is max s - min s: the mesh, the diameter and every cover are bitwise
+    those of ``MetricCloud(points, |s_i - s_j|)``, without its matrix.
+    """
+
+    points: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        s = np.asarray(self.s, dtype=float)
+        pts.setflags(write=False)
+        s.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "s", s)
+        if s.shape != (pts.shape[0],):
+            raise UsageError("arc coordinates must be one per point")
+        if not np.all(np.isfinite(s)):
+            raise UsageError("arc coordinates must be finite")
+        t = s[_lex_order(pts)]
+        gaps = np.diff(t)
+        if np.any(gaps < 0):
+            raise UsageError("arc coordinates must be nondecreasing in the parameter order")
+        # a point's nearest neighbour is the nearer of its two sorted neighbours
+        padded = np.concatenate([[np.inf], gaps, [np.inf]])
+        mesh = float(np.max(np.minimum(padded[:-1], padded[1:]))) if t.size > 1 else 0.0
+        object.__setattr__(self, "_mesh", mesh)
+        object.__setattr__(self, "_diameter", float(t[-1] - t[0]) if t.size else 0.0)
+
+    @property
+    def size(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The M x M matrix |s_i - s_j|, built anew on every access."""
+        d = self.s[:, None] - self.s[None, :]
+        return np.abs(d, out=d)
+
+    def diameter(self) -> float:
+        return self._diameter
+
+    def mesh(self) -> float:
+        """Largest nearest-neighbor distance (0 for a single point)."""
+        return self._mesh
+
+    def _balls(self, order, r) -> list:
+        """Member indices of the greedy balls of radius r, picking centres
+        in ``order``, along which s is nondecreasing: each ball is the run
+        from the first point not yet covered, at s_c, to the last point j
+        with s_j - s_c <= r, the test a matrix row of |s_c - s_j| makes."""
+        t = self.s[order].tolist()
+        sets, start = [], 0
+        while start < len(t):
+            centre = t[start]
+            stop = bisect.bisect_right(t, r, lo=start, key=lambda sj: sj - centre)
+            sets.append(np.sort(order[start:stop]))
+            start = stop
+        return sets
+
+    def _set_diameter(self, members) -> float:
+        s = self.s[members]
+        return float(np.max(s) - np.min(s))
+
 
 def _lex_order(points) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _cover_sets(cloud: MetricCloud, order, delta) -> list:
+def _cover_sets(cloud: MetricCloud | ArcCloud, order, delta) -> list:
     """Member indices of each set of the greedy delta-cover, picking
     representatives in ``order``: every point within delta/2 of a
     representative and not yet covered."""
     if delta <= 0:
         raise UsageError("cover scale must be positive")
-    uncovered = np.ones(cloud.size, dtype=bool)
-    sets = []
-    r = 0.5 * float(delta)
-    for idx in order:
-        if not uncovered[idx]:
-            continue
-        inside = cloud.dist[idx] <= r
-        inside &= uncovered
-        members = np.flatnonzero(inside)
-        uncovered[members] = False
-        sets.append(members)
-    return sets
+    return cloud._balls(order, 0.5 * float(delta))
 
 
-def _set_diameter(cloud: MetricCloud, members) -> float:
-    return float(np.max(cloud.dist[np.ix_(members, members)])) if members.size > 1 else 0.0
-
-
-def greedy_cover(cloud: MetricCloud, delta) -> list:
+def greedy_cover(cloud: MetricCloud | ArcCloud, delta) -> list:
     """Greedy delta-cover: sets of points within delta/2 of a representative.
 
     Representatives are picked in lexicographic parameter order, so the
     cover is deterministic. Returns a list of (member_indices, diameter).
     """
     sets = _cover_sets(cloud, _lex_order(cloud.points), delta)
-    return [(members, _set_diameter(cloud, members)) for members in sets]
+    return [(members, cloud._set_diameter(members)) for members in sets]
 
 
-def covering_profile(cloud: MetricCloud, deltas, k=None):
+def covering_profile(cloud: MetricCloud | ArcCloud, deltas, k=None):
     """Covering counts (and raw premeasures) over a decreasing schedule.
 
     A cover built at a finer scale is admissible at every coarser scale,
@@ -193,7 +273,7 @@ def covering_profile(cloud: MetricCloud, deltas, k=None):
         sets = _cover_sets(cloud, order, d)
         raw_counts.append(len(sets))
         if ak is not None:
-            pres.append(ak * float(np.sum([(0.5 * _set_diameter(cloud, m)) ** k for m in sets])))
+            pres.append(ak * float(np.sum([(0.5 * cloud._set_diameter(m)) ** k for m in sets])))
     counts = np.minimum.accumulate(np.asarray(raw_counts)[::-1])[::-1]
     return deltas, counts, np.asarray(pres) if pres is not None else None
 
@@ -208,7 +288,7 @@ class CoverReport:
     stable: bool
 
 
-def halving_schedule(cloud: MetricCloud, levels, mesh_factor) -> np.ndarray:
+def halving_schedule(cloud: MetricCloud | ArcCloud, levels, mesh_factor) -> np.ndarray:
     """Halving cover scales diam/4, diam/8, ... (at most ``levels`` of them).
 
     Only scales at least ``mesh_factor`` times the cloud mesh (and 1e-12)
@@ -224,7 +304,7 @@ def halving_schedule(cloud: MetricCloud, levels, mesh_factor) -> np.ndarray:
     return np.array(deltas)
 
 
-def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=True) -> CoverReport:
+def hausdorff_measure_estimate(cloud: MetricCloud | ArcCloud, k, deltas, enforce_density=True) -> CoverReport:
     """Premeasure sum alpha_k (diam_j / 2)^k over greedy covers per scale.
 
     The reported estimate is the value at the smallest scale; the report is
@@ -253,7 +333,7 @@ def hausdorff_measure_estimate(cloud: MetricCloud, k, deltas, enforce_density=Tr
     return CoverReport(deltas, counts, pres, k, float(pres[-1]), stable)
 
 
-def hausdorff_dimension_estimate(cloud: MetricCloud) -> float:
+def hausdorff_dimension_estimate(cloud: MetricCloud | ArcCloud) -> float:
     """Least-squares slope of log N(delta) against log(1/delta).
 
     The scales step down by sqrt(2) from diam/2 to max(2.5 mesh, diam/256),
@@ -385,14 +465,15 @@ def _squared_sum(squares):
 # Cloud construction
 # ---------------------------------------------------------------------------
 
-def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricCloud:
+def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricCloud | ArcCloud:
     """Build a metric cloud over parameter points of a model.
 
     Modes
     -----
-    cumulative 1-d only: distances are differences of the cumulative
-               Fisher length along the sorted parameter axis (exact for
-               monotone 1-d families)
+    cumulative 1-d only: an ``ArcCloud`` holding each point's cumulative
+               Fisher length s along the sorted parameter axis, so
+               distances are |s_i - s_j| (exact for monotone 1-d
+               families) and no distance matrix is built
     segment    straight-segment lengths (upper bounds; tight when the
                metric is near-constant across the cloud)
     midpoint   one-point metric evaluation sqrt(d^T G(mid) d), the
@@ -419,15 +500,13 @@ def _segment_chunk(model) -> int:
     return max(1, jet_rows(model) // CLOUD_QUAD_POINTS)
 
 
-def _cloud_cumulative(model, pts) -> MetricCloud:
-    order = np.argsort(pts[:, 0])
-    # Measured before s is allocated: in the other order the heap placed
-    # later M x M matrices so that the cover workload's peak RSS rose by 8 MB.
-    lengths = _segment_lengths(model, pts[order], CLOUD_QUAD_POINTS)
+def _cloud_cumulative(model, pts) -> ArcCloud:
+    """Arc coordinates: the cumulative Fisher length of the polyline through
+    the sorted points, measured in one ``_segment_lengths`` call."""
+    order = _lex_order(pts)
     s = np.empty(pts.shape[0])
-    s[order] = np.cumsum(np.concatenate([[0.0], lengths]))
-    d = s[:, None] - s[None, :]
-    return MetricCloud(pts, np.abs(d, out=d))
+    s[order] = np.cumsum(np.concatenate([[0.0], _segment_lengths(model, pts[order], CLOUD_QUAD_POINTS)]))
+    return ArcCloud(pts, s)
 
 
 def _pair_blocks(M, size):
@@ -496,10 +575,10 @@ def _grid(lo, hi, side) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def region_cloud(model: ParamModel, lo, hi, points) -> MetricCloud:
+def region_cloud(model: ParamModel, lo, hi, points) -> MetricCloud | ArcCloud:
     """Evenly spaced metric cloud of about ``points`` points over [lo, hi].
 
-    1-parameter models get ``points`` values with cumulative distances;
+    1-parameter models get ``points`` values with arc coordinates;
     higher dimensions a grid of side max(2, round(points^(1/n))) with
     midpoint distances.
     """
@@ -588,7 +667,7 @@ def jeffrey_vs_hausdorff_check(model: ParamModel, region):
     }
 
 
-def _own_scale_estimate(cloud: MetricCloud, k) -> float:
+def _own_scale_estimate(cloud: MetricCloud | ArcCloud, k) -> float:
     """Hausdorff estimate on the cloud's own stabilized schedule.
 
     The schedule halves from diam/4 but never drops below 4.5x the mesh,

@@ -559,11 +559,12 @@ def weak_oscillatory_exchange(ts):
     rows = []
     for t in ts:
         h = 1e-4 * max(abs(t), 0.1)
+        up = weak_oscillatory_measure(t + h).masses
+        dn = weak_oscillatory_measure(t - h).masses
+        vel = weak_oscillatory_velocity(t, space=space).masses
         for H in (np.cos(x), np.sin(x)):
-            up = np.sum(H * weak_oscillatory_measure(t + h).masses)
-            dn = np.sum(H * weak_oscillatory_measure(t - h).masses)
-            lhs = (up - dn) / (2 * h)
-            rhs = np.sum(H * weak_oscillatory_velocity(t, space=space).masses)
+            lhs = (np.sum(H * up) - np.sum(H * dn)) / (2 * h)
+            rhs = np.sum(H * vel)
             rows.append([t, lhs, rhs, abs(lhs - rhs)])
     tvs = {}
     for t in (1e-2, 1e-3):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -160,6 +161,18 @@ def test_weak_demo_emits_table(tmp_path, capsys):
     assert payload["worst_exchange_dev"] <= 1e-4
     header = table.read_text().splitlines()[0].split()
     assert header == ["t", "ddt_integral", "velocity_integral", "abs_dev"]
+
+
+def test_hausdorff_covers_a_large_1d_cloud(capsys):
+    # 200000 arc coordinates take 1.6 MB; a distance matrix would take 298 GiB
+    code, out, err = run_cli(
+        ["hausdorff", "--model", "bernoulli", "--region", "0.25:0.75", "--points", "200000", "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["estimate"] == pytest.approx(math.pi / 3, rel=0.01)  # the Fisher arc length
+    assert payload["dimension_estimate"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_jeffrey_region(capsys):

@@ -20,6 +20,7 @@ from sigeo.errors import (
 from sigeo.hausdorff import (
     FLAT_LEVELS,
     FLAT_POINTS,
+    ArcCloud,
     MetricCloud,
     _distinct_rows,
     _flat_net_size,
@@ -254,12 +255,12 @@ def _old_mesh(d):
     return float(np.max(np.min(d + np.diag(np.full(len(d), np.inf)), axis=1)))
 
 
-def test_region_cloud_and_its_estimates_hold_little_beyond_the_matrix():
-    # A Jeffrey-vs-Hausdorff cloud on gauss-location: one 20.5 MB matrix;
-    # everything else comes in blocks of the jet budget.
+def test_region_cloud_and_its_estimates_hold_no_matrix():
+    # A Jeffrey-vs-Hausdorff cloud on gauss-location: 1601 arc coordinates,
+    # where a distance matrix would take 20.5 MB. Building it takes jets
+    # of the entry budget, about 0.8 MB; covering it a few arrays of M.
     loc = gaussian_location_family()
     M = 1601
-    limit = 1.5 * M * M * 8
     tracemalloc.start()
     try:
         cloud = region_cloud(loc, [-1.0], [1.0], M)
@@ -270,8 +271,23 @@ def test_region_cloud_and_its_estimates_hold_little_beyond_the_matrix():
         _, scan_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cloud.dist.nbytes == M * M * 8
-    assert build_peak <= limit and scan_peak <= limit
+    assert cloud.s.nbytes == M * 8
+    assert build_peak <= 10**6 and scan_peak <= 32 * M * 8
+
+
+def test_arc_cloud_estimates_never_read_its_matrix(monkeypatch):
+    def refuse(cloud):
+        raise AssertionError("an arc cloud's distance matrix was built")
+
+    monkeypatch.setattr(ArcCloud, "dist", property(refuse))
+    for model, lo, hi in ((BERN, 0.25, 0.75), (gaussian_location_family(), -1.0, 1.0)):
+        res = jeffrey_vs_hausdorff_check(model, ([lo], [hi]))
+        assert res["rel_err"] < 0.05
+        cloud = cloud_from_params(model, np.linspace(lo, hi, 801)[:, None])
+        assert isinstance(cloud, ArcCloud)
+        assert abs(hausdorff_dimension_estimate(cloud) - 1.0) <= 0.15
+        with pytest.raises(AssertionError, match="matrix was built"):
+            cloud.dist
 
 
 def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
@@ -286,8 +302,8 @@ def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
         (CAT3, grid_cat, "midpoint"),
     ]
     ref = [cloud_from_params(model, pts, mode=mode) for model, pts, mode in cases]
-    # gauss-location and mixture get one segment per jet call, the 301-point
-    # matrix 16 rows per block, midpoint clouds 2500 pairs per block
+    # gauss-location and mixture get one segment per jet call, midpoint
+    # clouds 2500 pairs per block
     monkeypatch.setattr(fisher, "JET_ENTRY_BUDGET", 5000)
     monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5000)
     for (model, pts, mode), r in zip(cases, ref):
@@ -504,27 +520,95 @@ def test_covers_are_the_reference_covers_bitwise(kind, monkeypatch):
     else:
         box = _grid(np.array([0.2, -0.4]), np.array([0.7, 0.4]), 18)
         cloud = cloud_from_params(gaussian_mixture(), box, mode="midpoint")
+    # the references read the matrix, so an arc cloud's is built once
+    ref = MetricCloud(cloud.points, cloud.dist)
     deltas = cloud.diameter() / np.sqrt(2.0) ** np.arange(1, 12)
     for delta in deltas[::3]:
         for (members, diam), (ref_members, ref_diam) in zip(
-            greedy_cover(cloud, delta), _reference_greedy_cover(cloud, delta), strict=True
+            greedy_cover(cloud, delta), _reference_greedy_cover(ref, delta), strict=True
         ):
             np.testing.assert_array_equal(members, ref_members)
             assert diam == ref_diam
     for k in (None, 0.5, 1.0, 2.0):
-        got, want = covering_profile(cloud, deltas, k=k), _reference_covering_profile(cloud, deltas, k=k)
+        got, want = covering_profile(cloud, deltas, k=k), _reference_covering_profile(ref, deltas, k=k)
         for a, b in zip(got, want):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
     reports = [hausdorff_measure_estimate(cloud, 1.0, deltas[:3], enforce_density=False)]
     dims = [hausdorff_dimension_estimate(cloud)]
     monkeypatch.setattr(hausdorff, "covering_profile", _reference_covering_profile)
-    reports.append(hausdorff_measure_estimate(cloud, 1.0, deltas[:3], enforce_density=False))
-    dims.append(hausdorff_dimension_estimate(cloud))
+    reports.append(hausdorff_measure_estimate(ref, 1.0, deltas[:3], enforce_density=False))
+    dims.append(hausdorff_dimension_estimate(ref))
     got, want = reports
     assert got.counts.tobytes() == want.counts.tobytes()
     assert got.premeasures.tobytes() == want.premeasures.tobytes()
     assert (got.estimate, got.stable) == (want.estimate, want.stable)
     assert dims[0] == dims[1]
+
+
+def _random_arc_cloud(rng):
+    """Points with tied parameters in shuffled index order, and arc
+    coordinates with ties, gaps from 1e-8 to 1e6 and an offset that makes
+    their differences round."""
+    M = int(rng.integers(2, 90))
+    step = rng.random(M - 1) < 0.8  # False where the next parameter ties
+    gaps = np.where(step, 10.0 ** rng.uniform(-8.0, 6.0, M - 1), 0.0)
+    gaps[rng.random(M - 1) < 0.1] = 0.0  # equal coordinates at distinct parameters
+    offset = rng.choice([0.0, 12345.678, -7.25e5, 3.3e-4])
+    theta = np.concatenate([[0.0], np.cumsum(step)]) * 0.01
+    s = offset + np.concatenate([[0.0], np.cumsum(gaps)])
+    perm = rng.permutation(M)
+    return ArcCloud(theta[perm, None], s[perm])
+
+
+def _boundary_scales(cloud, rng):
+    """Cover scales 2 r for radii r that are rounded coordinate differences,
+    their floating-point neighbours, and scales beyond the diameter."""
+    s = cloud.s
+    i, j = rng.integers(0, cloud.size, (2, 8))
+    r = np.abs(s[i] - s[j])
+    r = np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, np.inf), [1e-300, 2e6]])
+    return 2.0 * np.unique(r[r > 0])
+
+
+def test_arc_cloud_is_its_matrix_cloud_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        cloud = _random_arc_cloud(rng)
+        ref = MetricCloud(cloud.points, np.abs(cloud.s[:, None] - cloud.s[None, :]))
+        assert cloud.mesh() == ref.mesh() and cloud.diameter() == ref.diameter()
+        deltas = _boundary_scales(cloud, rng)
+        for delta in deltas:
+            got, want = greedy_cover(cloud, delta), greedy_cover(ref, delta)
+            assert len(got) == len(want)
+            for (members, diam), (ref_members, ref_diam) in zip(got, want):
+                np.testing.assert_array_equal(members, ref_members)
+                assert diam == ref_diam
+        for k in (None, 0.5, 1.0):
+            got, want = covering_profile(cloud, deltas, k=k), covering_profile(ref, deltas, k=k)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_arc_cloud_ball_keeps_the_point_at_rounded_distance_r():
+    # 1.8 - 0.4 rounds to 1.4, but 0.4 + 1.4 rounds below 1.8: a threshold
+    # on s alone would leave 1.8 out of the ball a matrix row puts it in
+    assert 1.8 - 0.4 == 1.4 and 0.4 + 1.4 < 1.8
+    cloud = ArcCloud([[0.0], [1.0]], [0.4, 1.8])
+    assert [m.tolist() for m, _ in greedy_cover(cloud, 2.8)] == [[0, 1]]
+
+
+def test_arc_cloud_checks_its_coordinates():
+    with pytest.raises(UsageError, match="one per point"):
+        ArcCloud([[0.0], [1.0]], [0.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="finite"):
+            ArcCloud([[0.0], [1.0]], [0.0, bad])
+    with pytest.raises(UsageError, match="nondecreasing"):
+        ArcCloud([[1.0], [0.0]], [0.0, 1.0])  # decreasing in parameter order
+    # ties in the parameter go in index order, as the greedy cover picks them
+    ArcCloud([[0.0], [0.0]], [0.0, 1.0])
+    with pytest.raises(UsageError, match="nondecreasing"):
+        ArcCloud([[0.0], [0.0]], [1.0, 0.0])
 
 
 def test_flat_region_dimension_2d():

@@ -279,6 +279,20 @@ def test_weak_velocity_small_t_needs_fine_grid():
     assert vel.space.size >= 8 * 1000 * 4
 
 
+def test_weak_exchange_builds_each_measure_once(monkeypatch):
+    # the masses at t + h and t - h serve both test functions
+    calls = []
+    density_batch = ParamModel.density_batch
+
+    def counting(self, thetas):
+        calls.append(self.name)
+        return density_batch(self, thetas)
+
+    monkeypatch.setattr(ParamModel, "density_batch", counting)
+    rows, _ = models.weak_oscillatory_exchange((0.3, 0.25, 0.15))  # the weak-demo criterion's t
+    assert len(rows) == 6 and calls == ["weak-curve"] * 6
+
+
 # -- shrinking-bump family -------------------------------------------------------
 
 def test_bump_shape():

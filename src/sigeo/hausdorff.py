@@ -23,9 +23,10 @@ by ``fisher.JET_NODE_BUDGET``: midpoint pairs go in budget-sized blocks,
 each deduplicated by one lexsort, and the matrix checks and the mesh scan
 it in row blocks of at most that many entries. Model evaluations come in
 cache-sized jets of ``fisher.JET_ENTRY_BUDGET`` entries: ``directional_form``
-blocks the segments of arc and segment clouds itself, so an arc cloud
-measures its sorted polyline in one call, and ``fisher_matrices`` the
-Fisher matrices at midpoints and quadrature nodes.
+blocks the segments of arc and segment clouds itself, and an arc cloud
+measures its sorted polyline in slices of at most ``JET_NODE_BUDGET``
+quadrature-point coordinates; ``fisher_matrices`` blocks the Fisher
+matrices at midpoints and quadrature nodes.
 """
 
 from __future__ import annotations
@@ -197,12 +198,6 @@ class ArcCloud:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dist(self) -> np.ndarray:
-        """The M x M matrix |s_i - s_j|, built anew on every access."""
-        d = self.s[:, None] - self.s[None, :]
-        return np.abs(d, out=d)
-
     def diameter(self) -> float:
         return self._diameter
 
@@ -338,10 +333,10 @@ def hausdorff_dimension_estimate(cloud: MetricCloud | ArcCloud) -> float:
 
     The scales step down by sqrt(2) from diam/2 to max(2.5 mesh, diam/256),
     at least four of them. Scales below 2.5x the cloud mesh are excluded
-    (covering numbers saturate there) as are scales where the net collapses
-    to a single set next to larger informative scales. Fewer than three
-    usable scales raise InsufficientScaleError; a cloud with zero diameter
-    has dimension 0 by convention.
+    (covering numbers saturate there) as are scales where every point is
+    its own set, N(delta) = M. Fewer than three usable scales raise
+    InsufficientScaleError; a cloud with zero diameter has dimension 0 by
+    convention.
     """
     diam = cloud.diameter()
     if diam <= 0:
@@ -502,10 +497,17 @@ def _segment_chunk(model) -> int:
 
 def _cloud_cumulative(model, pts) -> ArcCloud:
     """Arc coordinates: the cumulative Fisher length of the polyline through
-    the sorted points, measured in one ``_segment_lengths`` call."""
+    the sorted points. The polyline is measured in slices whose quadrature
+    points hold at most ``JET_NODE_BUDGET`` coordinates; consecutive slices
+    share their end point."""
     order = _lex_order(pts)
+    line = pts[order]
+    step = max(1, fisher.JET_NODE_BUDGET // (CLOUD_QUAD_POINTS * pts.shape[1]))  # segments per slice
+    lengths = [
+        _segment_lengths(model, line[i:i + step + 1], CLOUD_QUAD_POINTS) for i in range(0, len(line) - 1, step)
+    ]
     s = np.empty(pts.shape[0])
-    s[order] = np.cumsum(np.concatenate([[0.0], _segment_lengths(model, pts[order], CLOUD_QUAD_POINTS)]))
+    s[order] = np.cumsum(np.concatenate([[0.0], *lengths]))
     return ArcCloud(pts, s)
 
 

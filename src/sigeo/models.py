@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import expi, gammaln, sici, xlogy
+from scipy.special import exp1, expi, gammaln, sici, xlogy
 
 from .errors import DomainError, NotDominated, UsageError
 from .measures import (
@@ -50,7 +50,7 @@ from .measures import (
     grid2d_space,
     tv_norm,
 )
-from .quadrature import adaptive_integral, geometric_edges, uniform_edges
+from .quadrature import geometric_edges, uniform_edges
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -472,11 +472,8 @@ def singular_reparam_model() -> ParamModel:
 # total variation above 1/2.
 OSC_SUP = 0.5781875086663077
 OSC_AMPLITUDE = 2.0 * math.pi * OSC_SUP  # = 3.63285737...
-# Panels per period of sin(x/t) on the velocity's own grid; tolerance and
-# bisection depth of the adaptive cross-check of F_t.
+# Panels per period of sin(x/t) on the velocity's own grid.
 MIN_PANELS_PER_PERIOD = 8
-ADAPTIVE_TOL = 1e-9
-ADAPTIVE_MAX_DEPTH = 26
 
 
 def oscillatory_time_integral(t, x) -> np.ndarray:
@@ -493,18 +490,6 @@ def oscillatory_time_integral(t, x) -> np.ndarray:
     _, ci = sici(y)
     out[nz] = np.sign(x[nz]) * np.abs(x[nz]) * (np.sin(y) / y - ci)
     return out
-
-
-def oscillatory_time_integral_adaptive(t, x) -> float:
-    """Direct adaptive quadrature of F_t at a single x; slow cross-check."""
-    t = float(t)
-    x = float(x)
-    if t == 0.0 or x == 0.0:
-        return 0.0
-    return adaptive_integral(
-        lambda s: 0.0 if s == 0.0 else math.sin(x / s), 0.0, abs(t),
-        tol=ADAPTIVE_TOL, max_depth=ADAPTIVE_MAX_DEPTH,
-    )
 
 
 def weak_oscillatory_measure(t) -> Measure:
@@ -613,10 +598,16 @@ def bump_derivative(u) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def bump_square_integral() -> float:
-    """integral_0^1 f(u)^2 du (= 0.27734...), used by the normalization."""
-    return adaptive_integral(lambda u: float(bump(u) ** 2), 0.0, 1.0, tol=1e-13)
+    """integral_0^1 f(u)^2 du = 1 - 2 e^2 E_1(2) (= 0.27734...), used by the
+    normalization.
+
+    Substituting w = u/(1-u) gives integral_0^inf e^(-2w) / (1+w)^2 dw; by
+    parts that is 1 - 2 integral_0^inf e^(-2w) / (1+w) dw, and v = 1 + w
+    turns the last integral into e^2 E_1(2), with the exponential integral
+    E_1 from scipy.
+    """
+    return float(1.0 - 2.0 * math.e ** 2 * exp1(2.0))
 
 
 def friedrich_raw_density(t, x) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gauss-Legendre panel quadrature and a small adaptive integrator.
+"""Gauss-Legendre panel quadrature and the panel edges it runs on.
 
 Composite Gauss-Legendre panels are the one rule for every grid backend.
 Nodes are always strictly interior to their panel, so integrands only
@@ -21,7 +21,7 @@ def gauss_legendre_rule(npts: int):
     return x, w
 
 
-def panel_nodes_weights(edges, npts=8):
+def panel_nodes_weights(edges, npts):
     """Composite Gauss-Legendre rule over the panels defined by ``edges``.
 
     Parameters
@@ -62,44 +62,3 @@ def geometric_edges(lo, hi, panels):
     """
     off = np.geomspace(float(lo), float(hi), int(panels))
     return np.concatenate([[0.0], off])
-
-
-def adaptive_integral(f, a, b, tol=1e-9, max_depth=40):
-    """Adaptive panel-bisection integral of a scalar function on [a, b].
-
-    Each panel is accepted once the 7-point Gauss estimate agrees with the
-    sum of the two half-panel estimates to ``tol`` (absolute, scaled by the
-    interval fraction); otherwise the panel is split. Endpoints are never
-    evaluated, so integrands extended by an arbitrary finite value at an
-    endpoint integrate correctly.
-    """
-    xg, wg = gauss_legendre_rule(7)
-
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = np.array([f(mid + half * x) for x in xg], dtype=float)
-        return half * float(np.dot(wg, vals))
-
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    total = 0.0
-    stack = [(a, b, panel(a, b), 0)]
-    span = b - a
-    while stack:
-        lo, hi, est, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if depth >= max_depth or abs(left + right - est) <= tol * max((hi - lo) / span, 1e-3):
-            total += left + right
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return sign * total

@@ -52,9 +52,6 @@ SETTABLE = {
     "models.reparameterized_model(name)",
     "models.weak_oscillatory_model(panels)",
     "models.weak_oscillatory_velocity(space)",
-    "quadrature.adaptive_integral(max_depth)",
-    "quadrature.adaptive_integral(tol)",
-    "quadrature.panel_nodes_weights(npts)",
 }
 
 
@@ -83,7 +80,7 @@ def test_settable_surface_is_the_named_set():
         if p.default is not inspect.Parameter.empty
     }
     assert found == SETTABLE
-    assert len(SETTABLE) == 35
+    assert len(SETTABLE) == 32
 
 
 TEST_ONLY = {
@@ -98,7 +95,6 @@ TEST_ONLY = {
     "measures.integrate": "the integral of a function against a measure, reached through fisher_inner; tests "
                           "check its quadrature and its handling of non-finite values",
     "measures.TangentVector.velocity_measure": "the velocity measure of a tangent, reached through pushforward_tangent",
-    "models.oscillatory_time_integral_adaptive": "adaptive-quadrature oracle of the closed-form F_t",
     "models.tangent_at": "the paper's tangent vector of a model at one point; tests check its log_rep and "
                          "the batched monotonicity gaps against it",
 }

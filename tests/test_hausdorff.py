@@ -85,6 +85,13 @@ def euclid_cloud(pts):
     return MetricCloud(pts, d)
 
 
+def matrix(cloud):
+    """A cloud's distance matrix; an arc cloud's is |s_i - s_j|, built here."""
+    if isinstance(cloud, ArcCloud):
+        return np.abs(cloud.s[:, None] - cloud.s[None, :])
+    return cloud.dist
+
+
 def test_single_point_covering():
     cloud = MetricCloud([[0.0]], [[0.0]])
     for delta in (0.1, 1.0, 10.0):
@@ -275,19 +282,41 @@ def test_region_cloud_and_its_estimates_hold_no_matrix():
     assert build_peak <= 10**6 and scan_peak <= 32 * M * 8
 
 
-def test_arc_cloud_estimates_never_read_its_matrix(monkeypatch):
-    def refuse(cloud):
-        raise AssertionError("an arc cloud's distance matrix was built")
+def test_arc_cloud_measures_its_polyline_in_bounded_slices(monkeypatch):
+    # 200 000 bernoulli points go in 4 slices of 50 000 segments; one call
+    # over the whole polyline peaked at 33.6 MB of traced memory, the slices
+    # at 12.8 MB. A 1601-point Jeffrey-vs-Hausdorff cloud stays one slice.
+    calls = []
 
-    monkeypatch.setattr(ArcCloud, "dist", property(refuse))
+    def counting(model, nodes, quad_points):
+        calls.append(len(nodes) - 1)
+        return _segment_lengths(model, nodes, quad_points)
+
+    monkeypatch.setattr(hausdorff, "_segment_lengths", counting)
+    pts = np.linspace(0.25, 0.75, 200_000)[:, None]
+    tracemalloc.start()
+    try:
+        cloud = cloud_from_params(BERN, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [50_000] * 3 + [49_999] and peak <= 16 * 10**6
+    whole = np.cumsum(np.concatenate([[0.0], _segment_lengths(BERN, pts, 4)]))
+    np.testing.assert_array_equal(cloud.s, whole)
+    calls.clear()
+    region_cloud(gaussian_location_family(), [-1.0], [1.0], 1601)
+    assert calls == [1600]
+
+
+def test_arc_cloud_estimates_never_read_its_matrix():
+    # an arc cloud has no distance matrix to read
+    assert not hasattr(ArcCloud, "dist")
     for model, lo, hi in ((BERN, 0.25, 0.75), (gaussian_location_family(), -1.0, 1.0)):
         res = jeffrey_vs_hausdorff_check(model, ([lo], [hi]))
         assert res["rel_err"] < 0.05
         cloud = cloud_from_params(model, np.linspace(lo, hi, 801)[:, None])
-        assert isinstance(cloud, ArcCloud)
+        assert isinstance(cloud, ArcCloud) and not hasattr(cloud, "dist")
         assert abs(hausdorff_dimension_estimate(cloud) - 1.0) <= 0.15
-        with pytest.raises(AssertionError, match="matrix was built"):
-            cloud.dist
 
 
 def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
@@ -308,10 +337,10 @@ def test_clouds_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(fisher, "JET_NODE_BUDGET", 5000)
     for (model, pts, mode), r in zip(cases, ref):
         cloud = cloud_from_params(model, pts, mode=mode)
-        assert cloud.mesh() == r.mesh() == _old_mesh(r.dist)
+        assert cloud.mesh() == r.mesh() == _old_mesh(matrix(r))
         # segment lengths do not depend on how many segments a call holds,
         # so cumulative sums over them do not either
-        np.testing.assert_array_equal(cloud.dist, r.dist)
+        np.testing.assert_array_equal(matrix(cloud), matrix(r))
 
 
 def _line_matrix(M):
@@ -366,10 +395,11 @@ def test_blocked_mesh_is_the_old_mesh_bitwise(monkeypatch):
 ], ids=["cumulative-1", "cumulative-2", "segment-1", "segment-2", "midpoint-1", "midpoint-2"])
 def test_one_and_two_point_clouds(model, pts, mode):
     cloud = cloud_from_params(model, pts, mode=mode)
+    d = matrix(cloud)
     if cloud.size == 1:
-        assert cloud.dist.tolist() == [[0.0]] and cloud.mesh() == 0.0 == cloud.diameter()
+        assert d.tolist() == [[0.0]] and cloud.mesh() == 0.0 == cloud.diameter()
     else:
-        assert cloud.dist[0, 1] == cloud.dist[1, 0] == cloud.mesh() == cloud.diameter() > 0
+        assert d[0, 1] == d[1, 0] == cloud.mesh() == cloud.diameter() > 0
 
 
 def test_halving_schedule_matches_reference_loops():
@@ -521,7 +551,7 @@ def test_covers_are_the_reference_covers_bitwise(kind, monkeypatch):
         box = _grid(np.array([0.2, -0.4]), np.array([0.7, 0.4]), 18)
         cloud = cloud_from_params(gaussian_mixture(), box, mode="midpoint")
     # the references read the matrix, so an arc cloud's is built once
-    ref = MetricCloud(cloud.points, cloud.dist)
+    ref = MetricCloud(cloud.points, matrix(cloud))
     deltas = cloud.diameter() / np.sqrt(2.0) ** np.arange(1, 12)
     for delta in deltas[::3]:
         for (members, diam), (ref_members, ref_diam) in zip(
@@ -574,7 +604,7 @@ def test_arc_cloud_is_its_matrix_cloud_bitwise():
     rng = np.random.default_rng(29)
     for _ in range(50):
         cloud = _random_arc_cloud(rng)
-        ref = MetricCloud(cloud.points, np.abs(cloud.s[:, None] - cloud.s[None, :]))
+        ref = MetricCloud(cloud.points, matrix(cloud))
         assert cloud.mesh() == ref.mesh() and cloud.diameter() == ref.diameter()
         deltas = _boundary_scales(cloud, rng)
         for delta in deltas:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from sigeo import models
 from sigeo.errors import DomainError, NotDominated, UsageError
@@ -27,7 +28,6 @@ from sigeo.models import (
     get_model,
     normalized_friedrich_model,
     oscillatory_time_integral,
-    oscillatory_time_integral_adaptive,
     product_model,
     reparameterized_model,
     singular_reparam_points,
@@ -36,7 +36,6 @@ from sigeo.models import (
     weak_oscillatory_measure,
     weak_oscillatory_velocity,
 )
-from sigeo.quadrature import adaptive_integral
 
 SQ = math.sqrt(2 * math.pi)
 
@@ -180,11 +179,10 @@ def test_singular_reparam_oddness():
 
 
 def test_singular_reparam_alpha_is_the_integral():
-    # alpha(t) = integral_0^t d tau / log(tau^2), by direct adaptive quadrature
+    # alpha(t) = integral_0^t d tau / log(tau^2), by QUADPACK, which never
+    # evaluates the endpoint tau = 0
     ts = np.array([1e-6, -1e-6, 0.3, -0.3, 0.98, -0.98])
-    direct = [
-        adaptive_integral(lambda u: 0.0 if u == 0.0 else 1.0 / math.log(u * u), 0.0, t, tol=1e-12) for t in ts
-    ]
+    direct = [quad(lambda u: 1.0 / math.log(u * u), 0.0, t, epsabs=1e-13, epsrel=0.0)[0] for t in ts]
     np.testing.assert_allclose(singular_reparam_points(ts)[:, 0], direct, rtol=0.0, atol=1e-11)
 
 
@@ -261,9 +259,11 @@ def test_weak_curve_density_bounded_below():
 
 
 def test_oscillatory_integral_closed_form_vs_adaptive():
-    for t, x in ((0.7, 1.3), (0.3, -2.0), (0.9, 0.4), (0.05, 3.0)):
+    # u = |x|/s gives F_t(x) = x integral_{|x|/|t|}^inf sin(u) / u^2 du, which
+    # QUADPACK's adaptive Fourier-integral rule (QAWF) evaluates directly
+    for t, x in ((0.7, 1.3), (0.3, -2.0), (0.9, 0.4), (0.05, 3.0), (-0.2, 2.5), (1e-3, -0.7), (1e-3, 3.1)):
         closed = oscillatory_time_integral(t, np.array([x]))[0]
-        direct = oscillatory_time_integral_adaptive(t, x)
+        direct = x * quad(lambda u: u**-2, abs(x) / abs(t), np.inf, weight="sin", wvar=1.0)[0]
         assert closed == pytest.approx(direct, abs=5e-7)
 
 
@@ -309,6 +309,16 @@ def test_friedrich_at_zero_is_negative_indicator():
     assert np.all(mu.density[x <= 0] == 1.0)
     assert np.all(mu.density[x > 0] == 0.0)
     assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bump_square_integral_is_its_closed_form():
+    # 1 - 2 e^2 E_1(2) against QUADPACK; the bits are those the friedrich
+    # pins were computed with (math.exp(2.0) in place of math.e ** 2 lands
+    # 2 ulps lower)
+    C = bump_square_integral()
+    direct = quad(lambda u: float(bump(u) ** 2), 0.0, 1.0, epsabs=1e-14, epsrel=0.0)[0]
+    assert C == pytest.approx(direct, rel=0.0, abs=1e-14)
+    assert C.hex() == "0x1.1bffbdfad9700p-2"
 
 
 def test_friedrich_tv_distance_quadratic_in_t():

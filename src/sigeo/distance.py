@@ -93,7 +93,7 @@ MAX_HALVINGS = 40
 # two largest (1.53e-3 and 1.48e-3) are arc-solver results. With 16
 # interior nodes the largest gap fell to 4.3e-4 (measured with the earlier
 # coordinate descent), so most of it is path discretization. Separating
-# discretization from optimizer error is open work (ROADMAP item 2).
+# discretization from optimizer error is open work (ROADMAP item 3).
 OPTIMIZER_GAP = 1e-3
 
 

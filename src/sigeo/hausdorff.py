@@ -35,7 +35,6 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distance import _segment_lengths
 from .errors import (
@@ -78,6 +77,8 @@ def alpha_k(k) -> float:
     k = float(k)
     if not 0.0 <= k < np.inf:  # NaN fails too
         raise DomainError(f"dimension must be finite and nonnegative, got {k}")
+    from scipy.special import gammaln
+
     return float(np.exp(0.5 * k * np.log(np.pi) - gammaln(1.0 + 0.5 * k)))
 
 

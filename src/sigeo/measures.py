@@ -32,6 +32,9 @@ MASS_TOL = 1e-9
 QUAD_TOL = 1e-6
 DOMINANCE_TOL = 1e-12
 
+# Gauss-Legendre points per panel of the 1-d (by default) and 2-d grids.
+GRID_POINTS = 8
+
 _FINITE = "finite"
 _GRID1D = "grid1d"
 _GRID2D = "grid2d"
@@ -89,7 +92,7 @@ def finite_space(m: int) -> SampleSpace:
     return SampleSpace(_FINITE, np.arange(m, dtype=float), np.ones(m))
 
 
-def grid1d_space(lo, hi, panels, npts=8) -> SampleSpace:
+def grid1d_space(lo, hi, panels, npts=GRID_POINTS) -> SampleSpace:
     """1-d interval backend with composite Gauss-Legendre weights."""
     nodes, weights = panel_nodes_weights(uniform_edges(lo, hi, panels), npts)
     return SampleSpace(_GRID1D, nodes, weights)
@@ -102,9 +105,9 @@ def grid1d_from_edges(edges, npts) -> SampleSpace:
 
 
 def grid2d_space(xlo, xhi, ylo, yhi, panels) -> SampleSpace:
-    """Rectangle backend with tensor-product 4-point Gauss-Legendre weights."""
-    nx, wx = panel_nodes_weights(uniform_edges(xlo, xhi, panels), 4)
-    ny, wy = panel_nodes_weights(uniform_edges(ylo, yhi, panels), 4)
+    """Rectangle backend with tensor-product ``GRID_POINTS``-point Gauss-Legendre weights."""
+    nx, wx = panel_nodes_weights(uniform_edges(xlo, xhi, panels), GRID_POINTS)
+    ny, wy = panel_nodes_weights(uniform_edges(ylo, yhi, panels), GRID_POINTS)
     gx, gy = np.meshgrid(nx, ny, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
     weights = (wx[:, None] * wy[None, :]).ravel()

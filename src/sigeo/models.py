@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import exp1, expi, gammaln, sici, xlogy
 
 from .errors import DomainError, NotDominated, UsageError
 from .measures import (
     DOMINANCE_TOL,
+    GRID_POINTS,
     QUAD_TOL,
     Measure,
     SampleSpace,
@@ -57,7 +57,8 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 # Margin keeping baseline families away from boundary singularities.
 EPS_BOUNDARY = 1e-6
 
-# Most types (occurrence counts of n draws) a product model enumerates.
+# Most types (occurrence counts of n draws) a product model enumerates, and
+# most nodes of a model's quadrature grid.
 ENUM_LIMIT = 2 ** 20
 
 # Parameter boxes: Gaussian location |theta_i| <= LOCATION_HALF_WIDTH in 1-d
@@ -327,8 +328,23 @@ def categorical_family(m: int) -> ParamModel:
     return ParamModel(f"categorical:{m}", box, space, dens, jac)
 
 
-def gaussian_location_family(panels=80) -> ParamModel:
-    """N(theta, 1) on a 1-d grid; the Fisher matrix is identically 1."""
+def _require_grid_size(panels, dim=1):
+    """Refuse a quadrature grid of ``panels`` per axis over ``dim`` axes
+    whose node count exceeds ``ENUM_LIMIT``, before anything is allocated."""
+    if panels < 1:
+        raise UsageError(f"a quadrature grid needs at least 1 panel (panels={panels})")
+    nodes = (GRID_POINTS * panels) ** dim
+    if nodes > ENUM_LIMIT:
+        raise UsageError(f"quadrature grid too large: {panels} panels give {nodes} nodes, above {ENUM_LIMIT}")
+
+
+def gaussian_location_family(panels=9) -> ParamModel:
+    """N(theta, 1) on a 1-d grid; the Fisher matrix is identically 1.
+
+    The default 9 panels (72 nodes) are the fewest whose Fisher matrices
+    agree with twice as many to 1e-10 relative over the box.
+    """
+    _require_grid_size(panels)
     w = LOCATION_HALF_WIDTH
     space = grid1d_space(-w - 8.0, w + 8.0, panels=panels)
     x = space.points
@@ -340,8 +356,13 @@ def gaussian_location_family(panels=80) -> ParamModel:
     return ParamModel("gauss-location", Box([-w], [w]), space, jet_fn=jet)
 
 
-def gaussian_location2d_family(panels=16) -> ParamModel:
-    """N(theta, I_2) location family on a 2-d grid; Fisher matrix is I_2."""
+def gaussian_location2d_family(panels=8) -> ParamModel:
+    """N(theta, I_2) location family on a 2-d grid; Fisher matrix is I_2.
+
+    The default 8 panels per axis (4096 nodes) are the fewest whose Fisher
+    matrices agree with twice as many to 2e-10 relative over the box.
+    """
+    _require_grid_size(panels, dim=2)
     w = LOCATION2D_HALF_WIDTH
     r = w + 8.0
     space = grid2d_space(-r, r, -r, r, panels=panels)
@@ -359,8 +380,14 @@ def gaussian_location2d_family(panels=16) -> ParamModel:
     return ParamModel("gauss-location-2d", box, space, jet_fn=jet)
 
 
-def gaussian_location_scale_family(panels=144) -> ParamModel:
-    """N(mu, sigma^2) with (mu, sigma) in a box bounded away from sigma=0."""
+def gaussian_location_scale_family(panels=37) -> ParamModel:
+    """N(mu, sigma^2) with (mu, sigma) in a box bounded away from sigma=0.
+
+    The default 37 panels (296 nodes) are the fewest whose Fisher matrices
+    agree with twice as many to 1e-10 relative over the box; the largest
+    differences lie on its wall sigma = SIGMA_LO.
+    """
+    _require_grid_size(panels)
     r = MU_MAX + 8.0 * SIGMA_HI
     space = grid1d_space(-r, r, panels=panels)
     x = space.points
@@ -395,7 +422,14 @@ def gaussian_mixture(panels=112) -> ParamModel:
     Both components vanish identically on the lines b=0 (for d_a) and a=0
     (for d_b), so the Fisher matrix drops rank there and is the zero matrix
     at the corner (0, 0).
+
+    The default 112 panels (896 nodes) agree with twice as many to 1e-10
+    relative on 0.1 <= a <= 0.9, |b| <= 3, where the ``tv-lower-bound``
+    pairs lie. Fewer would do there, but the local minima of the geodesic
+    solver turn changes of about 1e-11 into length changes of up to 1e-3.
+    Toward a = 0 at large |b| the density floor, not the grid, decides G.
     """
+    _require_grid_size(panels)
     r = B_MAX + 8.0
     space = grid1d_space(-r, r, panels=panels)
     x = space.points
@@ -434,6 +468,8 @@ def singular_reparam_points(ts) -> np.ndarray:
     out = np.zeros((ts.size, 2))
     moving = ts != 0.0
     t = ts[moving]
+    from scipy.special import expi
+
     out[moving, 0] = np.sign(t) * expi(np.log(np.abs(t))) / 2.0
     out[moving, 1] = t * np.log(t * t)
     return out
@@ -483,6 +519,8 @@ def oscillatory_time_integral(t, x) -> np.ndarray:
     with y = x/t; the cosine integral comes from scipy. F is odd in x,
     even in t, and F_0 = 0. ``t`` broadcasts against ``x``.
     """
+    from scipy.special import sici
+
     t, x = np.broadcast_arrays(np.abs(np.asarray(t, dtype=float)), np.asarray(x, dtype=float))
     out = np.zeros(x.shape)
     nz = (t != 0.0) & (x != 0.0)
@@ -560,7 +598,13 @@ def weak_oscillatory_exchange(ts):
 
 
 def weak_oscillatory_model(panels=120) -> ParamModel:
-    """The oscillatory curve packaged as a 1-parameter model on [-pi, pi]."""
+    """The oscillatory curve packaged as a 1-parameter model on [-pi, pi].
+
+    The default 120 panels (960 nodes) agree with twice as many to 1e-10
+    relative for 0.02 <= |t| <= 0.999 (G is even in t). Closer to t = 0 no
+    fixed grid resolves sin(x/t).
+    """
+    _require_grid_size(panels)
     space = grid1d_space(-math.pi, math.pi, panels=panels)
     x = space.points
 
@@ -607,6 +651,8 @@ def bump_square_integral() -> float:
     turns the last integral into e^2 E_1(2), with the exponential integral
     E_1 from scipy.
     """
+    from scipy.special import exp1
+
     return float(1.0 - 2.0 * math.e ** 2 * exp1(2.0))
 
 
@@ -747,6 +793,8 @@ def type_table(m: int, n: int) -> tuple:
     bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(min(n, count) + m - 1), m - 1)),
                        dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
     counts = np.diff(np.column_stack([np.full(count, -1), bars[::-1], np.full(count, n + m - 1)]), axis=1) - 1
+    from scipy.special import gammaln
+
     return counts, gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
 
 
@@ -761,6 +809,8 @@ def product_model(base: ParamModel, n: int) -> ParamModel:
     """
     if base.space.kind != "finite":
         raise UsageError("product models require a finite backend")
+    from scipy.special import xlogy
+
     counts, log_coef = type_table(base.space.size, n)
     occurrences = counts.T.astype(float)  # (m, K)
 

@@ -18,7 +18,9 @@ from sigeo import acceptance
 # details at seed 0; a change that moves any of these numbers changes what
 # the criteria measure, so the record moves only with a stated reason.
 GOLDEN_DETAILS = {
-    "fisher-oracles": {"worst_rel_err": 7.494782572337044e-12},
+    # the gauss-location entries are measured on its 9-panel grid, the
+    # fewest panels that pass the refinement test of tests/test_grids.py
+    "fisher-oracles": {"worst_rel_err": 4.4152015377108e-11},
     "singular-locus": {"corner_frobenius": 0.0, "max_jeffrey_on_locus": 0.0},
     "tv-lower-bound": {
         "failures": 0,
@@ -42,10 +44,10 @@ GOLDEN_DETAILS = {
             "max_triangle_violation": 2.4835311204007837e-05,
         },
         "gauss-location": {
-            "axiom_tol": 0.005375385717938602,
+            "axiom_tol": 0.005375385717937427,
             "max_asymmetry": 4.440892098500626e-16,
             "max_identity": 0.0,
-            "max_triangle_violation": 1.199040866595169e-14,
+            "max_triangle_violation": 3.036459972349803e-14,
         },
     },
     "sphere-oracle": {"worst_rel_err": 0.00013592358544626252},
@@ -59,9 +61,9 @@ GOLDEN_DETAILS = {
         "dimension_1d": 0.967620496285553,
         "dimension_2d": 1.8886994271811002,
         "gauss_location": {
-            "hausdorff": 1.9812499999925923,
-            "jeffrey": 1.999999999992487,
-            "rel_err": 0.009374999999982505,
+            "hausdorff": 1.9812499999921025,
+            "jeffrey": 1.9999999999920368,
+            "rel_err": 0.009375000000004487,
         },
     },
     # a permuted model sums its atoms in another order, so its segment

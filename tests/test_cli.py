@@ -468,3 +468,10 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 1
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the five scipy.special functions are imported where they are used
+    code = "import sys; import sigeo.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

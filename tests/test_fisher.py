@@ -96,15 +96,6 @@ def test_matrix_symmetry_and_psd():
     assert np.min(G.eigenvalues) > -1e-12
 
 
-def test_matrix_stable_under_grid_refinement():
-    coarse = gaussian_location_family(panels=80)
-    fine = gaussian_location_family(panels=160)
-    for th in (-0.5, 0.9):
-        a = fisher_matrix(coarse, [th]).matrix[0, 0]
-        b = fisher_matrix(fine, [th]).matrix[0, 0]
-        assert abs(a - b) < 1e-5
-
-
 def test_pullback_consistency():
     # theta = phi(u); Fisher in u equals J^T G J
     def phi(us):

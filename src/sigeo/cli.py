@@ -201,6 +201,7 @@ def _cmd_distance(args):
         "iterations": res.iterations,
         "converged": res.converged,
         "warm_start": res.warm_start,
+        "graph_length": res.graph_length,
         "degenerate_segments": list(res.degenerate_segments),
     }, _EXIT_OK
 
@@ -216,6 +217,7 @@ def _cmd_tv_check(args):
         "converged": res.converged,
         "iterations": res.iterations,
         "warm_start": res.warm_start,
+        "graph_length": res.graph_length,
     }, _EXIT_OK if res.tv_holds else _EXIT_PROPERTY
 
 

@@ -6,9 +6,21 @@ segment by segment with Gauss-Legendre quadrature. The distance estimate
 minimizes that length over the interior nodes. Everything rests on the
 square-root embedding psi = sqrt(p w), which maps the model into the unit
 sphere of R^X, where the Fisher length of a curve is twice the length of
-its image. Two stages:
+its image. Two stages, after a start:
 
-* an energy phase: Levenberg-Marquardt on the chord energy
+* a global start for 2-parameter models: the shortest path between the
+  lattice nodes nearest the endpoints on one graph per model, built on
+  its first 2-parameter distance and cached on it (``_build_path_graph``:
+  a lattice of ``GRAPH_SHAPE`` nodes over the domain box, with the nodes
+  outside the domain dropped, linked along the 8 directions of
+  ``GRAPH_STENCIL``, knight moves included, and weighted by a 4-point
+  rule; all pairs are solved once by Floyd-Warshall). The endpoints are
+  spliced onto the path, and its nodes are spaced at equal Fisher arc
+  length, measured by the stored edge weights and, on the two end
+  segments, by the Fisher matrix stored at their lattice node, so a pair
+  costs no model evaluation. Models with 3 or more parameters start from
+  the straight path;
+* an energy phase from the start: Levenberg-Marquardt on the chord energy
   sum_k |psi(theta_{k+1}) - psi(theta_k)|^2, with the block-tridiagonal
   Gauss-Newton matrix from one model jet per trial and every trial node
   kept inside the domain;
@@ -22,17 +34,21 @@ its image. Two stages:
   runs preconditioned, with the Gauss-Newton matrix of the chord energy
   over the same sample points as the initial inverse Hessian's metric
   (a natural gradient), until it stalls, and then plain from where it
-  stalled; only a stall of the plain iteration counts as converged. Of
-  the solver's path, the energy path and the straight path, the shortest
-  is returned.
+  stalled; only a stall of the plain iteration counts as converged. The
+  L-BFGS pairs are stacked, and each loop of the two-loop recursion is a
+  product with a triangular inverse kept up to date as pairs come and
+  go. Of the solver's path, the energy path and the straight path, the
+  shortest is returned.
 
 For 1-parameter models, and without interior nodes, the straight segment
 is returned without any stage.
 
 Every returned length is that of a real in-domain path, measured with the
 accurate rule and each segment checked against its halves, so it is an
-upper estimate of the underlying infimum; ``curve_length`` measures any
-piecewise-linear curve the same way. The total-variation norm and the
+upper estimate of the underlying infimum. The graph start is no
+candidate, but its length as the graph measures it is reported.
+``curve_length`` measures any piecewise-linear curve the same way. The
+total-variation norm and the
 Bhattacharyya angle of the endpoints are attached as lower bounds. The
 number of interior nodes is the one setting; tolerances, caps, steps and
 quadrature rules are the module constants below.
@@ -95,6 +111,14 @@ MAX_HALVINGS = 40
 # coordinate descent), so most of it is path discretization. Separating
 # discretization from optimizer error is open work (ROADMAP item 3).
 OPTIMIZER_GAP = 1e-3
+# Global start of 2-parameter paths: lattice nodes per axis of the domain
+# box, the lattice steps of the graph's edges (each edge once: the two
+# axes, the two diagonals and four knight moves, so 16 neighbours per
+# inner node) and the quadrature points of an edge's weight. A 21 x 49
+# lattice started the mixture pairs no better.
+GRAPH_SHAPE = (11, 25)
+GRAPH_STENCIL = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+GRAPH_QUAD_POINTS = 4
 
 
 def _segment_lengths(model: ParamModel, nodes, quad_points) -> np.ndarray:
@@ -143,7 +167,13 @@ class PathResult:
 
     ``length`` is an upper estimate of the distance; ``lower_bound_tv`` and
     ``lower_bound_angle`` are the total-variation and Bhattacharyya-angle
-    lower bounds. ``warm_start`` says whether the arc solver's first
+    lower bounds. ``graph_length`` is the length of the path's global
+    start as the shortest-path graph measures it (stored edge weights, and
+    the two spliced end segments at their lattice node's Fisher matrix),
+    an estimate and no bound; None when the path did not start from the
+    graph (1 or 3 and more parameters, no interior nodes, equal endpoints,
+    or a graph path of length 0). ``warm_start`` says whether the arc
+    solver's first
     iteration let the energy path stand; ``iterations`` is then 1, and
     otherwise counts the arc solver's iterations, with ``converged`` false
     when the solver stopped at its cap. Straight paths report 0 iterations.
@@ -161,6 +191,7 @@ class PathResult:
     converged: bool
     warm_start: bool = False
     degenerate_segments: tuple = ()
+    graph_length: float | None = None
 
     @property
     def tv_holds(self) -> bool:
@@ -191,9 +222,12 @@ def fisher_distance(model: ParamModel, theta1, theta2, interior_nodes=8) -> Path
         # joining them, so the segment is the geodesic; without interior
         # nodes the segment is the only path.
         return _final_path(model, [straight], bounds, 0, True)
-    warm = _energy_path(model, straight)
+    start, graph_length = straight, None
+    if model.param_dim == 2:
+        start, graph_length = _graph_start(model, theta1, theta2, interior_nodes + 2) or (straight, None)
+    warm = _energy_path(model, start)
     nodes, iterations, converged, warm_start = _arc_solve(model, warm)
-    return _final_path(model, [nodes, warm, straight], bounds, iterations, converged, warm_start)
+    return _final_path(model, [nodes, warm, straight], bounds, iterations, converged, warm_start, graph_length)
 
 
 def _straight_path(model: ParamModel, theta1, theta2, count) -> np.ndarray:
@@ -209,6 +243,120 @@ def _straight_path(model: ParamModel, theta1, theta2, count) -> np.ndarray:
         if not model.domain.contains(nodes[k]):
             nodes[k] = theta1 if 2 * k <= count - 1 else theta2
     return nodes
+
+
+@dataclass(frozen=True)
+class _PathGraph:
+    """All-pairs shortest paths on a lattice over a 2-parameter domain.
+
+    ``nodes`` (N, 2) are the lattice nodes inside the domain, ``metrics``
+    (N, 2, 2) their Fisher matrices, ``lengths`` (N, N) the shortest-path
+    lengths and ``next_hop`` (N, N) the node after i on a shortest path
+    from i to j (i itself when i = j, -1 when j cannot be reached), and
+    ``steps`` the lattice steps per axis, by which ``nearest`` measures.
+    """
+
+    nodes: np.ndarray
+    metrics: np.ndarray
+    lengths: np.ndarray
+    next_hop: np.ndarray
+    steps: np.ndarray
+
+    def nearest(self, theta) -> int:
+        """The node nearest theta, in lattice steps."""
+        return int(np.argmin(np.sum(((self.nodes - theta) / self.steps) ** 2, axis=1)))
+
+    def path(self, i, j) -> list:
+        """The nodes of a shortest path from node i to node j, or [] when
+        none exists."""
+        if self.next_hop[i, j] < 0:
+            return []
+        hops = [i]
+        while hops[-1] != j:
+            hops.append(int(self.next_hop[hops[-1], j]))
+        return hops
+
+
+def _build_path_graph(model: ParamModel) -> _PathGraph:
+    """The shortest-path graph of a 2-parameter model: a ``GRAPH_SHAPE``
+    lattice over its domain box, walls included, without the nodes outside
+    the domain (the domains are convex, so every edge between kept nodes
+    stays inside), linked along ``GRAPH_STENCIL`` and weighted by the
+    ``GRAPH_QUAD_POINTS``-point rule of ``_segment_lengths``."""
+    lo, hi = model.domain.lo, model.domain.hi
+    axes = [np.linspace(lo[d], hi[d], GRAPH_SHAPE[d]) for d in range(2)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (P, Q, 2)
+    kept = model.domain.contains_rows(lattice.reshape(-1, 2)).reshape(GRAPH_SHAPE)
+    index = np.full(GRAPH_SHAPE, -1)
+    index[kept] = np.arange(int(np.sum(kept)))
+    starts, ends = [], []
+    P, Q = GRAPH_SHAPE
+    for dp, dq in GRAPH_STENCIL:
+        a = index[max(0, -dp):P - max(0, dp), max(0, -dq):Q - max(0, dq)]
+        b = index[max(0, dp):P + min(0, dp), max(0, dq):Q + min(0, dq)]
+        linked = (a >= 0) & (b >= 0)
+        starts.append(a[linked])
+        ends.append(b[linked])
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    nodes = lattice[kept]
+    weights = _segment_lengths(model, np.stack([nodes[starts], nodes[ends]], axis=1), GRAPH_QUAD_POINTS)[:, 0]
+    lengths, next_hop = _all_pairs(nodes.shape[0], starts, ends, weights)
+    steps = (hi - lo) / (np.array(GRAPH_SHAPE) - 1)
+    graph = _PathGraph(nodes, fisher_matrices(model, nodes), lengths, next_hop, steps)
+    for array in (graph.nodes, graph.metrics, graph.lengths, graph.next_hop):
+        array.setflags(write=False)
+    return graph
+
+
+def _all_pairs(count, starts, ends, weights) -> tuple:
+    """Floyd-Warshall on ``count`` nodes with undirected edges starts[e] --
+    ends[e] of length weights[e]: the (count, count) shortest lengths and
+    int16 next hops (-1 where no path exists)."""
+    lengths = np.full((count, count), np.inf)
+    lengths[starts, ends] = weights
+    lengths[ends, starts] = weights
+    np.fill_diagonal(lengths, 0.0)
+    next_hop = np.where(np.isfinite(lengths), np.arange(count, dtype=np.int16), np.int16(-1)).astype(np.int16)
+    for k in range(count):
+        via = lengths[:, k, None] + lengths[k]
+        better = via < lengths
+        np.copyto(lengths, via, where=better)
+        np.copyto(next_hop, next_hop[:, k, None], where=better)
+    return lengths, next_hop
+
+
+def _graph_start(model: ParamModel, theta1, theta2, count):
+    """``count`` nodes from theta1 to theta2 along the model's shortest-path
+    graph, spaced at equal Fisher arc length, and that length; None when
+    the graph gives no path of positive length.
+
+    The path runs theta1, the graph's path between the nodes nearest the
+    endpoints, theta2. Its graph segments are measured by their stored
+    weights, and the two end segments by sqrt(v^T G v) with G stored at
+    their lattice node. A node that rounds out of the domain (a segment
+    along categorical's simplex face) is moved to the nearer end of its
+    segment.
+    """
+    graph = model._path_graph
+    hops = graph.path(graph.nearest(theta1), graph.nearest(theta2))
+    if not hops:
+        return None
+    polyline = np.vstack([theta1, graph.nodes[hops], theta2])
+    first, last = polyline[1] - theta1, theta2 - polyline[-2]
+    ends = [float(np.sqrt(max(float(v @ graph.metrics[h] @ v), 0.0))) for v, h in ((first, hops[0]), (last, hops[-1]))]
+    segments = np.concatenate([[ends[0]], graph.lengths[hops[:-1], hops[1:]], [ends[1]]])
+    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
+    total = float(cumulative[-1])
+    if not total > 0.0:
+        return None
+    targets = total * np.arange(1, count - 1) / (count - 1)
+    k = np.searchsorted(cumulative, targets, side="right") - 1
+    frac = ((targets - cumulative[k]) / (cumulative[k + 1] - cumulative[k]))[:, None]
+    nodes = np.vstack([theta1, polyline[k] + frac * (polyline[k + 1] - polyline[k]), theta2])
+    outside = np.nonzero(~model.domain.contains_rows(nodes[1:-1]))[0]
+    for i in outside:
+        nodes[i + 1] = polyline[k[i]] if frac[i, 0] <= 0.5 else polyline[k[i] + 1]
+    return nodes, total
 
 
 def _energy_path(model: ParamModel, nodes) -> np.ndarray:
@@ -429,7 +577,7 @@ def _arc_solve(model: ParamModel, nodes) -> tuple:
     buffers = _arc_buffers(model, nodes)
     length, grad = _arc_objective(model, nodes, buffers)
     history = [length]
-    pairs = []  # L-BFGS (s, y, 1 / y.s), oldest first
+    pairs = _CurvaturePairs(nodes[1:-1].size)
     inverse = None  # M^-1 in the preconditioned phase; None in the first iteration and the plain phase
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
@@ -455,8 +603,7 @@ def _arc_solve(model: ParamModel, nodes) -> tuple:
             y = (t_grad - grad).ravel()
             sy = float(s @ y)
             if sy > 1e-12 * float(np.sqrt((s @ s) * (y @ y))):
-                pairs.append((s, y, 1.0 / sy))
-                del pairs[:-LBFGS_MEMORY]
+                pairs.append(s, y, 1.0 / sy)
             nodes, length, grad = trial, t_length, t_grad
             history.append(length)
             stalled = len(history) > STALL_ITERATIONS and history[-1 - STALL_ITERATIONS] - length < OPTIMIZER_TOL * length
@@ -491,26 +638,76 @@ def _restart_step(model: ParamModel, nodes, grad, g, p, scale, buffers) -> float
     return float(np.sum(g * p)) / curvature if curvature > 0.0 else fallback
 
 
+class _CurvaturePairs:
+    """The newest ``LBFGS_MEMORY`` L-BFGS pairs, oldest first, stacked for
+    ``_lbfgs_direction``: s and y as the rows of S and Y (m, K n), rho =
+    1 / s.y, and the inverses of the two unit triangular matrices of the
+    two-loop recursion, U with U_ij = rho_i s_i.y_j (i < j) and L with
+    L_ij = rho_i y_i.s_j (i > j).
+
+    A new pair (s, y, rho) borders U with the column rho_i s_i.y and L
+    with the row rho s_i.y over the older pairs i, both from one product
+    S y, and their inverses are bordered to match.
+    Dropping the oldest pair drops the first row and column of U and L,
+    and the trailing blocks of their inverses are the new inverses.
+    """
+
+    def __init__(self, size):
+        self.S = np.empty((LBFGS_MEMORY, size))
+        self.Y = np.empty((LBFGS_MEMORY, size))
+        self.rho = np.empty(LBFGS_MEMORY)
+        self.U_inv = np.empty((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.L_inv = np.empty((LBFGS_MEMORY, LBFGS_MEMORY))
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def clear(self):
+        self.count = 0
+
+    def append(self, s, y, rho):
+        m = self.count
+        if m == LBFGS_MEMORY:  # drop the oldest pair
+            m -= 1
+            for a in (self.S, self.Y, self.rho):
+                a[:-1] = a[1:]
+            for a in (self.U_inv, self.L_inv):
+                a[:-1, :-1] = a[1:, 1:]
+        sy = self.S[:m] @ y
+        self.U_inv[:m, m] = -(self.U_inv[:m, :m] @ (self.rho[:m] * sy))
+        self.L_inv[m, :m] = -((rho * sy) @ self.L_inv[:m, :m])
+        self.U_inv[m, :m] = 0.0
+        self.L_inv[:m, m] = 0.0
+        self.U_inv[m, m] = self.L_inv[m, m] = 1.0
+        self.S[m], self.Y[m], self.rho[m] = s, y, rho
+        self.count = m + 1
+
+
 def _lbfgs_direction(g, pairs, inverse) -> np.ndarray:
-    """Inverse-Hessian estimate times ``g`` by the two-loop recursion. The
-    initial estimate is (s.y / y.y) I when ``inverse`` is None, and
-    otherwise gamma ``inverse`` with gamma = s.y / y.``inverse`` y, both
-    from the newest pair."""
-    q = g.ravel().copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    if pairs:
-        s, y, rho = pairs[-1]
-        if inverse is None:
-            q *= 1.0 / (rho * float(y @ y))
-        else:
-            q = (1.0 / (rho * float(y @ (inverse @ y)))) * (inverse @ q)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
-    return q.reshape(g.shape)
+    """Inverse-Hessian estimate times ``g`` by the two-loop recursion over
+    ``pairs`` (``_CurvaturePairs``). The initial estimate is (s.y / y.y) I
+    when ``inverse`` is None, and otherwise gamma ``inverse`` with gamma =
+    s.y / y.``inverse`` y, both from the newest pair.
+
+    Each loop is one triangular system in the stacked pairs: the first
+    loop's coefficients solve U alpha = rho * S g, and the second loop's
+    c = alpha - beta solve L c = alpha - rho * Y r, with r the initial
+    estimate times g - Y^T alpha; the result is r + S^T c.
+    """
+    m = len(pairs)
+    if m == 0:
+        return g.copy()
+    S, Y, rho = pairs.S[:m], pairs.Y[:m], pairs.rho[:m]
+    alpha = pairs.U_inv[:m, :m] @ (rho * (S @ g.ravel()))
+    q = g.ravel() - alpha @ Y
+    y = Y[-1]
+    if inverse is None:
+        r = q * (1.0 / (rho[-1] * float(y @ y)))
+    else:
+        r = (1.0 / (rho[-1] * float(y @ (inverse @ y)))) * (inverse @ q)
+    c = pairs.L_inv[:m, :m] @ (alpha - rho * (Y @ r))
+    return (r + c @ S).reshape(g.shape)
 
 
 def _armijo_step(model: ParamModel, nodes, length, grad, direction, buffers):
@@ -531,7 +728,8 @@ def _armijo_step(model: ParamModel, nodes, length, grad, direction, buffers):
     return None
 
 
-def _final_path(model: ParamModel, candidates, bounds, iterations, converged, warm_start=False) -> PathResult:
+def _final_path(model: ParamModel, candidates, bounds, iterations, converged, warm_start=False,
+                graph_length=None) -> PathResult:
     """The candidate path with the shortest checked length, with flags;
     a candidate equal to an earlier one is not measured again."""
     candidates = [c for i, c in enumerate(candidates) if not any(np.array_equal(c, d) for d in candidates[:i])]
@@ -539,7 +737,8 @@ def _final_path(model: ParamModel, candidates, bounds, iterations, converged, wa
     best = int(np.argmin(lengths))
     nodes = candidates[best]
     degenerate = _degenerate_segments(model, nodes)
-    return PathResult(nodes.copy(), lengths[best], *bounds, iterations, converged, warm_start, degenerate)
+    return PathResult(nodes.copy(), lengths[best], *bounds, iterations, converged, warm_start, degenerate,
+                      graph_length)
 
 
 def _path_length(model: ParamModel, nodes) -> float:

@@ -190,6 +190,14 @@ class ParamModel:
     def param_dim(self) -> int:
         return self.domain.dim
 
+    @cached_property
+    def _path_graph(self):
+        """The shortest-path graph that starts this 2-parameter model's
+        geodesics (``distance._build_path_graph``), built on first use."""
+        from .distance import _build_path_graph  # distance imports this module
+
+        return _build_path_graph(self)
+
     # -- density -----------------------------------------------------------
 
     def density_batch(self, thetas) -> np.ndarray:
@@ -409,7 +417,7 @@ def gaussian_location_scale_family(panels=37) -> ParamModel:
 # Gaussian mixture with a degenerate parameter locus
 # ---------------------------------------------------------------------------
 
-def gaussian_mixture(panels=112) -> ParamModel:
+def gaussian_mixture(panels=26) -> ParamModel:
     """Two-component Gaussian mixture p(x | a, b).
 
     p = ((1-a) exp(-x^2/2) + a exp(-(x-b)^2/2)) / sqrt(2 pi) with a in
@@ -423,11 +431,12 @@ def gaussian_mixture(panels=112) -> ParamModel:
     (for d_b), so the Fisher matrix drops rank there and is the zero matrix
     at the corner (0, 0).
 
-    The default 112 panels (896 nodes) agree with twice as many to 1e-10
-    relative on 0.1 <= a <= 0.9, |b| <= 3, where the ``tv-lower-bound``
-    pairs lie. Fewer would do there, but the local minima of the geodesic
-    solver turn changes of about 1e-11 into length changes of up to 1e-3.
-    Toward a = 0 at large |b| the density floor, not the grid, decides G.
+    The default 26 panels (208 nodes) are the fewest whose Fisher
+    matrices agree with twice as many to 1e-10 relative on 0.1 <= a <=
+    0.9, |b| <= 3, where the ``tv-lower-bound`` pairs lie. Geodesics start
+    from a shortest-path graph, so their lengths do not jump between local
+    minima when G changes by about 1e-11. Toward a = 0 at large |b| the
+    density floor, not the grid, decides G.
     """
     _require_grid_size(panels)
     r = B_MAX + 8.0

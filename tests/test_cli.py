@@ -77,6 +77,19 @@ def test_distance_and_tv_check_report_the_warm_start(capsys):
     assert payload["distance_estimate"] >= payload["angle"] >= payload["tv"]
 
 
+def test_distance_and_tv_check_report_the_graph_length(capsys):
+    # the graph start's own length estimate; null for 1-parameter models
+    pair = ["--model", "mixture", "--from", "0.3,-1", "--to", "0.6,1.2", "--no-timestamp"]
+    lengths = []
+    for command in ("distance", "tv-check"):
+        code, out, _ = run_cli([command, *pair], capsys)
+        assert code == 0
+        lengths.append(json.loads(out)["graph_length"])
+    assert lengths[0] == lengths[1] > 0.0
+    code, out, _ = run_cli(["tv-check", "--model", "bernoulli", "--from", "0.25", "--to", "0.75", "--no-timestamp"], capsys)
+    assert json.loads(out)["graph_length"] is None
+
+
 def test_summary_determinism(capsys):
     args = ["dpi-sweep", "--model", "categorical:3", "--draws", "20", "--seed", "5", "--no-timestamp"]
     code1, out1, _ = run_cli(list(args), capsys)

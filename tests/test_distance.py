@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sigeo import distance
+from sigeo import acceptance, distance
 from sigeo.distance import (
     _arc_objective,
     _energy_path,
@@ -24,6 +24,7 @@ from sigeo.models import (
     EPS_BOUNDARY,
     CurveInModel,
     bernoulli_family,
+    ParamModel,
     categorical_family,
     gaussian_mixture,
     get_model,
@@ -140,14 +141,17 @@ def test_distance_refinement_does_not_increase_length():
 # Results recorded when the arc solver's first iteration took over the
 # acceptance of the energy path: each pair keeps its energy path. Any
 # speedup of the optimizer must reach the same results: equal iteration
-# counts and convergence, lengths to rounding.
+# counts and convergence, lengths to rounding. Re-pinned when the energy
+# phase began at the graph start and mixture moved to 26 panels: each
+# length moved by at most 5e-11 relative (1.0858011742454372,
+# 0.2536927975104585 and 0.3199876965555892 before).
 GOLDEN_PATHS = [
     ("categorical:3", [0.320054408997409, 0.5680633552141084],
-     [0.7278255530465946, 0.09557675416392925], 1, 1.0858011742454372),
+     [0.7278255530465946, 0.09557675416392925], 1, 1.0858011742048816),
     ("gauss-loc-scale", [1.101536511956994, 1.4022236167928308],
-     [0.8629361302183645, 1.2364608149753948], 1, 0.2536927975104585),
+     [0.8629361302183645, 1.2364608149753948], 1, 0.2536927975130376),
     ("mixture", [0.3955540028033345, -2.0253777850274055],
-     [0.5201560316069069, -2.35002094715215], 1, 0.3199876965555892),
+     [0.5201560316069069, -2.35002094715215], 1, 0.319987696571503),
 ]
 
 
@@ -188,11 +192,12 @@ FALLBACK_PAIR = ([0.37871316923558307, -2.98634693799304], [0.2553746123112095, 
 def test_rejected_warm_start_falls_back_to_the_arc_solver():
     # The first iteration from this pair's energy path still shortens it by
     # more than the stop rule allows, so the arc solver runs on and the pin
-    # is the solver's own result.
+    # is the solver's own result. Re-pinned with the graph start and the
+    # 26-panel mixture grid (0.7650323159154074 before, also 51 iterations).
     res = fisher_distance(get_model("mixture"), *FALLBACK_PAIR)
     assert not res.warm_start
     assert res.iterations == 51 and res.converged
-    assert res.length == pytest.approx(0.7650323159154074, rel=1e-12, abs=0.0)
+    assert res.length == pytest.approx(0.7650323391764561, rel=1e-12, abs=0.0)
 
 
 def _phase_trace(monkeypatch):
@@ -225,6 +230,49 @@ def test_preconditioned_stall_hands_over_to_the_plain_phase(monkeypatch, precond
     assert not any(phases[first_plain:])
     assert res.iterations - first_plain >= distance.STALL_ITERATIONS
     assert res.length == pytest.approx(reference.length, rel=1e-4)
+
+
+def _two_loop_reference(g, pairs, inverse):
+    """The L-BFGS two-loop recursion over a list of (s, y, rho), oldest
+    first, in Python, as the solver ran it before its pairs were stacked."""
+    q = g.ravel().copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    if inverse is None:
+        q *= 1.0 / (rho * float(y @ y))
+    else:
+        q = (1.0 / (rho * float(y @ (inverse @ y)))) * (inverse @ q)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q.reshape(g.shape)
+
+
+def test_stacked_lbfgs_direction_is_the_two_loop_recursion():
+    # up to twice the memory, so the oldest pairs are dropped, and clears
+    rng = np.random.default_rng(11)
+    metric = rng.normal(size=(16, 16))
+    metric = metric @ metric.T + np.eye(16)
+    listed, stacked = [], distance._CurvaturePairs(16)
+    for step in range(2 * distance.LBFGS_MEMORY + 5):
+        if step == 7:
+            listed.clear()
+            stacked.clear()
+        s = rng.normal(size=16)
+        y = s + 0.3 * rng.normal(size=16)
+        listed = (listed + [(s, y, 1.0 / float(s @ y))])[-distance.LBFGS_MEMORY:]
+        stacked.append(s, y, 1.0 / float(s @ y))
+        assert len(stacked) == len(listed)
+        g = rng.normal(size=(8, 2))
+        for inverse in (None, metric):
+            got = distance._lbfgs_direction(g, stacked, inverse)
+            np.testing.assert_allclose(got, _two_loop_reference(g, listed, inverse), rtol=0, atol=1e-12 * np.max(np.abs(got)))
+    stacked.clear()
+    g = rng.normal(size=(8, 2))
+    np.testing.assert_array_equal(distance._lbfgs_direction(g, stacked, metric), g)
 
 
 def _arc_objective_reference(model, nodes):
@@ -309,8 +357,8 @@ NEAR_FACE_PAIR = ([0.4999995, 0.4999995], [0.49964265, 0.49964265])
 )
 def test_accepted_warm_start_is_the_energy_or_the_straight_path(monkeypatch, model_id, th1, th2):
     # Accepting costs the objective at the energy path, one curvature probe
-    # and one trial step; the energy path then stands unmodified, unless the
-    # straight path is shorter (near-face).
+    # and one trial step; the energy path from the graph start then stands
+    # unmodified, unless the straight path is shorter (near-face).
     objective = distance._arc_objective
     calls = []
     monkeypatch.setattr(distance, "_arc_objective", lambda *args: calls.append(1) or objective(*args))
@@ -319,7 +367,9 @@ def test_accepted_warm_start_is_the_energy_or_the_straight_path(monkeypatch, mod
     assert res.warm_start and res.iterations == 1 and res.converged
     assert len(calls) <= 3
     straight = np.linspace(th1, th2, 8 + 2)
-    assert any(np.array_equal(res.nodes, path) for path in (_energy_path(model, straight), straight))
+    start, graph_length = distance._graph_start(model, np.array(th1), np.array(th2), 8 + 2)
+    assert graph_length == res.graph_length
+    assert any(np.array_equal(res.nodes, path) for path in (_energy_path(model, start), straight))
 
 
 def test_capped_arc_solver_reports_no_convergence(monkeypatch):
@@ -333,15 +383,18 @@ def test_capped_arc_solver_reports_no_convergence(monkeypatch):
 
 
 def test_fallback_never_imports_scipy_optimize():
-    # The preconditioner is inverted with numpy alone: importing scipy.linalg
-    # costs several MB of resident memory in every process that solves.
+    # The preconditioner is inverted and the graph start's shortest paths
+    # are solved with numpy alone: importing scipy.linalg costs several MB
+    # of resident memory in every process that solves, and scipy.sparse
+    # about 10 MB more.
     code = (
         "import sys; from sigeo.distance import fisher_distance; from sigeo.models import get_model; "
         f"res = fisher_distance(get_model('mixture'), *{FALLBACK_PAIR!r}); "
-        "assert not res.warm_start; print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
+        "assert not res.warm_start and res.graph_length is not None; "
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 @pytest.mark.parametrize("model_id, ends", [
@@ -395,7 +448,7 @@ def test_curve_length_across_b_zero_is_pinned():
         calls.append(stack.shape)
         return _segment_lengths(model, stack, quad_points)
 
-    length = 2.395465234869829
+    length = 2.395465234869941  # 2.395465234869829 on the 112-panel grid
     assert _segment_lengths(mix, nodes, 8).sum() != length
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "_segment_lengths", counting)
@@ -452,6 +505,119 @@ def test_no_interior_nodes_is_the_straight_segment():
     assert (res.iterations, res.converged) == (0, True)
     assert res.length == curve_length(mix, CurveInModel(mix, np.array([a, b])))
     assert fisher_distance(mix, a, b, interior_nodes=np.int64(0)).length == res.length
+
+
+# -- the graph start -----------------------------------------------------------------
+
+def _counted_builds(monkeypatch):
+    """The models whose shortest-path graph is built from now on."""
+    build = distance._build_path_graph
+    built = []
+    monkeypatch.setattr(distance, "_build_path_graph", lambda model: built.append(model) or build(model))
+    return built
+
+
+def test_path_graph_is_built_once_per_model(monkeypatch):
+    built = _counted_builds(monkeypatch)
+    first, second = categorical_family(3), categorical_family(3)
+    for model in (first, first, second):
+        res = fisher_distance(model, [0.2, 0.3], [0.6, 0.1])
+        assert res.graph_length is not None
+    assert len(built) == 2 and built[0] is first and built[1] is second
+    fisher_distance(first, [0.1, 0.1], [0.3, 0.6])
+    assert len(built) == 2
+
+
+def test_path_graph_is_never_built_for_one_or_three_parameters(monkeypatch):
+    built = _counted_builds(monkeypatch)
+    for model, a, b in ((bernoulli_family(), [0.2], [0.7]), (categorical_family(4), [0.2, 0.3, 0.1], [0.1, 0.2, 0.5])):
+        res = fisher_distance(model, a, b)
+        assert res.graph_length is None
+        assert "_path_graph" not in vars(model)
+    assert fisher_distance(CAT3, [0.2, 0.3], [0.6, 0.1], interior_nodes=0).graph_length is None
+    assert built == []
+
+
+def test_zero_length_graph_path_starts_straight():
+    # a = 0 is one distribution for every b: the graph's path along that
+    # face has length 0, so there is nothing to space nodes by
+    res = fisher_distance(get_model("mixture"), [0.0, -1.3], [0.0, 1.1])
+    assert res.graph_length is None
+    assert res.length == 0.0 and res.converged
+
+
+def test_path_graph_lattice_and_edges():
+    # 11 x 25 nodes on a box, walls included, all linked; categorical's
+    # simplex keeps the nodes with sum <= 1 - eps
+    mix = gaussian_mixture(panels=8)
+    graph = mix._path_graph
+    assert graph.nodes.shape == (275, 2) and graph.metrics.shape == (275, 2, 2)
+    assert graph.next_hop.dtype == np.int16
+    assert int(np.sum(np.isfinite(graph.lengths))) == 275 * 275
+    assert np.all(graph.nodes[[0, -1]] == [[0.0, -6.0], [1.0, 6.0]])
+    cat = categorical_family(3)._path_graph
+    assert np.all(CAT3.domain.contains_rows(cat.nodes)) and 0 < cat.nodes.shape[0] < 275
+
+
+def test_all_pairs_are_the_shortest_paths():
+    # Floyd-Warshall against scipy's Dijkstra, and every next-hop path
+    # adds up to its length
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    rng = np.random.default_rng(7)
+    count = 40
+    starts, ends = np.nonzero(np.triu(rng.random((count, count)) < 0.1, 1))  # each edge once
+    weights = rng.random(starts.size)
+    weights[:5] = 0.0  # the mixture's face a = 0 has edges of length 0
+    lengths, next_hop = distance._all_pairs(count, starts, ends, weights)
+    matrix = np.full((count, count), np.inf)
+    matrix[starts, ends] = matrix[ends, starts] = weights
+    # a sparse graph holds no explicit zeros, so zero edges go in as 1e-300
+    reference = dijkstra(csr_matrix(np.where(np.isfinite(matrix), np.maximum(matrix, 1e-300), 0.0)), directed=False)
+    np.testing.assert_allclose(lengths, reference, rtol=1e-14, atol=1e-15)
+    graph = distance._PathGraph(np.zeros((count, 2)), np.zeros((count, 2, 2)), lengths, next_hop, np.ones(2))
+    for i, j in zip(rng.integers(0, count, 60), rng.integers(0, count, 60)):
+        hops = graph.path(i, j)
+        if not np.isfinite(lengths[i, j]):
+            assert hops == []
+            continue
+        assert hops[0] == i and hops[-1] == j
+        assert sum(matrix[a, b] for a, b in zip(hops[:-1], hops[1:])) == pytest.approx(lengths[i, j], rel=1e-14, abs=1e-15)
+
+
+def test_graph_start_is_a_lookup(monkeypatch):
+    # once the graph exists, a pair's start evaluates no model: its end
+    # segments use the Fisher matrices stored at their lattice nodes
+    mix = get_model("mixture")
+    mix._path_graph
+    monkeypatch.setattr(ParamModel, "jet", lambda *args: pytest.fail("a jet ran"))
+    a, b = np.array(FALLBACK_PAIR[0]), np.array(FALLBACK_PAIR[1])
+    nodes, length = distance._graph_start(mix, a, b, 10)
+    assert nodes.shape == (10, 2) and np.all(nodes[[0, -1]] == [a, b])
+    assert np.all(mix.domain.contains_rows(nodes))
+    assert length > 0.0
+
+
+def _criterion_pairs(family):
+    """The seed-0 pairs of the tv-lower-bound criterion for one family."""
+    rng = np.random.default_rng(3)
+    drawn = {name: [acceptance._random_pair(name, rng)[1:] for _ in range(25)] for name in acceptance._TV_MODELS}
+    return drawn[family]
+
+
+def test_mixture_lengths_are_stable_under_grid_refinement():
+    # The Fisher matrices of 52 panels differ from the default's by up to
+    # 7.8e-11 relative; the graph start keeps the solver in the same
+    # minimum, so the lengths agree to 1e-5 (7.0e-6 measured). Started
+    # from the straight path, 40 panels against 112 moved them by up to
+    # 7.5e-4.
+    default, fine = get_model("mixture"), get_model("mixture", panels=52)
+    for a, b in _criterion_pairs("mixture"):
+        coarse = fisher_distance(default, a, b)
+        refined = fisher_distance(fine, a, b)
+        assert coarse.converged and refined.converged
+        assert refined.length == pytest.approx(coarse.length, rel=1e-5)
 
 
 # -- tv bound -----------------------------------------------------------------------

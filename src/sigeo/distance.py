@@ -62,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .fisher import EIGEN_TOL, directional_form, fisher_matrices
+from .fisher import EIGEN_TOL, directional_form, fisher_matrices, jet_rows
 from .measures import DOMINANCE_TOL, QUAD_TOL, bhattacharyya_angle, tv_norm
 from .models import CurveInModel, ParamModel
 from .quadrature import gauss_legendre_rule
@@ -80,15 +80,16 @@ STEP_INIT = 0.05
 INITIAL_DAMPING = 1e-3
 MAX_DAMPING = 1e12
 # Arc solver: sample points per straight segment, the squared-chord
-# smoothing, the jet block (rows; one jet of all rows made
-# ``tv-lower-bound`` about 1.7 times slower, the extra time almost all
-# system time for the page faults of its larger temporaries, not cache
-# misses), the L-BFGS memory, the iterations over which the stop rule
+# smoothing, the L-BFGS memory, the iterations over which the stop rule
 # measures progress, the Armijo constant and the backtracking halvings
-# per step.
+# per step. Its jets take ``jet_rows`` rows at a time: one jet of all
+# rows on the 896-node mixture grid made ``tv-lower-bound`` about 1.7
+# times slower, almost all of it system time for the page faults of the
+# larger temporaries. On the default grids the 37 rows of 8 interior
+# nodes fit one jet of every 2-parameter model but gauss-location-2d
+# (mixture takes 78 rows of its 208 nodes, gauss-location-2d 4 of 4096).
 ARC_SAMPLES = 4
 CHORD_SMOOTHING = 1e-8
-ARC_JET_ROWS = 13
 LBFGS_MEMORY = 20
 STALL_ITERATIONS = 10
 # Damping of the arc solver's preconditioner, the Gauss-Newton matrix of
@@ -470,11 +471,13 @@ def _arc_rows(nodes) -> np.ndarray:
 def _arc_buffers(model: ParamModel, nodes) -> dict:
     """Work arrays of ``_arc_objective`` for polylines shaped like ``nodes``:
     the rows' Jacobians (rows x n x X), u, du, the chords and the gradient
-    factors (rows x X), and two per-block work arrays (``ARC_JET_ROWS`` x X).
+    factors (rows x X), and two work arrays of one jet block (at most
+    ``jet_rows`` x X), whose rows set the block of ``_arc_objective``.
     One set serves every evaluation of a solve, so no evaluation maps and
     faults in fresh pages for them."""
     rows = (nodes.shape[0] - 1) * ARC_SAMPLES + 1
     X = model.space.weights.size
+    block = min(rows, jet_rows(model))
     return {
         "sw": np.sqrt(model.space.weights),
         "jac": np.empty((rows, nodes.shape[1], X)),
@@ -482,8 +485,8 @@ def _arc_buffers(model: ParamModel, nodes) -> dict:
         "du": np.empty((rows, X)),
         "chords": np.empty((rows - 1, X)),
         "scale": np.empty((rows, X)),
-        "root": np.empty((ARC_JET_ROWS, X)),
-        "block": np.empty((ARC_JET_ROWS, X)),
+        "root": np.empty((block, X)),
+        "block": np.empty((block, X)),
     }
 
 
@@ -504,7 +507,8 @@ def _arc_objective(model: ParamModel, nodes, buffers=None) -> tuple:
         buffers = _arc_buffers(model, nodes)
     sw, jac, u, du, chords, scale = (buffers[k] for k in ("sw", "jac", "u", "du", "chords", "scale"))
     rows = _arc_rows(nodes)
-    blocks = [slice(i, i + ARC_JET_ROWS) for i in range(0, rows.shape[0], ARC_JET_ROWS)]
+    step = buffers["block"].shape[0]
+    blocks = [slice(i, i + step) for i in range(0, rows.shape[0], step)]
     # d psi / d theta = J sqrt(w) / (2 sqrt(p)); per row, the factor
     # sqrt(w) / (2 sqrt(p) |psi|) that takes a gradient in u to one in theta.
     # Each block's Jacobian is kept in ``jac``, so only one jet is alive.
@@ -733,7 +737,7 @@ def _final_path(model: ParamModel, candidates, bounds, iterations, converged, wa
     """The candidate path with the shortest checked length, with flags;
     a candidate equal to an earlier one is not measured again."""
     candidates = [c for i, c in enumerate(candidates) if not any(np.array_equal(c, d) for d in candidates[:i])]
-    lengths = [_path_length(model, nodes) for nodes in candidates]
+    lengths = _path_lengths(model, candidates)
     best = int(np.argmin(lengths))
     nodes = candidates[best]
     degenerate = _degenerate_segments(model, nodes)
@@ -749,14 +753,24 @@ def _path_length(model: ParamModel, nodes) -> float:
     ``MAX_HALVINGS`` times): a fixed rule understates segments whose speed
     has a kink (a crossing of the mixture's degenerate line b = 0) or a
     near-singularity (a categorical node close to the simplex face).
-    Segments that agree keep their one-rule value, bit for bit. The S
-    segments and their 2S halves are measured in one stack.
+    Segments that agree keep their one-rule value, bit for bit.
     """
-    a, b = nodes[:-1], nodes[1:]
+    return _path_lengths(model, [nodes])[0]
+
+
+def _path_lengths(model: ParamModel, polylines) -> list:
+    """``_path_length`` of each polyline. The S segments of all polylines
+    and their 2S halves are measured in one stack, and the segments that
+    need halving in one recursion; a segment's length does not depend on
+    the stack it came in, so each length is bitwise its own."""
+    a = np.concatenate([nodes[:-1] for nodes in polylines])
+    b = np.concatenate([nodes[1:] for nodes in polylines])
     mid = 0.5 * (a + b)
     ends = np.concatenate([np.stack(pair, axis=1) for pair in ((a, b), (a, mid), (mid, b))])  # (3S, 2, n)
     rules, first, second = _segment_lengths(model, ends, LENGTH_QUAD_POINTS)[:, 0].reshape(3, -1)
-    return float(np.sum(_checked_lengths(model, a, b, mid, rules, np.column_stack([first, second]), MAX_HALVINGS)))
+    lengths = _checked_lengths(model, a, b, mid, rules, np.column_stack([first, second]), MAX_HALVINGS)
+    stops = np.cumsum([len(nodes) - 1 for nodes in polylines])[:-1]
+    return [float(np.sum(part)) for part in np.split(lengths, stops)]
 
 
 def _checked_lengths(model: ParamModel, a, b, mid, rules, halves, halvings) -> np.ndarray:

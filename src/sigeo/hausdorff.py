@@ -14,8 +14,9 @@ distance between two points is |s_i - s_j| and the cloud lies on a line.
 It holds O(M) numbers, and a greedy cover is one sweep along s. Higher
 dimensions get a ``MetricCloud`` of straight-segment or midpoint
 distances, which suit dense clouds where the metric barely turns. A
-midpoint cloud assembles G once per distinct midpoint; the Jeffrey
-quadrature assembles G at all its nodes in one batched call. Cloud
+midpoint cloud rounds its pairs' midpoints to ``MIDPOINT_BITS`` and
+assembles G once per distinct rounded midpoint; the Jeffrey quadrature
+assembles G at all its nodes in one batched call. Cloud
 sizes, quadrature rules and tolerances are module constants.
 
 A ``MetricCloud`` of M points holds its one M x M matrix plus blocks sized
@@ -54,6 +55,15 @@ from .quadrature import panel_nodes_weights, uniform_edges
 
 # Gauss points per straight segment of cumulative and segment clouds.
 CLOUD_QUAD_POINTS = 4
+# Bits that a midpoint cloud keeps of each pair midpoint: a coordinate is
+# rounded to a multiple of 2^-MIDPOINT_BITS times the leading power of two
+# of its axis's largest magnitude over the cloud, a move of at most 2^-45
+# times that magnitude. Pairs that share a lattice midpoint compute it
+# with different rounding errors, of the order of the ulp of the pair's
+# coordinates (so rounding each value relative to itself would not merge
+# midpoints near 0); the rounded midpoints are equal, and a grid cloud
+# assembles G once per lattice midpoint.
+MIDPOINT_BITS = 44
 # Flat-region dimension: sampled points and halving cover scales.
 FLAT_POINTS = 150000
 FLAT_LEVELS = 5
@@ -472,10 +482,18 @@ def cloud_from_params(model: ParamModel, params, mode="cumulative") -> MetricClo
                families) and no distance matrix is built
     segment    straight-segment lengths (upper bounds; tight when the
                metric is near-constant across the cloud)
-    midpoint   one-point metric evaluation sqrt(d^T G(mid) d), the
-               segment rule with 1 Gauss point; G is assembled once per
-               distinct midpoint, so clouds on a grid, whose pairs share
-               midpoints, are cheapest; exact when G is constant
+    midpoint   one-point metric evaluation sqrt(v^T G(m) v) for the
+               pair a, a + v, the segment rule with 1 Gauss point; exact
+               when G is constant. m is a + v/2 rounded to
+               ``MIDPOINT_BITS`` bits below the leading bit of each
+               axis's largest magnitude over the points, a move of at
+               most 2^-45 times that magnitude, and G is assembled once
+               per distinct m, so clouds on a grid, whose pairs share
+               midpoints, are cheapest. v is not rounded. A rounded
+               midpoint outside the domain keeps its float value a + v/2
+               (rounding can push a point on a wall out), and a float
+               midpoint outside it (a pair along categorical's simplex
+               face) moves to a.
     """
     pts = np.atleast_2d(np.asarray(params, dtype=float))
     if mode == "cumulative":
@@ -534,8 +552,8 @@ def _cloud_segment(model, pts) -> MetricCloud:
 
 
 def _cloud_midpoint(model, pts) -> MetricCloud:
-    """sqrt(v^T G(a + v/2) v) for every pair a, a + v of points, with G
-    assembled once per distinct midpoint.
+    """sqrt(v^T G(m) v) for every pair a, a + v of points, with m the
+    pair's ``_midpoints`` and G assembled once per distinct m.
 
     Pairs go in blocks whose midpoints hold at most ``JET_NODE_BUDGET``
     coordinates. A first pass keeps each block's distinct midpoints and
@@ -545,7 +563,8 @@ def _cloud_midpoint(model, pts) -> MetricCloud:
     """
     M, n = pts.shape
     size = max(1, fisher.JET_NODE_BUDGET // n)  # pairs per block
-    local = [_distinct_rows(pts[ii] + 0.5 * (pts[jj] - pts[ii])) for ii, jj in _pair_blocks(M, size)]
+    quantum = _midpoint_quantum(pts)
+    local = [_distinct_rows(_midpoints(model, pts[ii], pts[jj], quantum)) for ii, jj in _pair_blocks(M, size)]
     mids, where = _distinct_rows(np.concatenate([pts[:0], *(u for u, _ in local)]))
     G = fisher_matrices(model, mids)
     starts = np.cumsum([0, *(len(u) for u, _ in local)])
@@ -556,6 +575,28 @@ def _cloud_midpoint(model, pts) -> MetricCloud:
         v = pts[jj] - pts[ii]
         d[ii, jj] = d[jj, ii] = np.sqrt(np.maximum(np.einsum("pi,pij,pj->p", v, G[idx], v), 0.0))
     return MetricCloud(pts, d)
+
+
+def _midpoint_quantum(pts) -> np.ndarray:
+    """Per axis, the power of two to whose multiples ``_midpoints`` rounds:
+    2^(e - MIDPOINT_BITS - 1) with 2^(e - 1) <= max |x| < 2^e over the
+    points of the axis."""
+    _, exp = np.frexp(np.max(np.abs(pts), axis=0, initial=0.0))
+    return np.ldexp(1.0, exp - (MIDPOINT_BITS + 1))
+
+
+def _midpoints(model, a, b, quantum) -> np.ndarray:
+    """The midpoints a + (b - a)/2 of the pairs of rows of a and b, rounded
+    to multiples of ``quantum`` (from ``_midpoint_quantum``; a power of
+    two, so the rounding is exact). A rounded midpoint outside the domain
+    keeps its float value, and a float midpoint outside it moves to its
+    pair's first point, the rule of ``distance._straight_path``."""
+    mids = a + 0.5 * (b - a)
+    rounded = np.rint(mids / quantum) * quantum
+    for fallback in (mids, a):
+        out = ~model.domain.contains_rows(rounded)
+        rounded[out] = fallback[out]
+    return rounded
 
 
 def _distinct_rows(a) -> tuple:

@@ -188,6 +188,24 @@ def test_hausdorff_covers_a_large_1d_cloud(capsys):
     assert payload["dimension_estimate"] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("model, region, counts, deltas, estimate, dimension", [
+    ("gauss-location-2d", "-1:1,-1:1", [36, 100], [0.7071067811734816, 0.3535533905867408],
+     4.692996432663329, 1.6169074720837888),
+    # straddles the mixture's degenerate line b = 0
+    ("mixture", "0.2:0.8,-0.8:1.0", [8, 20, 55], [0.3598570452707374, 0.1799285226353687, 0.08996426131768435],
+     0.14508167722780985, 1.3267111554004498),
+], ids=["gauss-location-2d", "mixture"])
+def test_2d_hausdorff_reports_are_pinned(model, region, counts, deltas, estimate, dimension, capsys):
+    # 784-point midpoint clouds (a 28 x 28 grid)
+    code, out, err = run_cli(["hausdorff", "--model", model, f"--region={region}", "--no-timestamp"], capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["covering_numbers"] == counts
+    assert payload["deltas"] == pytest.approx(deltas, rel=1e-12, abs=0)
+    assert payload["estimate"] == pytest.approx(estimate, rel=1e-12, abs=0)
+    assert payload["dimension_estimate"] == pytest.approx(dimension, rel=1e-12, abs=0)
+
+
 def test_jeffrey_region(capsys):
     code, out, _ = run_cli(
         ["jeffrey", "--model", "bernoulli", "--region", "0.25:0.75", "--no-timestamp"], capsys

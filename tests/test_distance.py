@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sigeo import acceptance, distance
+from sigeo import acceptance, distance, fisher
 from sigeo.distance import (
     _arc_objective,
     _energy_path,
@@ -277,9 +277,9 @@ def test_stacked_lbfgs_direction_is_the_two_loop_recursion():
 
 def _arc_objective_reference(model, nodes):
     """The arc objective as one fresh array per step, the formula before
-    its work arrays were reused."""
+    its work arrays were reused, in jets of 13 rows."""
     rows = distance._arc_rows(nodes)
-    R = distance.ARC_JET_ROWS
+    R = 13
     blocks = [slice(i, i + R) for i in range(0, rows.shape[0], R)]
     jets = [model.jet(rows[b]) for b in blocks]
     sw = np.sqrt(model.space.weights)
@@ -311,11 +311,32 @@ def _arc_objective_reference(model, nodes):
     return length, grad
 
 
-@pytest.mark.parametrize("model_id, ends", [
+ARC_ENDS = [
     ("mixture", ([0.3, -1.5], [0.7, 2.0])),
     ("gauss-loc-scale", ([-1.0, 0.7], [1.2, 1.6])),
     ("categorical:3", ([0.2, 0.3], [0.6, 0.1])),
-])
+]
+
+
+@pytest.mark.parametrize("model_id, ends", ARC_ENDS)
+def test_arc_objective_is_bitwise_the_same_for_every_jet_block(model_id, ends, monkeypatch):
+    # 8 interior nodes make 37 sample rows, one jet of each of these models by default
+    model = get_model(model_id)
+    nodes = np.linspace(*ends, 8 + 2)
+    nodes[1:-1, 0] += 0.01 * np.sin(np.arange(1, 9))
+    assert distance._arc_buffers(model, nodes)["block"].shape[0] == 37
+    results = []
+    for rows in (1, 13, 37):
+        monkeypatch.setattr(fisher, "JET_ENTRY_BUDGET", rows * model.space.size)
+        buffers = distance._arc_buffers(model, nodes)
+        assert buffers["block"].shape[0] == rows
+        results.append(_arc_objective(model, nodes, buffers))
+    for length, grad in results[1:]:
+        assert length == results[0][0]
+        np.testing.assert_array_equal(grad, results[0][1])
+
+
+@pytest.mark.parametrize("model_id, ends", ARC_ENDS)
 def test_arc_objective_with_reused_buffers_is_the_reference_bitwise(model_id, ends):
     model = get_model(model_id)
     first = np.linspace(*ends, 8 + 2)

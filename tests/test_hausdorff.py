@@ -166,9 +166,16 @@ def test_midpoint_cloud_is_the_one_point_rule():
     np.testing.assert_allclose(cloud.dist, euclid_cloud(pts).dist, rtol=1e-7, atol=0)
 
 
+def _rounded(mids, pts):
+    """Midpoints as a midpoint cloud rounds them: to multiples of 2^-45
+    times the power of two just above each axis's largest |x|."""
+    quantum = 2.0 ** (np.floor(np.log2(np.max(np.abs(pts), axis=0))) + 1 - 45)
+    return np.round(mids / quantum) * quantum
+
+
 def _pairs(pts):
     ii, jj = np.triu_indices(len(pts), k=1)
-    return ii, jj, pts[ii] + 0.5 * (pts[jj] - pts[ii])
+    return ii, jj, _rounded(pts[ii] + 0.5 * (pts[jj] - pts[ii]), pts)
 
 
 def test_midpoint_cloud_assembles_g_once_per_distinct_midpoint():
@@ -184,7 +191,8 @@ def test_midpoint_cloud_assembles_g_once_per_distinct_midpoint():
     cloud = cloud_from_params(counting, pts, mode="midpoint")
     ii, _, mids = _pairs(pts)
     distinct = np.unique(mids, axis=0)
-    assert ii.size == 10296 and sum(rows) == len(distinct) < ii.size // 2
+    # one Fisher matrix per lattice midpoint, not one per float midpoint
+    assert ii.size == 10296 and sum(rows) == len(distinct) <= (2 * 12 - 1) ** 2
     assert len(rows) > 1 and max(rows) * loc2.space.size <= fisher.JET_ENTRY_BUDGET
     np.testing.assert_array_equal(cloud.dist, cloud_from_params(loc2, pts, mode="midpoint").dist)
 
@@ -195,7 +203,7 @@ def _unique_midpoint_matrix(model, pts):
     M, n = pts.shape
     size = max(1, fisher.JET_NODE_BUDGET // n)
     local = [
-        np.unique(pts[ii] + 0.5 * (pts[jj] - pts[ii]), axis=0, return_inverse=True)
+        np.unique(_rounded(pts[ii] + 0.5 * (pts[jj] - pts[ii]), pts), axis=0, return_inverse=True)
         for ii, jj in _pair_blocks(M, size)
     ]
     mids, where = np.unique(
@@ -227,6 +235,51 @@ def test_midpoint_cloud_matches_the_unique_dedupe_bitwise(pts, budget, monkeypat
     loc2 = gaussian_location2d_family()
     cloud = cloud_from_params(loc2, pts, mode="midpoint")
     np.testing.assert_array_equal(cloud.dist, _unique_midpoint_matrix(loc2, pts))
+
+
+def test_midpoints_move_by_at_most_their_bound():
+    rng = np.random.default_rng(5)
+    loc2 = gaussian_location2d_family()
+    for pts in (_grid(np.array([-1.0, -1.0]), np.array([0.6, 0.6]), 12), rng.uniform(-1.0, 1.0, size=(40, 2)) * [1.0, 1e-3]):
+        ii, jj = np.triu_indices(len(pts), k=1)
+        mids = pts[ii] + 0.5 * (pts[jj] - pts[ii])
+        rounded = hausdorff._midpoints(loc2, pts[ii], pts[jj], hausdorff._midpoint_quantum(pts))
+        np.testing.assert_array_equal(rounded, _rounded(mids, pts))
+        assert np.all(np.abs(rounded - mids) <= 2.0 ** -45 * np.max(np.abs(pts), axis=0))
+
+
+def test_midpoint_rounded_off_a_wall_keeps_its_float_value():
+    # Rounded to multiples of 2^-45, a midpoint 1 ulp above the wall at
+    # EPS_BOUNDARY would fall below it; it keeps its float value instead.
+    eps = BERN.domain.lo[0]
+    pts = np.array([[eps], [np.nextafter(np.nextafter(eps, 1.0), 1.0)], [0.75]])
+    mid = pts[0] + 0.5 * (pts[1] - pts[0])
+    quantum = 2.0 ** -45
+    assert np.round(mid / quantum) * quantum < eps < mid
+    cloud = cloud_from_params(BERN, pts, mode="midpoint")
+    v = pts[1] - pts[0]
+    assert cloud.dist[0, 1] == np.sqrt(max(float(v @ fisher_matrix(BERN, mid).matrix @ v), 0.0))
+
+
+def test_midpoint_off_the_simplex_face_moves_to_the_first_point():
+    # Two points on categorical's face sum(theta) = 1 - 1e-6 whose float
+    # midpoint sums to just above it; the cloud once refused it.
+    cloud = cloud_from_params(CAT3, [[0.1, 0.899999], [0.25, 0.749999]], mode="midpoint")
+    assert cloud.dist[0, 1] > 0
+    # a pair whose float and rounded midpoints both leave the domain
+    pts = np.array([[0.1, 0.899999], [0.75, 0.249999]])
+    mid = pts[0] + 0.5 * (pts[1] - pts[0])
+    assert not CAT3.domain.contains(mid) and not CAT3.domain.contains(_rounded(mid, pts))
+    cloud = cloud_from_params(CAT3, pts, mode="midpoint")
+    v = pts[1] - pts[0]
+    # v^T G v cancels 6 digits of G's 1e6 entries, so summation order shows
+    assert cloud.dist[0, 1] == pytest.approx(np.sqrt(v @ fisher_matrix(CAT3, pts[0]).matrix @ v), rel=1e-9, abs=0)
+    # every pair of 18 points along the face builds
+    x = np.linspace(0.05, 0.95, 18)
+    face = np.column_stack([x, 1.0 - 1e-6 - x])
+    face = face[CAT3.domain.contains_rows(face)]
+    d = cloud_from_params(CAT3, face, mode="midpoint").dist
+    assert len(face) >= 16 and np.all(d[~np.eye(len(face), dtype=bool)] > 0)
 
 
 def test_distinct_rows_are_unique_rows_with_their_inverse():
